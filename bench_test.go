@@ -306,50 +306,6 @@ func BenchmarkLemma1TailShare(b *testing.B) {
 	}
 }
 
-// BenchmarkSolverWorkspace regenerates the PR-3 solver benchmark
-// (BENCH_pr3.json): LP workspace reuse (allocs/solve, ns/solve) and
-// branch-and-bound warm starts (node throughput within a fixed budget,
-// pivots/node, completion-objective agreement).
-func BenchmarkSolverWorkspace(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.SolverBench(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.MIP.ObjectivesAgree {
-			b.Fatalf("warm and cold completion objectives disagree: max delta %g", res.MIP.MaxObjectiveDelta)
-		}
-		b.ReportMetric(100*res.LP.AllocReduction, "alloc-reduction-pct")
-		b.ReportMetric(res.LP.AllocsReused, "allocs/solve")
-		b.ReportMetric(res.LP.NsReused, "ns/solve")
-		b.ReportMetric(res.MIP.NodeRatio, "warm-node-ratio-x")
-		b.ReportMetric(res.MIP.PivotsPerNodeWarm, "pivots/node")
-	}
-}
-
-// BenchmarkIncrReoptimize regenerates the PR-4 incremental benchmark
-// (BENCH_pr4.json): one churn trace replayed through the delta engine
-// and through a forced-full baseline, reporting the wall-clock speedup,
-// the normalized-affinity loss, and the container-move ratio.
-func BenchmarkIncrReoptimize(b *testing.B) {
-	cfg := benchConfig(b)
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.IncrBench(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.MovesDelta >= res.MovesFull {
-			b.Fatalf("delta arm moved %d containers, full arm %d — delta must move strictly fewer",
-				res.MovesDelta, res.MovesFull)
-		}
-		b.ReportMetric(res.Speedup, "speedup-x")
-		b.ReportMetric(100*res.AffinityLoss, "affinity-loss-pct")
-		b.ReportMetric(float64(res.MovesDelta)/float64(res.MovesFull), "move-ratio")
-		b.ReportMetric(float64(res.Escalations), "escalations")
-	}
-}
-
 // BenchmarkCancellationLatency measures the anytime contract's reaction
 // time on M1: how long OptimizeContext takes to hand back its incumbent
 // after the context is cancelled mid-pass. The acceptance target for

@@ -14,24 +14,13 @@
 //	-small             quarter-scale clusters for quick runs
 //	-seed 1            random seed
 //	-csv DIR           additionally write each figure's data series as CSV
-//	-solverbench FILE  run the solver micro-benchmark and write its JSON
-//	                   artifact (BENCH_pr3.json schema) to FILE
-//	-incrbench FILE    run the incremental re-optimization benchmark and
-//	                   write its JSON artifact (BENCH_pr4.json schema) to FILE
-//	-execbench FILE    run the migration-execution benchmark and write its
-//	                   JSON artifact (BENCH_pr5.json schema) to FILE
-//	-lifetimebench FILE  run the event-sourced lifetime benchmark and write
-//	                   its JSON artifact (BENCH_pr6.json schema) to FILE
-//	-sparsebench FILE  run the sparse-vs-dense LP kernel benchmark and write
-//	                   its JSON artifact (BENCH_pr8.json schema) to FILE
-//	-shardbench FILE   run the federated shard-pool churn benchmark and write
-//	                   its JSON artifact (BENCH_pr9.json schema) to FILE
-//	-selectorbench FILE  run the online-GCN selection benchmark through the
-//	                   serving path and write its JSON artifact
-//	                   (BENCH_pr10.json schema) to FILE
 //	-replay FILE       replay a recorded lifetime trace (rasagen -record)
 //	                   and print a JSON verdict: whether the pure fold
 //	                   reproduces the recorded end-state fingerprint
+//
+// Performance of the system itself (solver layers, the HTTP job path,
+// churn to executed plans) is measured by the perfbench suite, not here;
+// see perfbench/README.md.
 package main
 
 import (
@@ -55,13 +44,6 @@ func main() {
 	small := flag.Bool("small", false, "use quarter-scale clusters")
 	seed := flag.Int64("seed", 1, "random seed")
 	csvDir := flag.String("csv", "", "directory to write CSV data series into")
-	solverBench := flag.String("solverbench", "", "run the solver benchmark and write its JSON artifact to this file")
-	incrBench := flag.String("incrbench", "", "run the incremental re-optimization benchmark and write its JSON artifact to this file")
-	execBench := flag.String("execbench", "", "run the migration-execution benchmark and write its JSON artifact to this file")
-	lifetimeBench := flag.String("lifetimebench", "", "run the event-sourced lifetime benchmark and write its JSON artifact to this file")
-	sparseBench := flag.String("sparsebench", "", "run the sparse-vs-dense LP kernel benchmark and write its JSON artifact to this file")
-	shardBench := flag.String("shardbench", "", "run the federated shard-pool churn benchmark and write its JSON artifact to this file")
-	selectorBench := flag.String("selectorbench", "", "run the online-GCN selection benchmark and write its JSON artifact to this file")
 	replay := flag.String("replay", "", "replay a recorded lifetime trace and print a JSON verdict")
 	flag.Parse()
 
@@ -88,59 +70,15 @@ func main() {
 	}
 
 	start := time.Now()
-	benchOnly := false
-	if *solverBench != "" {
-		if err := runSolverBench(cfg, *solverBench); err != nil {
-			fail(fmt.Errorf("solverbench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *incrBench != "" {
-		if err := runIncrBench(cfg, *incrBench); err != nil {
-			fail(fmt.Errorf("incrbench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *execBench != "" {
-		if err := runExecBench(cfg, *execBench); err != nil {
-			fail(fmt.Errorf("execbench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *lifetimeBench != "" {
-		if err := runLifetimeBench(cfg, *lifetimeBench); err != nil {
-			fail(fmt.Errorf("lifetimebench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *sparseBench != "" {
-		if err := runSparseBench(cfg, *sparseBench); err != nil {
-			fail(fmt.Errorf("sparsebench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *shardBench != "" {
-		if err := runShardBench(cfg, *shardBench); err != nil {
-			fail(fmt.Errorf("shardbench: %w", err))
-		}
-		benchOnly = true
-	}
-	if *selectorBench != "" {
-		if err := runSelectorBench(cfg, *selectorBench); err != nil {
-			fail(fmt.Errorf("selectorbench: %w", err))
-		}
-		benchOnly = true
-	}
 	if *replay != "" {
 		if err := runReplay(*replay); err != nil {
 			fail(fmt.Errorf("replay: %w", err))
 		}
-		benchOnly = true
-	}
-	// With no experiments named, the benchmark flags are the whole run.
-	if benchOnly && len(flag.Args()) == 0 {
-		fmt.Printf("\ncompleted in %s\n", time.Since(start).Round(time.Millisecond))
-		return
+		// With no experiments named, the replay is the whole run and its
+		// JSON verdict is all of standard output, so it pipes into jq.
+		if len(flag.Args()) == 0 {
+			return
+		}
 	}
 
 	which := flag.Args()
@@ -156,145 +94,6 @@ func main() {
 		}
 	}
 	fmt.Printf("\ncompleted in %s\n", time.Since(start).Round(time.Millisecond))
-}
-
-// runSolverBench runs the PR-3 solver benchmark and writes its JSON
-// artifact (ns/solve, allocs/solve, pivots/node, nodes within budget).
-func runSolverBench(cfg experiments.Config, path string) error {
-	r, err := experiments.SolverBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteSolverBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runIncrBench runs the PR-4 incremental re-optimization benchmark and
-// writes its JSON artifact (wall clock, moves, and affinity per tick,
-// delta arm vs forced-full arm).
-func runIncrBench(cfg experiments.Config, path string) error {
-	r, err := experiments.IncrBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteIncrBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runExecBench runs the PR-5 migration-execution benchmark and writes
-// its JSON artifact (completion rate, wasted moves, achieved vs planned
-// affinity at 0/5/15% fault rates).
-func runExecBench(cfg experiments.Config, path string) error {
-	r, err := experiments.ExecBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteExecBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runLifetimeBench runs the PR-6 event-sourced lifetime benchmark and
-// writes its JSON artifact (record/replay determinism plus the embedded
-// incremental and executor benchmarks).
-func runLifetimeBench(cfg experiments.Config, path string) error {
-	r, err := experiments.LifetimeBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteLifetimeBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runSparseBench runs the PR-8 sparse-kernel benchmark and writes its
-// JSON artifact (ns/solve per kernel, speedup, objective parity, and
-// presolve shrinkage on T4 subproblem LPs).
-func runSparseBench(cfg experiments.Config, path string) error {
-	r, err := experiments.SparseBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteSparseBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runShardBench runs the PR-9 federated shard-pool benchmark and writes
-// its JSON artifact (per-arm throughput and pass mix under an identical
-// churn firehose, quality parity, executed final wave, rebalance).
-func runShardBench(cfg experiments.Config, path string) error {
-	r, err := experiments.ShardBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteShardBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
-}
-
-// runSelectorBench runs the PR-10 online-GCN selection benchmark and
-// writes its JSON artifact (per-arm quality/wall/race fraction through
-// the serving path, predictor-vs-oracle accuracy, trainer state).
-func runSelectorBench(cfg experiments.Config, path string) error {
-	r, err := experiments.SelectorBench(cfg)
-	if err != nil {
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := experiments.WriteSelectorBenchJSON(f, r); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", path)
-	return f.Close()
 }
 
 // runReplay folds a recorded lifetime trace back into a cluster state —

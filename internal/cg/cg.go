@@ -38,11 +38,6 @@ type Options struct {
 	// the machine-grouping model reduction (DESIGN.md ablation A1). Only
 	// for experiments; never faster.
 	DisableGrouping bool
-	// LPKernel selects the simplex engine for the restricted master LP
-	// (lp.KernelAuto by default; lp.KernelDense / lp.KernelSparse force
-	// one). The master grows a column per generated pattern, so large
-	// instances route to the sparse revised-simplex kernel under Auto.
-	LPKernel lp.Kernel
 }
 
 // Result is the outcome of a solve.
@@ -441,7 +436,7 @@ func (st *state) solveMaster(integral bool) (lp.Solution, bool) {
 		}
 	}
 	if !integral {
-		sol, err := st.masterWS.SolveFrom(st.ctx, &prob, lp.Options{Deadline: st.loopDeadline, Kernel: st.opts.LPKernel}, st.masterBasis)
+		sol, err := st.masterWS.SolveFrom(st.ctx, &prob, lp.Options{Deadline: st.loopDeadline}, st.masterBasis)
 		st.stats.Merge(sol.Stats)
 		if err != nil || sol.Status == lp.Infeasible || sol.Status == lp.Unbounded || sol.X == nil {
 			return lp.Solution{}, false

@@ -82,10 +82,12 @@ func TestBootstrapNoopDelta(t *testing.T) {
 	}
 }
 
-// TestDeltaQualityVsFull is the headline correctness property: after an
-// event sequence, the combined delta assignment passes Check and its
-// normalized gained affinity stays within the drift threshold of what a
-// fresh full re-solve achieves on the same state.
+// TestDeltaQualityVsFull is the headline correctness property: after a
+// churn event that dirties one subproblem, the pass stays on the delta
+// path, the combined delta assignment passes Check, it moves strictly
+// fewer containers than a fresh full re-solve of the same state, and its
+// normalized gained affinity stays within the drift threshold of the
+// full re-solve's.
 func TestDeltaQualityVsFull(t *testing.T) {
 	st := newTestState(t, t3())
 	opts := testOptions()
@@ -95,28 +97,22 @@ func TestDeltaQualityVsFull(t *testing.T) {
 		t.Fatalf("bootstrap: %v", err)
 	}
 
-	// A modest event batch: scale two services, drain one machine.
+	// One scale event: it dirties a single subproblem, so the pass must
+	// not escalate on the dirty ratio.
 	rng := rand.New(rand.NewSource(7))
 	p := st.Problem()
-	var events []Event
-	picked := map[int]bool{}
-	for len(events) < 2 {
-		s := rng.Intn(p.N())
-		if picked[s] || st.subOf[s] < 0 {
-			continue
-		}
-		picked[s] = true
-		events = append(events, ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1 + rng.Intn(2)})
+	s := rng.Intn(p.N())
+	for st.subOf[s] < 0 {
+		s = rng.Intn(p.N())
 	}
-	events = append(events, DrainMachine{Machine: rng.Intn(p.M())})
-	if _, err := eng.Apply(events...); err != nil {
+	if _, err := eng.Apply(ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1 + rng.Intn(2)}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 
 	// Full re-solve on a snapshot of the same post-event state for
 	// comparison (clone first: the engine owns the live objects).
-	cmpAssign := st.Assignment().Clone()
-	cmpRes, err := core.Optimize(ctx, p, cmpAssign, core.Options{
+	entry := st.Assignment().Clone()
+	cmpRes, err := core.Optimize(ctx, p, entry.Clone(), core.Options{
 		Budget: opts.Budget, SkipMigration: true, Parallelism: opts.Parallelism,
 	})
 	if err != nil {
@@ -127,8 +123,18 @@ func TestDeltaQualityVsFull(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
+	if res.Mode != ModeDelta {
+		t.Fatalf("mode=%v reason=%q dirty=%d/%d, want delta",
+			res.Mode, res.EscalationReason, res.DirtySubproblems, res.TotalSubproblems)
+	}
 	if viol := st.Assignment().Check(p, true); len(viol) > 0 {
 		t.Fatalf("combined assignment invalid: %v", viol[0])
+	}
+	full := cluster.MoveCount(entry, cmpRes.Assignment)
+	t.Logf("delta pass: dirty %d/%d, %d moves; full re-solve: %d moves",
+		res.DirtySubproblems, res.TotalSubproblems, res.Moves, full)
+	if res.Moves >= full {
+		t.Fatalf("delta pass moved %d containers, full re-solve %d: delta must move strictly fewer", res.Moves, full)
 	}
 	total := p.Affinity.TotalWeight()
 	fullNorm := cmpRes.GainedAffinity / total

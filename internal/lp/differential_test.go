@@ -164,7 +164,7 @@ func TestKernelsAgreeLarger(t *testing.T) {
 		}
 		for j := 0; j < n; j++ {
 			// Assignment-style bound rows: presolve fodder.
-			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, float64(1 + rng.Intn(3)))
+			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, float64(1+rng.Intn(3)))
 		}
 		for i := 0; i < m; i++ {
 			var coefs []Coef
@@ -173,7 +173,7 @@ func TestKernelsAgreeLarger(t *testing.T) {
 					coefs = append(coefs, Coef{Var: j, Val: float64(rng.Intn(5) + 1)})
 				}
 			}
-			p.AddRow(coefs, LE, float64(5 + rng.Intn(40)))
+			p.AddRow(coefs, LE, float64(5+rng.Intn(40)))
 		}
 		ds := solveWith(t, p, KernelDense)
 		ss := solveWith(t, p, KernelSparse)

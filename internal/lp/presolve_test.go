@@ -153,7 +153,6 @@ func TestPresolveUnboundedColumn(t *testing.T) {
 	}
 }
 
-
 // FuzzKernelsAgree is the differential harness as a fuzz target: any
 // seed that makes the kernels disagree on status, objective, or
 // certificate validity is a crasher. `go test` runs the seed corpus;

@@ -101,24 +101,13 @@ type Options struct {
 	// further is wasted budget (used by selector.Label to cancel the
 	// loser of the CG-vs-MIP race).
 	Cutoff func() (float64, bool)
-	// DisableWarmStart forces every node LP to a cold two-phase solve
-	// instead of the default dual-simplex warm start from the parent's
-	// basis. Ablation/benchmark knob (BENCH_pr3.json compares node
-	// throughput with and without it); production solves leave it false.
-	DisableWarmStart bool
 	// RootBasis, when non-nil, seeds the root relaxation's simplex from a
 	// basis captured in an earlier solve of a same-shaped problem (the
 	// incremental engine re-solving a subproblem whose formulation shape
 	// survived a delta). The workspace validates the basis and falls back
 	// to a cold solve when it is stale or mismatched, so a wrong guess
-	// costs nothing but the check. Ignored under DisableWarmStart.
+	// costs nothing but the check.
 	RootBasis *lp.Basis
-	// LPKernel selects the simplex engine for node LPs (lp.KernelAuto
-	// by default: size-routed, sparse revised simplex on large
-	// relaxations with a dense-tableau fallback). lp.KernelDense /
-	// lp.KernelSparse force one — the ablation knob behind
-	// experiments.SparseBench.
-	LPKernel lp.Kernel
 }
 
 // Solution is the result of a solve.
@@ -266,16 +255,11 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	}
 	prob.Rows = append(prob.Rows, s.prob.LP.Rows...)
 	prob.Rows = append(prob.Rows, extra...)
-	opts := lp.Options{Deadline: s.opts.Deadline, Kernel: s.opts.LPKernel}
-	var from *lp.Basis
-	if !s.opts.DisableWarmStart {
-		if n.parent != nil {
-			from = n.parent.basis // nil when the parent's LP didn't reach optimality
-		} else {
-			from = s.opts.RootBasis // cross-solve seed for the root relaxation
-		}
+	from := s.opts.RootBasis // cross-solve seed for the root relaxation
+	if n.parent != nil {
+		from = n.parent.basis // nil when the parent's LP didn't reach optimality
 	}
-	sol, err := s.ws.SolveFrom(s.ctx, &prob, opts, from)
+	sol, err := s.ws.SolveFrom(s.ctx, &prob, lp.Options{Deadline: s.opts.Deadline}, from)
 	if err == nil && sol.Status == lp.Optimal {
 		n.basis = s.ws.CaptureBasis(nil)
 		if n.parent == nil {

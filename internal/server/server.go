@@ -84,9 +84,6 @@ type Config struct {
 	// predictions whose confidence falls below it run both solvers and
 	// feed the outcome back to the trainer. Default 0.8.
 	MinConfidence float64
-	// Learner tunes the online trainer behind the gcn policy (replay
-	// capacity, retrain cadence, holdout split).
-	Learner learn.Options
 	// Registry receives the service metrics; nil creates a fresh one.
 	Registry *obs.Registry
 }
@@ -195,7 +192,7 @@ func New(cfg Config) *Server {
 	s.subStops = reg.CounterVec("rasa_subsolve_stop_total", "Subproblem solves by stop cause.", "cause")
 	s.solver = obs.NewSolveCollector(reg, "rasa")
 
-	s.trainer = learn.NewTrainer(cfg.Learner)
+	s.trainer = learn.NewTrainer(learn.Options{})
 	s.decisions = reg.CounterVec("rasa_policy_decisions_total", "Algorithm-selection decisions by source and chosen algorithm.", "source", "algorithm")
 	s.confidence = reg.Histogram("rasa_policy_confidence", "Confidence of algorithm-selection decisions.",
 		[]float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1})
