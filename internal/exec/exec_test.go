@@ -249,27 +249,30 @@ func (g *floorGuardFabric) Apply(ctx context.Context, cmd migrate.Command) error
 	err := g.inner.Apply(ctx, cmd)
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	// The inner fabric applies a command and only then fires the deaths
+	// it triggers, so the guard records a successful command before it
+	// folds in those deaths: a delete on a machine that dies right after
+	// it landed while the machine was alive.
+	if err == nil {
+		switch cmd.Op {
+		case migrate.Delete:
+			g.cur.Add(cmd.Service, cmd.Machine, -1)
+			g.alive[cmd.Service]--
+			g.anyDelete = true
+			slack := g.alive[cmd.Service] - g.floor[cmd.Service]
+			if slack < g.minSlack {
+				g.minSlack = slack
+			}
+			if slack < 0 {
+				g.breaches++
+			}
+		case migrate.Create:
+			g.cur.Add(cmd.Service, cmd.Machine, 1)
+			g.alive[cmd.Service]++
+		}
+	}
 	g.syncDeaths()
-	if err != nil {
-		return err
-	}
-	switch cmd.Op {
-	case migrate.Delete:
-		g.cur.Add(cmd.Service, cmd.Machine, -1)
-		g.alive[cmd.Service]--
-		g.anyDelete = true
-		slack := g.alive[cmd.Service] - g.floor[cmd.Service]
-		if slack < g.minSlack {
-			g.minSlack = slack
-		}
-		if slack < 0 {
-			g.breaches++
-		}
-	case migrate.Create:
-		g.cur.Add(cmd.Service, cmd.Machine, 1)
-		g.alive[cmd.Service]++
-	}
-	return nil
+	return err
 }
 
 // DeadMachines forwards the inner fabric's death reports, so the
@@ -295,6 +298,47 @@ func (g *floorGuardFabric) syncDeaths() {
 				}
 			}
 		}
+	}
+}
+
+// TestFloorGuardDeleteThenDeath pins the guard's ordering against the
+// fault fabric's: a delete on a machine whose scheduled death fires
+// right after that delete is recorded first, and the death then takes
+// only the containers left on the machine.
+func TestFloorGuardDeleteThenDeath(t *testing.T) {
+	c, err := workload.Generate(workload.TrainingPresets()[0])
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	p, from := c.Problem, c.Original
+	m := mostLoadedMachine(from)
+	inner := NewFaultFabric(from, FaultConfig{Deaths: []MachineDeath{{Machine: m, AfterCommands: 1}}})
+	guard := newFloorGuard(t, inner, p, from, testMinAlive)
+	s := -1
+	for svc := 0; svc < p.N(); svc++ {
+		if from.Get(svc, m) > 0 && guard.alive[svc] > guard.floor[svc] {
+			s = svc
+			break
+		}
+	}
+	if s < 0 {
+		t.Fatalf("no service on machine %d has headroom to delete", m)
+	}
+	want := from.Placed(s) - from.Get(s, m)
+	if err := guard.Apply(context.Background(), migrate.Command{Op: migrate.Delete, Service: s, Machine: m}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	if !guard.seenDead[m] {
+		t.Fatalf("machine %d death not observed", m)
+	}
+	if got := guard.cur.Get(s, m); got != 0 {
+		t.Fatalf("guard mirror keeps %d containers on dead machine %d", got, m)
+	}
+	if guard.alive[s] != want {
+		t.Fatalf("alive[%d] = %d, want %d", s, guard.alive[s], want)
+	}
+	if guard.breaches != 0 {
+		t.Fatalf("delete with headroom counted as %d breaches", guard.breaches)
 	}
 }
 

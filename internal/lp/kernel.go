@@ -39,11 +39,16 @@ func (k Kernel) String() string {
 const sparseAutoCells = 1 << 15
 
 func resolveKernel(k Kernel, p *Problem) Kernel {
+	return kernelFor(k, len(p.Rows), p.NumVars)
+}
+
+// kernelFor is resolveKernel for a problem of rows × vars.
+func kernelFor(k Kernel, rows, vars int) Kernel {
 	if k != KernelAuto {
 		return k
 	}
-	m := int64(len(p.Rows))
-	cells := (m + 1) * (int64(p.NumVars) + 2*m + 1)
+	m := int64(rows)
+	cells := (m + 1) * (int64(vars) + 2*m + 1)
 	if cells >= sparseAutoCells {
 		return KernelSparse
 	}

@@ -27,11 +27,18 @@
 //
 // The engines live in a Workspace (see workspace.go) whose storage is
 // flat, pooled, and reused across solves, and which supports warm
-// starts from a captured Basis — the mechanism branch-and-bound
-// children and CG master re-solves use to re-optimize in a few pivots
-// instead of a full two-phase solve. Bases are captured in the dense
-// column layout regardless of kernel, so either engine can warm-start
-// from the other's capture.
+// starts from a captured Basis — the mechanism CG master re-solves use
+// to re-optimize in a few pivots instead of a full two-phase solve.
+// Bases are captured in the dense column layout regardless of kernel,
+// so either engine can warm-start from the other's capture.
+//
+// Branch-and-bound nodes take a cheaper warm path (anchor.go): the
+// workspace snapshots the root relaxation's optimal dense tableau
+// (Workspace.Anchor), and SolveNode solves each node from that anchor
+// by appending the node's bound rows and pivoting in only the few
+// columns where its parent's basis differs from the root's, instead of
+// rebuilding the tableau and re-pivoting the whole basis. A node the
+// anchored path cannot take falls back to SolveFrom.
 package lp
 
 import (

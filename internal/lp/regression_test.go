@@ -34,6 +34,16 @@ func TestReleaseDropsOversizedArrays(t *testing.T) {
 	if cap(w.sps.xB) != 0 {
 		t.Fatalf("oversized sparse state retained through Release: cap=%d", cap(w.sps.xB))
 	}
+
+	// So does the anchor SolveNode keeps: a workspace whose own tableau
+	// is small but whose anchor is oversized still sheds it.
+	w = AcquireWorkspace()
+	w.a = make([]float64, 1024)
+	w.anc.a = make([]float64, maxPooledFloats)
+	w.Release()
+	if cap(w.anc.a) != 0 || cap(w.a) != 0 {
+		t.Fatalf("oversized anchor retained through Release: cap(anc.a)=%d cap(a)=%d", cap(w.anc.a), cap(w.a))
+	}
 }
 
 // TestMaxIterTotalBudget pins MaxIter as a TOTAL pivot budget. The old

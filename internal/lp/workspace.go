@@ -20,7 +20,11 @@ import (
 // related problem from that basis — dual simplex when rows were added
 // (a branch-and-bound child tightening one bound), primal simplex when
 // columns were added (a column-generation master with new patterns) —
-// instead of running the full two-phase method from scratch.
+// instead of running the full two-phase method from scratch. Anchor and
+// SolveNode (anchor.go) go one step further for branch-and-bound: every
+// node is re-optimized from a kept copy of the root's optimal tableau,
+// so a node costs the few pivots that separate its parent's basis from
+// the root's plus its own repair, not a rebuild of the whole tableau.
 //
 // A Workspace is not safe for concurrent use. Acquire one per goroutine
 // (AcquireWorkspace / Release are backed by a sync.Pool, so parallel
@@ -38,6 +42,9 @@ type Workspace struct {
 	slackSign  []float64 // converts that column's reduced cost into the row's dual
 	colRow     []int     // column -> owning row (-1 for structural columns)
 	target     []int     // scratch: warm-start target basis
+	nz         []int     // scratch: nonzero columns of the pivot row
+	rowOf      []int     // scratch (SolveNode): column -> basic row, -1 if nonbasic
+	inTarget   []bool    // scratch (SolveNode): column is in the target basis
 
 	// trackPhase1 gates phase-1 cost-row maintenance; warm starts never
 	// run phase 1 and skip the bookkeeping.
@@ -48,6 +55,13 @@ type Workspace struct {
 	// end-state so CaptureBasis reads the right one.
 	sps        spState
 	lastKernel Kernel
+	// lastStatus is the status of the most recent solve; with
+	// lastKernel it tells Anchor whether an optimal dense tableau is
+	// there to snapshot.
+	lastStatus Status
+	// anc is the snapshot SolveNode solves branch-and-bound nodes from
+	// (anchor.go).
+	anc anchor
 }
 
 // Basis is a snapshot of the simplex basis of a solved tableau, the
@@ -85,6 +99,7 @@ func (w *Workspace) Release() {
 	if w.retainedFloats() > maxPooledFloats {
 		*w = Workspace{}
 	}
+	w.anc.ok = false
 	wsPool.Put(w)
 }
 
@@ -92,7 +107,8 @@ func (w *Workspace) Release() {
 // pooled (the dominant storage; int/bool slices scale with the same
 // dimensions and are covered by the same cap).
 func (w *Workspace) retainedFloats() int {
-	return cap(w.a) + cap(w.phase1) + cap(w.phase2) + cap(w.slackSign) + w.sps.retainedFloats()
+	return cap(w.a) + cap(w.phase1) + cap(w.phase2) + cap(w.slackSign) + w.sps.retainedFloats() +
+		cap(w.anc.a) + cap(w.anc.phase2) + cap(w.anc.slackSign)
 }
 
 // CaptureBasis snapshots the basis of the workspace's most recent solve
@@ -184,6 +200,7 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 	}
 	var stats solve.Stats
 	finish := func(sol Solution) (Solution, error) {
+		w.lastStatus = sol.Status
 		sol.Stats = stats
 		sol.Stats.Wall = time.Since(start)
 		return sol, nil
@@ -410,7 +427,16 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 	if !w.canonicalize(w.target) {
 		return Solution{}, false
 	}
+	return w.reoptimize(ctx, opts, stats)
+}
 
+// reoptimize finishes a warm solve from a canonical tableau whose
+// basis came from a related problem: dual simplex repair when the basis
+// is primal infeasible (a tightened bound), then primal polish.
+// ok=false means the basis is not dual feasible either, so neither
+// simplex applies and the caller must take a colder path; no pivot has
+// been spent in that case.
+func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats) (Solution, bool) {
 	// MaxIter is a total budget: the dual repair and the primal polish
 	// share it (and any pivots a preceding sparse attempt spent count
 	// against it too).
@@ -429,8 +455,9 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 	if !primalFeasible {
 		// The basis must at least be dual feasible for the dual simplex
 		// to repair it; a parent's optimal basis always is, so a failure
-		// here means layout drift — punt to the cold path. Basic columns
-		// read exactly 0 after canonicalization, so one sweep suffices.
+		// here means the basis does not fit this problem — punt to a
+		// colder path. Basic columns read exactly 0 in a canonical
+		// tableau, so one sweep suffices.
 		for j := 0; j < w.n; j++ {
 			if !w.artificial[j] && w.phase2[j] > 10*costEps {
 				return Solution{}, false
@@ -477,14 +504,20 @@ func (w *Workspace) canonicalize(target []int) bool {
 			return false
 		}
 		if best != k {
-			ra, rb := w.row(k), w.row(best)
-			for j := range ra {
-				ra[j], rb[j] = rb[j], ra[j]
-			}
+			w.swapRows(k, best)
 		}
 		w.pivot(k, c)
 	}
 	return true
+}
+
+// swapRows exchanges tableau rows i and k with their basic columns.
+func (w *Workspace) swapRows(i, k int) {
+	ri, rk := w.row(i), w.row(k)
+	for j := range ri {
+		ri[j], rk[j] = rk[j], ri[j]
+	}
+	w.basis[i], w.basis[k] = w.basis[k], w.basis[i]
 }
 
 // iterate runs primal simplex pivots against the given cost row until
@@ -647,11 +680,18 @@ func (w *Workspace) chooseLeaving(enter int) int {
 
 func (w *Workspace) pivot(leave, enter int) {
 	prow := w.row(leave)
-	pe := prow[enter]
-	inv := 1 / pe
-	for j := range prow {
-		prow[j] *= inv
+	inv := 1 / prow[enter]
+	// Tableau rows are mostly zeros, so the updates below walk only the
+	// pivot row's nonzeros; a skipped zero term would have left its
+	// entry unchanged, so the result is the same as a dense update.
+	nz := w.nz[:0]
+	for j, v := range prow {
+		if v != 0 {
+			prow[j] = v * inv
+			nz = append(nz, j)
+		}
 	}
+	w.nz = nz
 	prow[enter] = 1 // kill round-off on the pivot element itself
 	for i := 0; i < w.m; i++ {
 		if i == leave {
@@ -659,18 +699,18 @@ func (w *Workspace) pivot(leave, enter int) {
 		}
 		r := w.row(i)
 		if f := r[enter]; f != 0 {
-			addScaled(r, prow, -f)
+			addScaledAt(r, prow, nz, -f)
 			r[enter] = 0
 		}
 	}
 	if w.trackPhase1 {
 		if f := w.phase1[enter]; f != 0 {
-			addScaled(w.phase1, prow, -f)
+			addScaledAt(w.phase1, prow, nz, -f)
 			w.phase1[enter] = 0
 		}
 	}
 	if f := w.phase2[enter]; f != 0 {
-		addScaled(w.phase2, prow, -f)
+		addScaledAt(w.phase2, prow, nz, -f)
 		w.phase2[enter] = 0
 	}
 	w.basis[leave] = enter
@@ -679,6 +719,14 @@ func (w *Workspace) pivot(leave, enter int) {
 func addScaled(dst, src []float64, k float64) {
 	_ = src[len(dst)-1]
 	for j := range dst {
+		dst[j] += k * src[j]
+	}
+}
+
+// addScaledAt is addScaled restricted to the columns idx, where src is
+// zero everywhere else.
+func addScaledAt(dst, src []float64, idx []int, k float64) {
+	for _, j := range idx {
 		dst[j] += k * src[j]
 	}
 }

@@ -240,30 +240,41 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	return sol, err
 }
 
-// solveLP solves the root LP plus the node's branch rows, warm-started
-// from the parent's captured basis when available (the node's problem
-// extends the parent's by exactly one appended bound row, which is the
-// dual-simplex sweet spot). On an optimal solve the node's own basis is
-// captured for its future children before the shared workspace moves on
-// to the next node.
+// solveLP solves the root LP plus the node's branch rows. The root's
+// optimal tableau becomes the workspace's anchor, and every later node
+// is re-optimized from it (lp.Workspace.SolveNode), rebased onto the
+// parent's captured basis: the node's problem extends the parent's by
+// exactly one appended bound row, the dual-simplex sweet spot. A node
+// the anchored path declines is solved by a warm SolveFrom on the full
+// row set. On an optimal solve the node's own basis is captured for its
+// future children before the shared workspace moves on to the next node.
 func (s *solver) solveLP(n *node) (lp.Solution, error) {
-	extra := n.rows()
-	prob := lp.Problem{
-		NumVars:   s.prob.LP.NumVars,
-		Objective: s.prob.LP.Objective,
-		Rows:      make([]lp.Constraint, 0, len(s.prob.LP.Rows)+len(extra)),
+	opts := lp.Options{Deadline: s.opts.Deadline}
+	var sol lp.Solution
+	var err error
+	if n.parent == nil {
+		sol, err = s.ws.SolveFrom(s.ctx, &s.prob.LP, opts, s.opts.RootBasis)
+	} else {
+		extra := n.rows()
+		var ok bool
+		// n.parent.basis is nil when the parent's LP didn't reach
+		// optimality: SolveNode declines and SolveFrom solves cold.
+		if sol, ok = s.ws.SolveNode(s.ctx, opts, extra, n.parent.basis); !ok {
+			prob := lp.Problem{
+				NumVars:   s.prob.LP.NumVars,
+				Objective: s.prob.LP.Objective,
+				Rows:      make([]lp.Constraint, 0, len(s.prob.LP.Rows)+len(extra)),
+			}
+			prob.Rows = append(prob.Rows, s.prob.LP.Rows...)
+			prob.Rows = append(prob.Rows, extra...)
+			sol, err = s.ws.SolveFrom(s.ctx, &prob, opts, n.parent.basis)
+		}
 	}
-	prob.Rows = append(prob.Rows, s.prob.LP.Rows...)
-	prob.Rows = append(prob.Rows, extra...)
-	from := s.opts.RootBasis // cross-solve seed for the root relaxation
-	if n.parent != nil {
-		from = n.parent.basis // nil when the parent's LP didn't reach optimality
-	}
-	sol, err := s.ws.SolveFrom(s.ctx, &prob, lp.Options{Deadline: s.opts.Deadline}, from)
 	if err == nil && sol.Status == lp.Optimal {
 		n.basis = s.ws.CaptureBasis(nil)
 		if n.parent == nil {
 			s.rootBasis = n.basis
+			s.ws.Anchor()
 		}
 	}
 	s.stats.Merge(sol.Stats)
