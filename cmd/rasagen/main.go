@@ -10,10 +10,12 @@
 //	rasagen -preset T3 -out t3.json -churn 200
 //	rasagen -preset T1 -record trace.json -record-fault 0.1 -record-death-tick 1
 //
+// -churn also writes the snapshot's synthetic churn (events grouped
+// into ticks of -churn-per-tick) as a rasa-lifetime-trace/1 file.
 // -record runs a full cluster lifetime — synthetic churn, incremental
 // re-optimization, fault-laden plan execution — and captures its event
-// log as a rasa-lifetime-trace/1 artifact that rasabench -replay can
-// fold back into the identical end state without re-running anything.
+// log in the same format. rasabench -replay folds either back into the
+// identical end state without re-running anything.
 package main
 
 import (
@@ -26,7 +28,6 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/lifetime/record"
 	"github.com/cloudsched/rasa/internal/snapshot"
@@ -43,7 +44,7 @@ func main() {
 	zones := flag.Int("zones", 1, "compatibility zones")
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "-", "output file ('-' for stdout)")
-	churnN := flag.Int("churn", 0, "also emit a churn trace with this many events")
+	churnN := flag.Int("churn", 0, "also emit a churn trace (lifetime-trace format) with this many events")
 	churnOut := flag.String("churn-out", "", "churn trace output (default '<out>.churn.json')")
 	churnPerTick := flag.Int("churn-per-tick", 5, "events per re-optimization tick in the churn trace")
 	recordOut := flag.String("record", "", "record a full cluster lifetime (churn + re-optimization + execution) to this trace file")
@@ -85,7 +86,8 @@ func main() {
 		defer f.Close()
 		w = f
 	}
-	if err := snapshot.Write(w, snapshot.FromCluster(c.Problem, c.Original)); err != nil {
+	snap := snapshot.FromCluster(c.Problem, c.Original)
+	if err := snapshot.Write(w, snap); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "generated %s: %d services, %d machines, %d affinity edges, gained affinity %.4f\n",
@@ -93,9 +95,13 @@ func main() {
 		c.Original.GainedAffinity(c.Problem)/c.Problem.Affinity.TotalWeight())
 
 	if *churnN > 0 {
-		tr, err := churn.Generate(c, churn.Config{
+		batches, err := churn.Generate(c, churn.Config{
 			Events: *churnN, PerTick: *churnPerTick, Seed: *seed,
 		})
+		if err != nil {
+			fail(err)
+		}
+		tr, err := lifetime.NewTrace(snap, *seed, ps.Name, batches)
 		if err != nil {
 			fail(err)
 		}
@@ -111,15 +117,15 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		if err := incr.WriteTrace(f, tr); err != nil {
+		if err := lifetime.WriteTrace(f, tr); err != nil {
 			f.Close()
 			fail(err)
 		}
 		if err := f.Close(); err != nil {
 			fail(err)
 		}
-		last := tr.Events[len(tr.Events)-1]
-		fmt.Fprintf(os.Stderr, "churn trace %s: %d events over %d ticks\n", path, len(tr.Events), last.Tick+1)
+		fmt.Fprintf(os.Stderr, "churn trace %s: %d events over %d ticks, fingerprint %s\n",
+			path, len(tr.Events), len(batches), tr.Fingerprint)
 	}
 }
 

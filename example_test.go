@@ -8,9 +8,9 @@ import (
 	rasa "github.com/cloudsched/rasa"
 )
 
-// ExampleOptimize shows the end-to-end flow: build a problem, bootstrap
-// a placement, optimize, and verify the migration plan.
-func ExampleOptimize() {
+// ExampleOptimizeContext shows the end-to-end flow: build a problem,
+// bootstrap a placement, optimize, and verify the migration plan.
+func ExampleOptimizeContext() {
 	b := rasa.NewClusterBuilder("cpu")
 	web := b.AddService("web", 2, rasa.Resources{1})
 	cache := b.AddService("cache", 2, rasa.Resources{1})

@@ -27,30 +27,22 @@ func main() {
 		clusters = append(clusters, c)
 	}
 
-	fmt.Println("labelling subproblems by racing CG vs MIP...")
-	start := time.Now()
-	labeled, err := rasa.LabelSubproblemsContext(ctx, clusters, 200*time.Millisecond, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cgWins, mipWins int
-	for _, l := range labeled {
-		if l.Winner.String() == "CG" {
-			cgWins++
-		} else {
-			mipWins++
+	fmt.Println("labelling subproblems by racing CG vs MIP, then training...")
+	policies := map[string]*rasa.TrainedPolicy{}
+	for _, kind := range []string{"gcn", "mlp"} {
+		start := time.Now()
+		tp, err := rasa.TrainPolicyContext(ctx, rasa.TrainingConfig{
+			Clusters:    clusters,
+			Kind:        kind,
+			LabelBudget: 200 * time.Millisecond,
+			Seed:        1,
+		})
+		if err != nil {
+			log.Fatal(err)
 		}
-	}
-	fmt.Printf("labelled %d subproblems in %s (CG wins %d, MIP wins %d)\n",
-		len(labeled), time.Since(start).Round(time.Millisecond), cgWins, mipWins)
-
-	gcnPolicy, err := rasa.TrainSelectorContext(ctx, clusters, 200*time.Millisecond, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	mlpPolicy, err := rasa.TrainMLPSelectorContext(ctx, clusters, 200*time.Millisecond, 1)
-	if err != nil {
-		log.Fatal(err)
+		fmt.Printf("  %s: %d labelled subproblems, holdout accuracy %.3f (%s)\n",
+			kind, tp.Examples, tp.HoldoutAccuracy, time.Since(start).Round(time.Millisecond))
+		policies[kind] = tp
 	}
 
 	// Evaluate each policy end to end on a held-out cluster.
@@ -63,7 +55,7 @@ func main() {
 	}
 	total := eval.Problem.Affinity.TotalWeight()
 	fmt.Printf("\nend-to-end gained affinity on a held-out cluster (budget 1.5s):\n")
-	for _, pol := range []rasa.Policy{rasa.AlwaysCG(), rasa.AlwaysMIP(), rasa.HeuristicPolicy(), mlpPolicy, gcnPolicy} {
+	for _, pol := range []rasa.Policy{rasa.AlwaysCG(), rasa.AlwaysMIP(), rasa.HeuristicPolicy(), policies["mlp"], policies["gcn"]} {
 		res, err := rasa.OptimizeContext(ctx, eval.Problem, eval.Original, rasa.Options{
 			Budget:        1500 * time.Millisecond,
 			Policy:        pol,

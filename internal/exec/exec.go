@@ -11,7 +11,7 @@
 // believed state and the plan (a machine death, a command that
 // exhausted its retries, a step the runtime invariant refuses) stops
 // the current plan at a step boundary, checkpoints progress, feeds the
-// divergence into the incremental engine (incr.DrainMachine events plus
+// divergence into the incremental engine (lifetime.DrainMachine events plus
 // the believed assignment), re-plans the remainder, and resumes. Every
 // outcome — retries, backoff, escalations, SLA-floor headroom — is
 // surfaced through internal/obs and the final Report.
@@ -371,7 +371,7 @@ func (e *Executor) Resume(ctx context.Context, cp *Checkpoint) (*Report, error) 
 		return nil, err
 	}
 	for _, m := range cp.DeadMachines {
-		if _, err := st.Apply(incr.DrainMachine{Machine: m}); err != nil {
+		if _, err := st.Apply(lifetime.DrainMachine{Machine: m}); err != nil {
 			return nil, fmt.Errorf("exec: draining checkpointed dead machine %d: %w", m, err)
 		}
 	}

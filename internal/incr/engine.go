@@ -171,7 +171,7 @@ func New(st *State, opts Options, reg *obs.Registry) *Engine {
 func (e *Engine) State() *State { return e.st }
 
 // Apply forwards events to the state and counts them in the metrics.
-func (e *Engine) Apply(events ...Event) (int, error) {
+func (e *Engine) Apply(events ...lifetime.Event) (int, error) {
 	applied, err := e.st.Apply(events...)
 	for i := 0; i < applied; i++ {
 		e.m.event(events[i].Kind())

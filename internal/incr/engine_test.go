@@ -8,6 +8,7 @@ import (
 
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/core"
+	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/workload"
 )
@@ -58,7 +59,7 @@ func TestBootstrapNoopDelta(t *testing.T) {
 		}
 	}
 	d := st.Problem().Services[target].Replicas
-	if _, err := eng.Apply(ScaleService{Service: target, Replicas: d + 2}); err != nil {
+	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: d + 2}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	res, err = eng.Reoptimize(ctx)
@@ -105,7 +106,7 @@ func TestDeltaQualityVsFull(t *testing.T) {
 	for st.subOf[s] < 0 {
 		s = rng.Intn(p.N())
 	}
-	if _, err := eng.Apply(ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1 + rng.Intn(2)}); err != nil {
+	if _, err := eng.Apply(lifetime.ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1 + rng.Intn(2)}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 
@@ -161,7 +162,7 @@ func TestDriftEscalation(t *testing.T) {
 	// pair, so normalized gain collapses and the engine must escalate.
 	u, v := st.groups[0][0], st.groups[1][0]
 	w := 2 * st.Problem().Affinity.TotalWeight()
-	if _, err := eng.Apply(UpdateAffinity{A: u, B: v, Weight: w}); err != nil {
+	if _, err := eng.Apply(lifetime.UpdateAffinity{A: u, B: v, Weight: w}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	res, err := eng.Reoptimize(ctx)
@@ -194,10 +195,10 @@ func TestDirtyRatioEscalation(t *testing.T) {
 
 	// Dirty every subproblem: scale one service from each group.
 	p := st.Problem()
-	var events []Event
+	var events []lifetime.Event
 	for _, g := range st.groups {
 		s := g[0]
-		events = append(events, ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1})
+		events = append(events, lifetime.ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1})
 	}
 	if _, err := eng.Apply(events...); err != nil {
 		t.Fatalf("apply: %v", err)
@@ -246,7 +247,7 @@ func TestDeltaMigrationPlan(t *testing.T) {
 		}
 	}
 	old := st.Assignment().Clone()
-	if _, err := eng.Apply(ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 2}); err != nil {
+	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 2}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	res, err := eng.Reoptimize(ctx)
@@ -293,7 +294,7 @@ func TestRemoveServiceThenReoptimize(t *testing.T) {
 	if victim < 0 {
 		t.Skip("no partitioned service")
 	}
-	if _, err := eng.Apply(RemoveService{Service: victim}); err != nil {
+	if _, err := eng.Apply(lifetime.RemoveService{Service: victim}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if len(st.subOf) != st.Problem().N() {

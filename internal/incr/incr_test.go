@@ -1,11 +1,11 @@
 package incr
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
 	"github.com/cloudsched/rasa/internal/cluster"
+	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/workload"
 )
 
@@ -34,7 +34,7 @@ func TestScaleServiceEvent(t *testing.T) {
 	// Scale up: replicas target moves, placed count unchanged (deficit
 	// awaits Reoptimize).
 	placed := st.Assignment().Placed(s)
-	if _, err := st.Apply(ScaleService{Service: s, Replicas: orig + 3}); err != nil {
+	if _, err := st.Apply(lifetime.ScaleService{Service: s, Replicas: orig + 3}); err != nil {
 		t.Fatalf("scale up: %v", err)
 	}
 	if p.Services[s].Replicas != orig+3 {
@@ -45,7 +45,7 @@ func TestScaleServiceEvent(t *testing.T) {
 	}
 
 	// Scale down strips surplus immediately.
-	if _, err := st.Apply(ScaleService{Service: s, Replicas: 1}); err != nil {
+	if _, err := st.Apply(lifetime.ScaleService{Service: s, Replicas: 1}); err != nil {
 		t.Fatalf("scale down: %v", err)
 	}
 	if got := st.Assignment().Placed(s); got != 1 {
@@ -53,10 +53,10 @@ func TestScaleServiceEvent(t *testing.T) {
 	}
 
 	// Invalid events are rejected.
-	if _, err := st.Apply(ScaleService{Service: s, Replicas: 0}); err == nil {
+	if _, err := st.Apply(lifetime.ScaleService{Service: s, Replicas: 0}); err == nil {
 		t.Fatal("zero replicas accepted")
 	}
-	if _, err := st.Apply(ScaleService{Service: p.N(), Replicas: 1}); err == nil {
+	if _, err := st.Apply(lifetime.ScaleService{Service: p.N(), Replicas: 1}); err == nil {
 		t.Fatal("out-of-range service accepted")
 	}
 }
@@ -77,7 +77,7 @@ func TestDrainMachineEvent(t *testing.T) {
 	if target < 0 {
 		t.Fatal("no hosting machine in generated cluster")
 	}
-	if _, err := st.Apply(DrainMachine{Machine: target}); err != nil {
+	if _, err := st.Apply(lifetime.DrainMachine{Machine: target}); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	for s := 0; s < p.N(); s++ {
@@ -102,23 +102,23 @@ func TestDrainMachineEvent(t *testing.T) {
 func TestUpdateAffinityEvent(t *testing.T) {
 	st := newTestState(t, t3())
 	p := st.Problem()
-	if _, err := st.Apply(UpdateAffinity{A: 0, B: 1, Weight: 7.5}); err != nil {
+	if _, err := st.Apply(lifetime.UpdateAffinity{A: 0, B: 1, Weight: 7.5}); err != nil {
 		t.Fatalf("update: %v", err)
 	}
 	if w := p.Affinity.Weight(0, 1); w != 7.5 {
 		t.Fatalf("weight = %v, want 7.5", w)
 	}
 	// Absolute semantics: setting again replaces, not accumulates.
-	if _, err := st.Apply(UpdateAffinity{A: 0, B: 1, Weight: 2}); err != nil {
+	if _, err := st.Apply(lifetime.UpdateAffinity{A: 0, B: 1, Weight: 2}); err != nil {
 		t.Fatalf("update: %v", err)
 	}
 	if w := p.Affinity.Weight(0, 1); w != 2 {
 		t.Fatalf("weight = %v, want 2", w)
 	}
-	if _, err := st.Apply(UpdateAffinity{A: 0, B: 0, Weight: 1}); err == nil {
+	if _, err := st.Apply(lifetime.UpdateAffinity{A: 0, B: 0, Weight: 1}); err == nil {
 		t.Fatal("self-affinity accepted")
 	}
-	if _, err := st.Apply(UpdateAffinity{A: 0, B: 1, Weight: math.NaN()}); err == nil {
+	if _, err := st.Apply(lifetime.UpdateAffinity{A: 0, B: 1, Weight: math.NaN()}); err == nil {
 		t.Fatal("NaN weight accepted")
 	}
 }
@@ -131,7 +131,7 @@ func TestAddMachineEvent(t *testing.T) {
 	for r := range capRes {
 		capRes[r] = 64
 	}
-	if _, err := st.Apply(AddMachine{Name: "new-0", Capacity: capRes, Spec: 1}); err != nil {
+	if _, err := st.Apply(lifetime.AddMachine{Name: "new-0", Capacity: capRes, Spec: 1}); err != nil {
 		t.Fatalf("add machine: %v", err)
 	}
 	if p.M() != m0+1 {
@@ -143,7 +143,7 @@ func TestAddMachineEvent(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatalf("problem invalid after add: %v", err)
 	}
-	if _, err := st.Apply(AddMachine{Capacity: cluster.Resources{1}}); err == nil {
+	if _, err := st.Apply(lifetime.AddMachine{Capacity: cluster.Resources{1}}); err == nil {
 		t.Fatal("wrong resource arity accepted")
 	}
 }
@@ -158,7 +158,7 @@ func TestRemoveServiceEvent(t *testing.T) {
 	probeName := p.Services[probe].Name
 	probePlaced := st.Assignment().Placed(probe)
 
-	if _, err := st.Apply(RemoveService{Service: victim}); err != nil {
+	if _, err := st.Apply(lifetime.RemoveService{Service: victim}); err != nil {
 		t.Fatalf("remove: %v", err)
 	}
 	if p.N() != n0-1 {
@@ -176,51 +176,5 @@ func TestRemoveServiceEvent(t *testing.T) {
 	}
 	if viol := st.Assignment().Check(p, false); len(viol) > 0 {
 		t.Fatalf("assignment violates constraints after remove: %v", viol[0])
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := &Trace{
-		Version: TraceVersion,
-		Seed:    42,
-		Events: []TraceEvent{
-			{Tick: 0, EventJSON: ToJSON(ScaleService{Service: 0, Replicas: 4})},
-			{Tick: 0, EventJSON: ToJSON(UpdateAffinity{A: 1, B: 2, Weight: 0.5})},
-			{Tick: 1, EventJSON: ToJSON(DrainMachine{Machine: 7})},
-			{Tick: 2, EventJSON: ToJSON(AddMachine{Name: "x", Capacity: cluster.Resources{8, 16}, Spec: 2})},
-			{Tick: 2, EventJSON: ToJSON(RemoveService{Service: 0})},
-		},
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	ticks, err := got.Ticks()
-	if err != nil {
-		t.Fatalf("ticks: %v", err)
-	}
-	if len(ticks) != 3 || len(ticks[0].Events) != 2 || len(ticks[1].Events) != 1 || len(ticks[2].Events) != 2 {
-		t.Fatalf("tick grouping wrong: %+v", ticks)
-	}
-	if ev, ok := ticks[0].Events[0].(ScaleService); !ok || ev.Service != 0 || ev.Replicas != 4 {
-		t.Fatalf("decoded event = %#v", ticks[0].Events[0])
-	}
-	if ev, ok := ticks[2].Events[0].(AddMachine); !ok || len(ev.Capacity) != 2 || ev.Capacity[1] != 16 {
-		t.Fatalf("decoded add machine = %#v", ticks[2].Events[0])
-	}
-
-	// Version check.
-	bad := bytes.NewBufferString(`{"version":"other/9","events":[]}`)
-	if _, err := ReadTrace(bad); err == nil {
-		t.Fatal("unknown version accepted")
-	}
-	// Unknown event type fails decode.
-	tr2 := &Trace{Version: TraceVersion, Events: []TraceEvent{{EventJSON: EventJSON{Type: "nope"}}}}
-	if _, err := tr2.Ticks(); err == nil {
-		t.Fatal("unknown event type accepted")
 	}
 }

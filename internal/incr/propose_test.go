@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"testing"
+
+	"github.com/cloudsched/rasa/internal/lifetime"
 )
 
 // TestProposeCommitAdopt covers the two-phase path the federation layer
@@ -77,7 +79,7 @@ func TestCommitProposalStale(t *testing.T) {
 	// An event lands between the proposal and its commit: the proposal
 	// was computed against a state that no longer exists.
 	r := st.Problem().Services[0].Replicas
-	if _, err := eng.Apply(ScaleService{Service: 0, Replicas: r + 1}); err != nil {
+	if _, err := eng.Apply(lifetime.ScaleService{Service: 0, Replicas: r + 1}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
 	if err := eng.CommitProposal(res); !errors.Is(err, ErrStaleProposal) {

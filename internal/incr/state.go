@@ -95,7 +95,7 @@ func (st *State) Log() *lifetime.Log { return st.log }
 // offending event and every earlier event remains applied (events are
 // not transactional — they model an external feed that has already
 // happened).
-func (st *State) Apply(events ...Event) (int, error) {
+func (st *State) Apply(events ...lifetime.Event) (int, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	applied, err := st.log.Append(events...)

@@ -41,13 +41,13 @@ func benchSubproblems(t *testing.T, seed int64) []*cluster.Subproblem {
 // heuristicLabel fabricates a deterministic, learnable oracle: label
 // with the heuristic rule (which depends only on subproblem shape).
 func heuristicLabel(sp *cluster.Subproblem) selector.Labeled {
-	return selector.Labeled{Sub: sp, Winner: selector.Heuristic{}.Select(sp)}
+	return selector.Labeled{Sub: sp, Winner: selector.Heuristic{}.Decide(sp).Algorithm}
 }
 
 // flippedLabel is the same oracle with every label inverted.
 func flippedLabel(sp *cluster.Subproblem) selector.Labeled {
 	w := pool.CG
-	if (selector.Heuristic{}).Select(sp) == pool.CG {
+	if (selector.Heuristic{}).Decide(sp).Algorithm == pool.CG {
 		w = pool.MIP
 	}
 	return selector.Labeled{Sub: sp, Winner: w}

@@ -19,6 +19,7 @@ package lifetime
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/graph"
@@ -64,22 +65,59 @@ func (e ScaleService) apply(st *State) ([]int, error) {
 		return nil, fmt.Errorf("replicas %d < 1 (use removeService to retire a service)", e.Replicas)
 	}
 	st.p.Services[e.Service].Replicas = e.Replicas
-	// Strip surplus deterministically: repeatedly evict one container
-	// from the machine currently hosting the most (ties to the lowest
-	// machine index), preserving the service's spread.
-	for st.assign.Placed(e.Service) > e.Replicas {
-		best, bestCount := -1, 0
-		for _, m := range st.assign.MachinesOf(e.Service) {
-			if c := st.assign.Get(e.Service, m); c > bestCount {
-				best, bestCount = m, c
-			}
+	stripSurplus(st.assign, e.Service, st.assign.Placed(e.Service)-e.Replicas)
+	return []int{e.Service}, nil
+}
+
+// stripSurplus evicts surplus containers of service s deterministically,
+// preserving its spread: the result is that of evicting one container
+// at a time from the machine currently hosting the most (ties to the
+// lowest machine index), computed in O(m log m) rather than O(surplus)
+// steps. The top counts come down to a common level, and the remainder
+// is taken one each from the lowest-indexed machines at that level.
+func stripSurplus(a *cluster.Assignment, s, surplus int) {
+	if surplus <= 0 {
+		return
+	}
+	ms := a.MachinesOf(s)
+	counts := make([]int, len(ms))
+	for i, m := range ms {
+		counts[i] = a.Get(s, m)
+	}
+	desc := slices.Clone(counts)
+	slices.Sort(desc)
+	slices.Reverse(desc)
+	// top machines share the level; lower them one distinct count at a
+	// time while the surplus covers it (the division form cannot
+	// overflow on hostile counts).
+	level, top := desc[0], 1
+	for top < len(desc) && desc[top] == level {
+		top++
+	}
+	for level > 0 {
+		next := 0
+		if top < len(desc) {
+			next = desc[top]
 		}
-		if best < 0 {
+		if level-next > surplus/top {
+			level -= surplus / top
+			surplus %= top
 			break
 		}
-		st.assign.Add(e.Service, best, -1)
+		surplus -= top * (level - next)
+		level = next
+		for top < len(desc) && desc[top] == level {
+			top++
+		}
 	}
-	return []int{e.Service}, nil
+	for i, m := range ms {
+		c := min(counts[i], level)
+		if c == level && surplus > 0 && c > 0 {
+			c--
+			surplus--
+		}
+		a.Set(s, m, c)
+	}
 }
 
 // AddMachine appends a machine to the inventory. Existing
@@ -350,6 +388,9 @@ func (e PlanCommitted) apply(st *State) ([]int, error) {
 	for _, d := range e.Changed {
 		if d.Service < 0 || d.Service >= st.p.N() || d.Machine < 0 || d.Machine >= st.p.M() {
 			return nil, fmt.Errorf("delta (%d,%d) out of range %dx%d", d.Service, d.Machine, st.p.N(), st.p.M())
+		}
+		if d.After < 0 {
+			return nil, fmt.Errorf("delta (%d,%d): negative target %d", d.Service, d.Machine, d.After)
 		}
 		if got := st.assign.Get(d.Service, d.Machine); got != d.Before {
 			return nil, fmt.Errorf("delta (%d,%d): state has %d containers, commit expected %d",

@@ -2,9 +2,13 @@ package lifetime
 
 import (
 	"bytes"
+	"encoding/json"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/snapshot"
 	"github.com/cloudsched/rasa/internal/workload"
 )
@@ -286,5 +290,137 @@ func TestTraceReplayDeterminism(t *testing.T) {
 	nosnap.Snapshot = nil
 	if _, err := Replay(&nosnap); err == nil {
 		t.Fatal("snapshot-less trace replayed")
+	}
+}
+
+// TestTraceRoundTrip builds a trace from per-tick churn batches and
+// checks it survives the wire: entries keep their batch's tick (an
+// empty batch leaves a gap), events decode to what was encoded, the
+// recorded fingerprint replays, and building the trace left the
+// snapshot untouched even though a drain zeroes capacity in the fold.
+func TestTraceRoundTrip(t *testing.T) {
+	c, err := workload.Generate(workload.TrainingPresets()[2])
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	snap := snapshot.FromCluster(c.Problem, c.Original)
+	before, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := [][]Event{
+		{ScaleService{Service: 0, Replicas: 4}, UpdateAffinity{A: 1, B: 2, Weight: 0.5}},
+		nil,
+		{DrainMachine{Machine: 7}},
+		{AddMachine{Name: "x", Capacity: c.Problem.Machines[0].Capacity.Clone(), Spec: -1}, RemoveService{Service: 0}},
+	}
+	tr, err := NewTrace(snap, 42, "T3", batches)
+	if err != nil {
+		t.Fatalf("new trace: %v", err)
+	}
+	if after, _ := json.Marshal(snap); !bytes.Equal(before, after) {
+		t.Fatal("building the trace mutated its snapshot")
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tr); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	got, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	var ticks []int
+	var events []Event
+	for _, e := range got.Events {
+		ev, err := e.Event()
+		if err != nil {
+			t.Fatalf("decode entry %d: %v", e.Seq, err)
+		}
+		ticks = append(ticks, e.Tick)
+		events = append(events, ev)
+	}
+	if want := []int{0, 0, 2, 3, 3}; !reflect.DeepEqual(ticks, want) {
+		t.Fatalf("entry ticks %v, want %v", ticks, want)
+	}
+	var flat []Event
+	for _, b := range batches {
+		flat = append(flat, b...)
+	}
+	if !reflect.DeepEqual(events, flat) {
+		t.Fatalf("decoded events %#v, want %#v", events, flat)
+	}
+	rl, err := Replay(got)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rl.Fingerprint() != got.Fingerprint || rl.Tick() != 3 {
+		t.Fatalf("replay fingerprint %s tick %d, want %s tick 3", rl.Fingerprint(), rl.Tick(), got.Fingerprint)
+	}
+
+	// An event that does not apply in order fails the build.
+	if _, err := NewTrace(snap, 0, "", [][]Event{{ScaleService{Service: c.Problem.N(), Replicas: 1}}}); err == nil {
+		t.Fatal("trace with an out-of-range event built")
+	}
+	// An unknown event type fails decode, alone and inside a trace.
+	if _, err := DecodeEvents([]EventJSON{{Type: "nope"}}); err == nil {
+		t.Fatal("unknown event type decoded")
+	}
+	bad := *got
+	bad.Events = []EntryJSON{{Seq: 1, EventJSON: EventJSON{Type: "nope"}}}
+	if _, err := Replay(&bad); err == nil || !strings.Contains(err.Error(), "unknown event type") {
+		t.Fatalf("unknown event type replay error = %v", err)
+	}
+	// A commit to a negative container count is refused, not a panic.
+	neg := PlanCommitted{Applied: true, Changed: []PlacementDelta{{Service: 0, Machine: 0, Before: c.Original.Get(0, 0), After: -1}}}
+	bad.Events = []EntryJSON{{Seq: 1, EventJSON: ToJSON(neg)}}
+	if _, err := Replay(&bad); err == nil || !strings.Contains(err.Error(), "negative target") {
+		t.Fatalf("negative commit target replay error = %v", err)
+	}
+}
+
+// TestStripSurplusMatchesOneAtATime checks the bulk scale-down strip
+// against its definition — evict one container at a time from the
+// machine hosting the most, ties to the lowest index — on random
+// spreads and surpluses, and that a hostile count strips without
+// stepping through it.
+func TestStripSurplusMatchesOneAtATime(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		m := 1 + rng.Intn(6)
+		want, got := cluster.NewAssignment(1, m), cluster.NewAssignment(1, m)
+		for j := 0; j < m; j++ {
+			c := rng.Intn(5)
+			want.Set(0, j, c)
+			got.Set(0, j, c)
+		}
+		placed := want.Placed(0)
+		if placed == 0 {
+			continue
+		}
+		surplus := rng.Intn(placed) // keeps at least one container
+		for k := 0; k < surplus; k++ {
+			best, bestCount := -1, 0
+			for _, j := range want.MachinesOf(0) {
+				if c := want.Get(0, j); c > bestCount {
+					best, bestCount = j, c
+				}
+			}
+			want.Add(0, best, -1)
+		}
+		stripSurplus(got, 0, surplus)
+		for j := 0; j < m; j++ {
+			if got.Get(0, j) != want.Get(0, j) {
+				t.Fatalf("trial %d, surplus %d: machine %d has %d, want %d", trial, surplus, j, got.Get(0, j), want.Get(0, j))
+			}
+		}
+	}
+
+	a := cluster.NewAssignment(1, 3)
+	a.Set(0, 0, 1e12)
+	a.Set(0, 1, 1e12)
+	a.Set(0, 2, 3)
+	stripSurplus(a, 0, a.Placed(0)-5)
+	if a.Get(0, 0) != 1 || a.Get(0, 1) != 2 || a.Get(0, 2) != 2 {
+		t.Fatalf("hostile strip left %d/%d/%d, want 1/2/2", a.Get(0, 0), a.Get(0, 1), a.Get(0, 2))
 	}
 }

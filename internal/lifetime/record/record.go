@@ -88,7 +88,7 @@ func Record(ctx context.Context, cfg Config) (*lifetime.Trace, error) {
 	}, nil)
 	log := st.Log()
 
-	tr, err := churn.Generate(c, churn.Config{
+	batches, err := churn.Generate(c, churn.Config{
 		Events:      cfg.Ticks * cfg.PerTick,
 		PerTick:     cfg.PerTick,
 		Seed:        cfg.Seed*31 + 7,
@@ -97,14 +97,6 @@ func Record(ctx context.Context, cfg Config) (*lifetime.Trace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("record: churn: %w", err)
 	}
-	batches, err := tr.Ticks()
-	if err != nil {
-		return nil, fmt.Errorf("record: churn trace: %w", err)
-	}
-	churnAt := make(map[int][]incr.Event, len(batches))
-	for _, b := range batches {
-		churnAt[b.Tick] = b.Events
-	}
 
 	sum := &lifetime.Summary{Ticks: cfg.Ticks}
 	for tick := 0; tick < cfg.Ticks; tick++ {
@@ -112,7 +104,7 @@ func Record(ctx context.Context, cfg Config) (*lifetime.Trace, error) {
 			return nil, err
 		}
 		log.AdvanceTick()
-		if batch := churnAt[tick]; len(batch) > 0 {
+		if batch := batches[tick]; len(batch) > 0 {
 			if _, err := st.Apply(batch...); err != nil {
 				return nil, fmt.Errorf("record: tick %d churn: %w", tick, err)
 			}

@@ -15,9 +15,8 @@ const TraceVersion = "rasa-lifetime-trace/1"
 // EventJSON is the wire form of an Event: a type discriminator plus
 // the union of all event fields. Zero values round-trip (service 0 is
 // a valid index, weight 0 zeroes an edge), so omitted fields decode to
-// the same event they encoded from. Churn-only traces use none of the
-// execution fields, so their wire form is unchanged from the original
-// churn-trace schema.
+// the same event they encoded from. Churn events use none of the
+// execution fields.
 type EventJSON struct {
 	Type     string    `json:"type"`
 	Service  int       `json:"service,omitempty"`
@@ -151,9 +150,10 @@ type Summary struct {
 	Deaths          int `json:"deaths"`
 }
 
-// Trace is a complete recorded lifetime: the initial snapshot, every
-// log entry in order, and the end-state fingerprint the replay must
-// reproduce.
+// Trace is a replayable lifetime: the initial snapshot, every log
+// entry in order, and the end-state fingerprint the replay must
+// reproduce. Log.Export writes a recorded one; NewTrace builds one from
+// pre-generated churn.
 type Trace struct {
 	Version     string             `json:"version"`
 	Seed        int64              `json:"seed,omitempty"`
@@ -178,6 +178,25 @@ func (l *Log) Export(snap *snapshot.Snapshot, seed int64, preset string, sum *Su
 		Summary:     sum,
 		Events:      EntriesJSON(l.entries),
 	}
+}
+
+// NewTrace packages per-tick event batches — batch i fires on tick i,
+// and an empty batch is a tick without events — as a trace against
+// snap, stamped with the fingerprint Replay folds them to. It fails if
+// an event does not apply in order.
+func NewTrace(snap *snapshot.Snapshot, seed int64, preset string, batches [][]Event) (*Trace, error) {
+	tr := &Trace{Version: TraceVersion, Seed: seed, Preset: preset, Snapshot: snap}
+	for tick, batch := range batches {
+		for _, ev := range batch {
+			tr.Events = append(tr.Events, EntryJSON{Seq: uint64(len(tr.Events) + 1), Tick: tick, EventJSON: ToJSON(ev)})
+		}
+	}
+	l, err := Replay(tr)
+	if err != nil {
+		return nil, err
+	}
+	tr.Fingerprint = l.Fingerprint()
+	return tr, nil
 }
 
 // WriteTrace writes the trace as indented JSON.

@@ -265,20 +265,13 @@ func run(ctx context.Context, cfg Config, scenario Scenario, w *workload.Cluster
 	rep := &Report{Scenario: scenario, TrackedPairs: topPairs(p, cfg.TrackedPairs)}
 	// Churn schedule must be identical across scenarios: derive from the
 	// config seed only. The schedule is generated up front by the shared
-	// churn generator — the same replayable trace vocabulary the serving
-	// layer and the benchmarks consume.
-	redeploys, err := churn.Redeploy(p, churn.RedeployConfig{
+	// churn generator, in the lifetime event vocabulary the serving layer
+	// speaks.
+	redeploys := churn.Redeploy(p, churn.RedeployConfig{
 		Ticks:   cfg.Ticks,
 		PerTick: cfg.ChurnServices,
 		Seed:    cfg.Seed*7919 + 13,
-	}).Ticks()
-	if err != nil {
-		return nil, fmt.Errorf("prodsim: churn schedule: %w", err)
-	}
-	churnAt := make(map[int][]incr.Event, len(redeploys))
-	for _, b := range redeploys {
-		churnAt[b.Tick] = b.Events
-	}
+	})
 	noiseRng := rand.New(rand.NewSource(cfg.Seed*104729 + 29))
 	unschedulableUntil := make([]int, p.N())
 
@@ -293,7 +286,7 @@ func run(ctx context.Context, cfg Config, scenario Scenario, w *workload.Cluster
 		// scheduler puts them, eroding collocation. Events flow through
 		// the lifetime event log; Settle re-places the stripped
 		// containers with the default scheduler.
-		if batch := churnAt[tick]; len(batch) > 0 {
+		if batch := redeploys[tick]; len(batch) > 0 {
 			if _, err := st.Apply(batch...); err != nil {
 				return nil, fmt.Errorf("prodsim: tick %d: %w", tick, err)
 			}

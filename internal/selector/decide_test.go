@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/gnn"
 	"github.com/cloudsched/rasa/internal/pool"
 	. "github.com/cloudsched/rasa/internal/selector"
@@ -15,15 +14,12 @@ import (
 // instead of panicking or guessing.
 func TestDecideNilModelFallsBack(t *testing.T) {
 	sp := smallSubproblem()
-	want := Heuristic{}.Select(sp)
+	want := Heuristic{}.Decide(sp).Algorithm
 	for _, p := range []Policy{GCNPolicy{}, MLPPolicy{}} {
 		d := p.Decide(sp)
 		if d.Algorithm != want || d.Source != "heuristic-fallback" || d.Confidence != 0 {
 			t.Fatalf("%s nil-model decision %+v, want alg %v source heuristic-fallback conf 0", p.Name(), d, want)
 		}
-	}
-	if got := (GCNPolicy{}).Select(sp); got != want {
-		t.Fatalf("nil-model Select %v, want heuristic %v", got, want)
 	}
 }
 
@@ -32,59 +28,42 @@ func TestDecideNilModelFallsBack(t *testing.T) {
 // asks for a race; with the gate disabled it trusts the argmax.
 func TestDecideLowConfidenceRaces(t *testing.T) {
 	sp := smallSubproblem()
-	m := gnn.NewGCN(2, 16, 2, rand.New(rand.NewSource(1)))
+	rng := rand.New(rand.NewSource(1))
+	gcn, mlp := gnn.NewGCN(2, 16, 2, rng), gnn.NewMLP(2, 16, 2, rng)
+	for _, tc := range []struct {
+		kind         string
+		gated, plain Policy
+	}{
+		{"gcn", GCNPolicy{Model: gcn, MinConfidence: 0.9}, GCNPolicy{Model: gcn}},
+		{"mlp", MLPPolicy{Model: mlp, MinConfidence: 0.9}, MLPPolicy{Model: mlp}},
+	} {
+		d := tc.gated.Decide(sp)
+		if d.Algorithm != pool.Race || d.Source != tc.kind+"-lowconf" {
+			t.Fatalf("%s low-confidence decision %+v, want Race/%s-lowconf", tc.kind, d, tc.kind)
+		}
+		if d.Confidence <= 0 || d.Confidence >= 0.9 {
+			t.Fatalf("%s confidence %v outside (0, 0.9)", tc.kind, d.Confidence)
+		}
 
-	d := GCNPolicy{Model: m, MinConfidence: 0.9}.Decide(sp)
-	if d.Algorithm != pool.Race || d.Source != "gcn-lowconf" {
-		t.Fatalf("low-confidence decision %+v, want Race/gcn-lowconf", d)
-	}
-	if d.Confidence <= 0 || d.Confidence >= 0.9 {
-		t.Fatalf("confidence %v outside (0, 0.9)", d.Confidence)
-	}
-
-	d = GCNPolicy{Model: m}.Decide(sp)
-	if d.Algorithm == pool.Race || d.Source != "gcn" {
-		t.Fatalf("ungated decision %+v, want a direct gcn choice", d)
-	}
-	if d.Algorithm != pool.CG && d.Algorithm != pool.MIP {
-		t.Fatalf("ungated decision picked %v", d.Algorithm)
+		d = tc.plain.Decide(sp)
+		if d.Algorithm == pool.Race || d.Source != tc.kind {
+			t.Fatalf("%s ungated decision %+v, want a direct %s choice", tc.kind, d, tc.kind)
+		}
+		if d.Algorithm != pool.CG && d.Algorithm != pool.MIP {
+			t.Fatalf("%s ungated decision picked %v", tc.kind, d.Algorithm)
+		}
 	}
 }
 
 // TestRacePolicyDecision checks the explicit race policy dispatches
-// pool.Race with zero confidence (and degrades to CG on the legacy
-// Select path, which cannot express a race).
+// pool.Race with zero confidence.
 func TestRacePolicyDecision(t *testing.T) {
 	sp := smallSubproblem()
 	d := Race{}.Decide(sp)
 	if d.Algorithm != pool.Race || d.Confidence != 0 || d.Source != "race" {
 		t.Fatalf("race decision %+v", d)
 	}
-	if got := (Race{}).Select(sp); got != pool.CG {
-		t.Fatalf("legacy race Select %v, want CG", got)
-	}
 }
-
-// TestAsPolicyAdapter checks a Select-only policy adapts to the
-// Decision API with full confidence, and that a native Policy passes
-// through unchanged.
-func TestAsPolicyAdapter(t *testing.T) {
-	sp := smallSubproblem()
-	adapted := AsPolicy(legacyOnly{})
-	d := adapted.Decide(sp)
-	if d.Algorithm != pool.MIP || d.Confidence != 1 || d.Source != "legacy-only" {
-		t.Fatalf("adapted decision %+v", d)
-	}
-	native := Heuristic{}
-	if AsPolicy(native) != Policy(native) {
-		t.Fatal("native policy was wrapped")
-	}
-}
-
-type legacyOnly struct{}
-
-func (legacyOnly) Select(*cluster.Subproblem) pool.Algorithm { return pool.MIP }
-func (legacyOnly) Name() string                              { return "legacy-only" }
 
 // TestToSamplesTieWeight checks the tie bugfix: tied races stay in the
 // training set but carry TieWeight instead of a full vote, and the race

@@ -33,8 +33,9 @@ type Decision struct {
 	// probability, deterministic rules report 1, an explicit race 0.
 	Confidence float64
 	// Source tags where the choice came from ("gcn", "gcn-lowconf",
-	// "heuristic", "fixed", "race", "tractability-guard",
-	// "heuristic-fallback") for the decision-mix metrics.
+	// "mlp", "mlp-lowconf", "heuristic", "fixed", "race",
+	// "tractability-guard", "heuristic-fallback") for the decision-mix
+	// metrics.
 	Source string
 }
 
@@ -46,34 +47,6 @@ type Policy interface {
 	// Name identifies the policy in experiment output.
 	Name() string
 }
-
-// LegacyPolicy is the pre-Decision policy shape: a bare Select with no
-// confidence channel. Built-in policies still implement it; external
-// implementations adapt through AsPolicy.
-type LegacyPolicy interface {
-	// Select returns the algorithm to run on the subproblem.
-	Select(sp *cluster.Subproblem) pool.Algorithm
-	// Name identifies the policy in experiment output.
-	Name() string
-}
-
-// AsPolicy adapts a Select-only policy to the Decision API. Adapted
-// decisions carry confidence 1 and the policy's name as source, so they
-// never trigger a race.
-func AsPolicy(p LegacyPolicy) Policy {
-	if dp, ok := p.(Policy); ok {
-		return dp
-	}
-	return legacyAdapter{p}
-}
-
-type legacyAdapter struct{ p LegacyPolicy }
-
-func (a legacyAdapter) Decide(sp *cluster.Subproblem) Decision {
-	return Decision{Algorithm: a.p.Select(sp), Confidence: 1, Source: a.p.Name()}
-}
-
-func (a legacyAdapter) Name() string { return a.p.Name() }
 
 // Observer is implemented by policies that learn online: whenever the
 // solve layer races both algorithms on a subproblem — because the
@@ -92,9 +65,6 @@ func (f Fixed) Decide(*cluster.Subproblem) Decision {
 	return Decision{Algorithm: f.Algorithm, Confidence: 1, Source: "fixed"}
 }
 
-// Select implements LegacyPolicy.
-func (f Fixed) Select(*cluster.Subproblem) pool.Algorithm { return f.Algorithm }
-
 // Name implements Policy.
 func (f Fixed) Name() string { return f.Algorithm.String() }
 
@@ -108,10 +78,6 @@ func (Race) Decide(*cluster.Subproblem) Decision {
 	return Decision{Algorithm: pool.Race, Confidence: 0, Source: "race"}
 }
 
-// Select implements LegacyPolicy. Legacy callers cannot dispatch a
-// race, so the compat path degrades to CG, the cheaper arm.
-func (Race) Select(*cluster.Subproblem) pool.Algorithm { return pool.CG }
-
 // Name implements Policy.
 func (Race) Name() string { return "RACE" }
 
@@ -123,12 +89,16 @@ type Heuristic struct{}
 
 // Decide implements Policy. The rule is deterministic, so it reports
 // full confidence.
-func (h Heuristic) Decide(sp *cluster.Subproblem) Decision {
-	return Decision{Algorithm: h.Select(sp), Confidence: 1, Source: "heuristic"}
+func (Heuristic) Decide(sp *cluster.Subproblem) Decision {
+	return Decision{Algorithm: heuristicRule(sp), Confidence: 1, Source: "heuristic"}
 }
 
-// Select implements LegacyPolicy.
-func (Heuristic) Select(sp *cluster.Subproblem) pool.Algorithm {
+// Name implements Policy.
+func (Heuristic) Name() string { return "HEURISTIC" }
+
+// heuristicRule is the Section V-C rule behind Heuristic and the
+// classifiers' nil-model fallback.
+func heuristicRule(sp *cluster.Subproblem) pool.Algorithm {
 	if len(sp.Services) == 0 {
 		return pool.MIP
 	}
@@ -148,9 +118,6 @@ func (Heuristic) Select(sp *cluster.Subproblem) pool.Algorithm {
 	}
 	return pool.MIP
 }
-
-// Name implements Policy.
-func (Heuristic) Name() string { return "HEURISTIC" }
 
 // mipTractableCells bounds the direct-MIP formulation size a learned
 // policy may select MIP for. The paper's MIP arm targets "relatively
@@ -197,42 +164,11 @@ type GCNPolicy struct {
 // empirical heuristic at confidence 0 (the untrained-server bootstrap
 // path); predictions outside the MIP-tractable regime are forced to CG.
 func (p GCNPolicy) Decide(sp *cluster.Subproblem) Decision {
-	if p.Model == nil {
-		return Decision{Algorithm: Heuristic{}.Select(sp), Confidence: 0, Source: "heuristic-fallback"}
+	var predict func() []float64
+	if p.Model != nil {
+		predict = func() []float64 { return p.Model.Predict(gnn.FeatureGraph(sp)) }
 	}
-	if !MIPTractable(sp) {
-		return Decision{Algorithm: pool.CG, Confidence: 1, Source: "tractability-guard"}
-	}
-	alg, conf := p.predict(sp)
-	if p.MinConfidence > 0 && conf < p.MinConfidence {
-		return Decision{Algorithm: pool.Race, Confidence: conf, Source: "gcn-lowconf"}
-	}
-	return Decision{Algorithm: alg, Confidence: conf, Source: "gcn"}
-}
-
-func (p GCNPolicy) predict(sp *cluster.Subproblem) (pool.Algorithm, float64) {
-	aHat, x := gnn.FeatureGraph(sp)
-	probs := p.Model.Predict(aHat, x)
-	best := 0
-	for i := range probs {
-		if probs[i] > probs[best] {
-			best = i
-		}
-	}
-	return classToAlgorithm(best), probs[best]
-}
-
-// Select implements LegacyPolicy: the argmax prediction with no
-// confidence gate (and the heuristic when no model is loaded).
-func (p GCNPolicy) Select(sp *cluster.Subproblem) pool.Algorithm {
-	if p.Model == nil {
-		return Heuristic{}.Select(sp)
-	}
-	if !MIPTractable(sp) {
-		return pool.CG
-	}
-	alg, _ := p.predict(sp)
-	return alg
+	return gate(sp, predict, p.MinConfidence, "gcn")
 }
 
 // Name implements Policy.
@@ -247,41 +183,44 @@ type MLPPolicy struct {
 
 // Decide implements Policy.
 func (p MLPPolicy) Decide(sp *cluster.Subproblem) Decision {
-	if p.Model == nil {
-		return Decision{Algorithm: Heuristic{}.Select(sp), Confidence: 0, Source: "heuristic-fallback"}
+	var predict func() []float64
+	if p.Model != nil {
+		predict = func() []float64 {
+			_, x := gnn.FeatureGraph(sp)
+			return p.Model.Predict(x)
+		}
+	}
+	return gate(sp, predict, p.MinConfidence, "mlp")
+}
+
+// Name implements Policy.
+func (MLPPolicy) Name() string { return "MLP-BASED" }
+
+// gate is the decision path both classifiers share. With no model
+// (predict nil) it falls back to the heuristic rule at confidence 0;
+// outside the MIP-tractable regime it forces CG; otherwise it takes the
+// argmax of predict's class probabilities, or asks for a race when that
+// probability is below minConf. kind prefixes the source tag.
+func gate(sp *cluster.Subproblem, predict func() []float64, minConf float64, kind string) Decision {
+	if predict == nil {
+		return Decision{Algorithm: heuristicRule(sp), Confidence: 0, Source: "heuristic-fallback"}
 	}
 	if !MIPTractable(sp) {
 		return Decision{Algorithm: pool.CG, Confidence: 1, Source: "tractability-guard"}
 	}
-	_, x := gnn.FeatureGraph(sp)
-	probs := p.Model.Predict(x)
+	probs := predict()
 	best := 0
 	for i := range probs {
 		if probs[i] > probs[best] {
 			best = i
 		}
 	}
-	alg, conf := classToAlgorithm(best), probs[best]
-	if p.MinConfidence > 0 && conf < p.MinConfidence {
-		return Decision{Algorithm: pool.Race, Confidence: conf, Source: "mlp-lowconf"}
+	conf := probs[best]
+	if minConf > 0 && conf < minConf {
+		return Decision{Algorithm: pool.Race, Confidence: conf, Source: kind + "-lowconf"}
 	}
-	return Decision{Algorithm: alg, Confidence: conf, Source: "mlp"}
+	return Decision{Algorithm: classToAlgorithm(best), Confidence: conf, Source: kind}
 }
-
-// Select implements LegacyPolicy.
-func (p MLPPolicy) Select(sp *cluster.Subproblem) pool.Algorithm {
-	if p.Model == nil {
-		return Heuristic{}.Select(sp)
-	}
-	if !MIPTractable(sp) {
-		return pool.CG
-	}
-	_, x := gnn.FeatureGraph(sp)
-	return classToAlgorithm(p.Model.PredictLabel(x))
-}
-
-// Name implements Policy.
-func (MLPPolicy) Name() string { return "MLP-BASED" }
 
 func classToAlgorithm(c int) pool.Algorithm {
 	if c == 1 {

@@ -36,10 +36,10 @@ func smallSubproblem() *cluster.Subproblem {
 
 func TestFixedPolicies(t *testing.T) {
 	sp := smallSubproblem()
-	if got := (Fixed{Algorithm: pool.CG}).Select(sp); got != pool.CG {
+	if got := (Fixed{Algorithm: pool.CG}).Decide(sp).Algorithm; got != pool.CG {
 		t.Fatalf("Fixed CG selected %v", got)
 	}
-	if got := (Fixed{Algorithm: pool.MIP}).Select(sp); got != pool.MIP {
+	if got := (Fixed{Algorithm: pool.MIP}).Decide(sp).Algorithm; got != pool.MIP {
 		t.Fatalf("Fixed MIP selected %v", got)
 	}
 	if (Fixed{Algorithm: pool.CG}).Name() != "CG" {
@@ -51,7 +51,7 @@ func TestHeuristicRule(t *testing.T) {
 	sp := smallSubproblem()
 	// avg containers per service = 2; machine groups: {m0,m1} and {m2}
 	// -> avg machines per type = 1.5 < 2 -> CG.
-	if got := (Heuristic{}).Select(sp); got != pool.CG {
+	if got := (Heuristic{}).Decide(sp).Algorithm; got != pool.CG {
 		t.Fatalf("heuristic selected %v, want CG", got)
 	}
 	// Fewer containers per service than machines per type -> MIP.
@@ -59,7 +59,7 @@ func TestHeuristicRule(t *testing.T) {
 	for i := range sp2.P.Services {
 		sp2.P.Services[i].Replicas = 1
 	}
-	if got := (Heuristic{}).Select(sp2); got != pool.MIP {
+	if got := (Heuristic{}).Decide(sp2).Algorithm; got != pool.MIP {
 		t.Fatalf("heuristic selected %v, want MIP", got)
 	}
 }
@@ -121,11 +121,11 @@ func TestTrainedSelectorsEndToEnd(t *testing.T) {
 	gp := GCNPolicy{Model: gcn}
 	mp := MLPPolicy{Model: mlp}
 	for _, l := range labeled[:5] {
-		a := gp.Select(l.Sub)
+		a := gp.Decide(l.Sub).Algorithm
 		if a != pool.CG && a != pool.MIP {
 			t.Fatalf("GCN policy returned %v", a)
 		}
-		a = mp.Select(l.Sub)
+		a = mp.Decide(l.Sub).Algorithm
 		if a != pool.CG && a != pool.MIP {
 			t.Fatalf("MLP policy returned %v", a)
 		}

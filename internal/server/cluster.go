@@ -16,7 +16,6 @@ import (
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/sched"
-	"github.com/cloudsched/rasa/internal/snapshot"
 	"github.com/cloudsched/rasa/internal/solve"
 )
 
@@ -44,27 +43,6 @@ func (sess *clusterSession) stats() incr.Stats {
 	return sess.eng.State().Snapshot()
 }
 
-// installRequest is the POST /v1/cluster body: a snapshot (wrapped or
-// bare, like POST /v1/jobs) plus incremental-engine options. The
-// structured Options object is the current form; the top-level
-// Strategy/Policy strings are deprecated (still accepted, answered with
-// a Deprecation header).
-type installRequest struct {
-	Snapshot       *snapshot.Snapshot `json:"snapshot"`
-	Options        *optionsJSON       `json:"options,omitempty"`
-	Budget         duration           `json:"budget,omitempty"`
-	DeltaBudget    duration           `json:"deltaBudget,omitempty"`
-	DriftThreshold float64            `json:"driftThreshold,omitempty"`
-	MaxDirtyRatio  float64            `json:"maxDirtyRatio,omitempty"`
-	Strategy       string             `json:"strategy,omitempty"`
-	Policy         string             `json:"policy,omitempty"`
-	MinAlive       float64            `json:"minAlive,omitempty"`
-	SkipMigration  bool               `json:"skipMigration,omitempty"`
-	Parallelism    int                `json:"parallelism,omitempty"`
-	Seed           int64              `json:"seed,omitempty"`
-	ForceFull      bool               `json:"forceFull,omitempty"`
-}
-
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
 	if err != nil {
@@ -84,44 +62,11 @@ func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, codeDraining, "server is draining")
 		return
 	}
-	raw, ok := s.readBody(w, r)
+	snap, ro, ok := s.readSnapshotRequest(w, r)
 	if !ok {
 		return
 	}
-	var req installRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if req.Snapshot == nil {
-		var snap snapshot.Snapshot
-		if err := json.Unmarshal(raw, &snap); err == nil && (snap.Version != 0 || len(snap.Services) > 0) {
-			req.Snapshot = &snap
-		}
-	}
-	if req.Snapshot == nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, `missing snapshot (send {"snapshot": {...}, ...options} or a bare snapshot object)`)
-		return
-	}
-	ro, deprecated, err := s.decodeOptions(req.Options, req.Strategy, req.Policy, optionsJSON{
-		Budget:         req.Budget,
-		DeltaBudget:    req.DeltaBudget,
-		DriftThreshold: req.DriftThreshold,
-		MaxDirtyRatio:  req.MaxDirtyRatio,
-		MinAlive:       req.MinAlive,
-		SkipMigration:  req.SkipMigration,
-		Parallelism:    req.Parallelism,
-		Seed:           req.Seed,
-		ForceFull:      req.ForceFull,
-	})
-	if deprecated {
-		markDeprecated(w)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
-		return
-	}
-	p, current, err := req.Snapshot.ToCluster()
+	p, current, err := snap.ToCluster()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
 		return
@@ -192,7 +137,7 @@ func (s *Server) session() *clusterSession {
 
 // eventsRequest is the POST /v1/cluster/events body.
 type eventsRequest struct {
-	Events []incr.EventJSON `json:"events"`
+	Events []lifetime.EventJSON `json:"events"`
 }
 
 func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
@@ -218,7 +163,7 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, `no events (send {"events": [{"type": ...}, ...]})`)
 		return
 	}
-	events, err := incr.DecodeEvents(req.Events)
+	events, err := lifetime.DecodeEvents(req.Events)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 		return

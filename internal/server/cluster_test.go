@@ -33,9 +33,8 @@ func installTestCluster(t *testing.T, s *Server) {
 	}
 	snap := snapshot.FromCluster(c.Problem, c.Original)
 	rec := postObj(t, s, "/v1/cluster", map[string]any{
-		"snapshot":      snap,
-		"budget":        "3s",
-		"skipMigration": true,
+		"snapshot": snap,
+		"options":  map[string]any{"budget": "3s", "skipMigration": true},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)

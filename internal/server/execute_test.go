@@ -24,8 +24,7 @@ func installExecCluster(t *testing.T, s *Server, seed int64) {
 	}
 	rec := postObj(t, s, "/v1/cluster", map[string]any{
 		"snapshot": snapshot.FromCluster(c.Problem, c.Original),
-		"budget":   "3s",
-		"minAlive": 0.75,
+		"options":  map[string]any{"budget": "3s", "minAlive": 0.75},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)

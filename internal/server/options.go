@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -10,6 +12,7 @@ import (
 	"github.com/cloudsched/rasa/internal/learn"
 	"github.com/cloudsched/rasa/internal/pool"
 	"github.com/cloudsched/rasa/internal/selector"
+	"github.com/cloudsched/rasa/internal/snapshot"
 )
 
 // optionsJSON is the structured "options" object of POST /v1/jobs and
@@ -19,11 +22,7 @@ import (
 //	             "policy": {"kind": "gcn", "minConfidence": 0.8},
 //	             "budget": "2s", ...}}
 //
-// It replaces the legacy stringly top-level "strategy"/"policy" request
-// fields; those are still accepted (a request using them gets a
-// `Deprecation: true` response header) but cannot be mixed with an
-// options object in one request. Fields the object leaves unset fall
-// back to the matching top-level field, then to the server defaults.
+// Fields the object leaves unset take the server defaults.
 type optionsJSON struct {
 	// Partition picks the partitioner: multistage (default), random,
 	// kway, or none.
@@ -39,7 +38,7 @@ type optionsJSON struct {
 	Seed          int64    `json:"seed,omitempty"`
 
 	// Incremental-session knobs (POST /v1/cluster only; ignored by
-	// /v1/jobs like their legacy top-level counterparts).
+	// /v1/jobs).
 	DeltaBudget    duration `json:"deltaBudget,omitempty"`
 	DriftThreshold float64  `json:"driftThreshold,omitempty"`
 	MaxDirtyRatio  float64  `json:"maxDirtyRatio,omitempty"`
@@ -76,76 +75,126 @@ type reqOptions struct {
 	forceFull      bool
 }
 
-// overlay returns base with every field o sets replaced by o's value.
-func (o *optionsJSON) overlay(base optionsJSON) optionsJSON {
-	if o == nil {
-		return base
-	}
-	if o.Partition != "" {
-		base.Partition = o.Partition
-	}
-	if o.Policy != nil {
-		base.Policy = o.Policy
-	}
-	if o.Budget != 0 {
-		base.Budget = o.Budget
-	}
-	if o.MinAlive != 0 {
-		base.MinAlive = o.MinAlive
-	}
-	if o.SkipMigration {
-		base.SkipMigration = true
-	}
-	if o.Parallelism != 0 {
-		base.Parallelism = o.Parallelism
-	}
-	if o.Seed != 0 {
-		base.Seed = o.Seed
-	}
-	if o.DeltaBudget != 0 {
-		base.DeltaBudget = o.DeltaBudget
-	}
-	if o.DriftThreshold != 0 {
-		base.DriftThreshold = o.DriftThreshold
-	}
-	if o.MaxDirtyRatio != 0 {
-		base.MaxDirtyRatio = o.MaxDirtyRatio
-	}
-	if o.ForceFull {
-		base.ForceFull = true
-	}
-	return base
+// movedKeys maps each option field that older clients sent at the top
+// level of a wrapped body to where it lives now.
+var movedKeys = map[string]string{
+	"strategy":       "options.partition",
+	"policy":         "options.policy.kind",
+	"budget":         "options.budget",
+	"minAlive":       "options.minAlive",
+	"skipMigration":  "options.skipMigration",
+	"parallelism":    "options.parallelism",
+	"seed":           "options.seed",
+	"deltaBudget":    "options.deltaBudget",
+	"driftThreshold": "options.driftThreshold",
+	"maxDirtyRatio":  "options.maxDirtyRatio",
+	"forceFull":      "options.forceFull",
 }
 
-// decodeOptions is the single validated options decoder behind both
-// POST /v1/jobs and POST /v1/cluster. It merges the structured options
-// object with the legacy top-level fields (rejecting requests that mix
-// the deprecated strategy/policy strings with an options object),
-// validates every field, clamps the budget, and reports whether the
-// deprecated form was used so handlers can set the Deprecation header.
-func (s *Server) decodeOptions(structured *optionsJSON, legacyStrategy, legacyPolicy string, legacy optionsJSON) (reqOptions, bool, error) {
-	deprecated := legacyStrategy != "" || legacyPolicy != ""
-	if deprecated {
-		if structured != nil {
-			return reqOptions{}, true, fmt.Errorf(`request mixes the deprecated top-level "strategy"/"policy" fields with an "options" object; move them into options.partition / options.policy`)
+// readSnapshotRequest reads the body of POST /v1/jobs and POST
+// /v1/cluster and resolves its options. On any error it answers 400
+// and returns ok=false.
+func (s *Server) readSnapshotRequest(w http.ResponseWriter, r *http.Request) (*snapshot.Snapshot, reqOptions, bool) {
+	raw, ok := s.readBody(w, r)
+	if !ok {
+		return nil, reqOptions{}, false
+	}
+	snap, o, err := decodeSnapshotRequest(raw)
+	var ro reqOptions
+	if err == nil {
+		ro, err = s.decodeOptions(o)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
+		return nil, reqOptions{}, false
+	}
+	return snap, ro, true
+}
+
+// decodeSnapshotRequest parses a snapshot-carrying body. A body with a
+// top-level "snapshot" key is wrapped and may carry no other top-level
+// key than "options", so a field the API no longer reads fails loudly
+// instead of silently taking its default. Any other body is read as a
+// bare snapshot (rasagen output piped straight in), with every option
+// at its default.
+func decodeSnapshotRequest(raw []byte) (*snapshot.Snapshot, *optionsJSON, error) {
+	var req struct {
+		Snapshot *snapshot.Snapshot `json:"snapshot"`
+		Options  *optionsJSON       `json:"options"`
+	}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return nil, nil, fmt.Errorf("malformed JSON: %w", err)
+	}
+	if req.Snapshot == nil {
+		var snap snapshot.Snapshot
+		if err := json.Unmarshal(raw, &snap); err != nil || (snap.Version == 0 && len(snap.Services) == 0) {
+			return nil, nil, errors.New(`missing snapshot (send {"snapshot": {...}, "options": {...}} or a bare snapshot object)`)
 		}
-		legacy.Partition = legacyStrategy
-		if legacyPolicy != "" {
-			legacy.Policy = &policyJSON{Kind: legacyPolicy}
+		return &snap, nil, nil
+	}
+	if key := strayKey(raw); key != "" {
+		if to, ok := movedKeys[key]; ok {
+			return nil, nil, fmt.Errorf("top-level field %q is no longer read: set %s instead", key, to)
+		}
+		return nil, nil, fmt.Errorf(`unknown top-level field %q: a wrapped request carries only "snapshot" and "options"`, key)
+	}
+	return req.Snapshot, req.Options, nil
+}
+
+// strayKey returns the first key of the top-level object in raw other
+// than "snapshot" and "options", or "" if there is none. raw must be
+// valid JSON. It scans instead of decoding, so checking a multi-megabyte
+// snapshot body costs one pass over its bytes.
+func strayKey(raw []byte) string {
+	depth := 0
+	for i := 0; i < len(raw); i++ {
+		switch raw[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			depth--
+		case '"':
+			end := i + 1
+			for ; raw[end] != '"'; end++ {
+				if raw[end] == '\\' {
+					end++
+				}
+			}
+			next := end + 1
+			for next < len(raw) && strings.IndexByte(" \t\r\n", raw[next]) >= 0 {
+				next++
+			}
+			if depth == 1 && next < len(raw) && raw[next] == ':' {
+				var key string
+				if json.Unmarshal(raw[i:end+1], &key) == nil && key != "snapshot" && key != "options" {
+					return key
+				}
+			}
+			i = end
 		}
 	}
-	eff := structured.overlay(legacy)
+	return ""
+}
 
+// decodeOptions validates a request's options object (nil means all
+// defaults), fills in the server defaults, and clamps the budget. It
+// is the single options decoder behind POST /v1/jobs and POST
+// /v1/cluster.
+func (s *Server) decodeOptions(o *optionsJSON) (reqOptions, error) {
+	var eff optionsJSON
+	if o != nil {
+		eff = *o
+	}
 	var out reqOptions
 	var err error
 	if out.strategy, err = parsePartition(eff.Partition); err != nil {
-		return reqOptions{}, deprecated, err
+		return reqOptions{}, err
 	}
 	if out.policy, out.policyKind, err = s.parsePolicy(eff.Policy); err != nil {
-		return reqOptions{}, deprecated, err
+		return reqOptions{}, err
 	}
 	if eff.MinAlive < 0 || eff.MinAlive > 1 {
-		return reqOptions{}, deprecated, fmt.Errorf("minAlive %v outside [0, 1]", eff.MinAlive)
+		return reqOptions{}, fmt.Errorf("minAlive %v outside [0, 1]", eff.MinAlive)
 	}
 	out.budget = time.Duration(eff.Budget)
 	if out.budget <= 0 {
@@ -165,7 +214,7 @@ func (s *Server) decodeOptions(structured *optionsJSON, legacyStrategy, legacyPo
 	out.driftThreshold = eff.DriftThreshold
 	out.maxDirtyRatio = eff.MaxDirtyRatio
 	out.forceFull = eff.ForceFull
-	return out, deprecated, nil
+	return out, nil
 }
 
 // parsePartition maps the wire partitioner name to a core.Strategy.
@@ -215,10 +264,4 @@ func (s *Server) parsePolicy(spec *policyJSON) (selector.Policy, string, error) 
 		return &learn.Policy{Trainer: s.trainer, MinConfidence: minConf}, "gcn", nil
 	}
 	return nil, "", fmt.Errorf("unknown policy %q (want heuristic, cg, mip, race, or gcn)", kind)
-}
-
-// markDeprecated flags a response to a request that used the legacy
-// top-level strategy/policy fields (RFC 9745 Deprecation header).
-func markDeprecated(w http.ResponseWriter) {
-	w.Header().Set("Deprecation", "true")
 }

@@ -328,64 +328,16 @@ func (s *Server) runJob(job *Job) {
 	}
 }
 
-// submitRequest is the wrapped POST /v1/jobs body. A bare snapshot
-// (top-level "version"/"services") is also accepted, with every option
-// at its default. The structured Options object is the current form;
-// the top-level Strategy/Policy strings are the deprecated one (still
-// accepted, answered with a Deprecation header).
-type submitRequest struct {
-	Snapshot      *snapshot.Snapshot `json:"snapshot"`
-	Options       *optionsJSON       `json:"options,omitempty"`
-	Budget        duration           `json:"budget,omitempty"`
-	Strategy      string             `json:"strategy,omitempty"`
-	Policy        string             `json:"policy,omitempty"`
-	MinAlive      float64            `json:"minAlive,omitempty"`
-	SkipMigration bool               `json:"skipMigration,omitempty"`
-	Parallelism   int                `json:"parallelism,omitempty"`
-	Seed          int64              `json:"seed,omitempty"`
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeErr(w, http.StatusServiceUnavailable, codeDraining, "server is draining; not accepting new jobs")
 		return
 	}
-	raw, ok := s.readBody(w, r)
+	snap, ro, ok := s.readSnapshotRequest(w, r)
 	if !ok {
 		return
 	}
-	var req submitRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, "malformed JSON: "+err.Error())
-		return
-	}
-	if req.Snapshot == nil {
-		// Accept a bare snapshot body (rasagen output piped straight in)
-		// with every option at its default.
-		var snap snapshot.Snapshot
-		if err := json.Unmarshal(raw, &snap); err == nil && (snap.Version != 0 || len(snap.Services) > 0) {
-			req.Snapshot = &snap
-		}
-	}
-	if req.Snapshot == nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, `missing snapshot (send {"snapshot": {...}, "options": {...}} or a bare snapshot object)`)
-		return
-	}
-	ro, deprecated, err := s.decodeOptions(req.Options, req.Strategy, req.Policy, optionsJSON{
-		Budget:        req.Budget,
-		MinAlive:      req.MinAlive,
-		SkipMigration: req.SkipMigration,
-		Parallelism:   req.Parallelism,
-		Seed:          req.Seed,
-	})
-	if deprecated {
-		markDeprecated(w)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
-		return
-	}
-	p, current, err := req.Snapshot.ToCluster()
+	p, current, err := snap.ToCluster()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
 		return

@@ -141,7 +141,7 @@ func TestSubmitWrappedOptions(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 1})
 
 	var wrapped bytes.Buffer
-	fmt.Fprintf(&wrapped, `{"snapshot": %s, "budget": "300ms", "strategy": "random", "policy": "cg", "skipMigration": true, "seed": 7}`,
+	fmt.Fprintf(&wrapped, `{"snapshot": %s, "options": {"budget": "300ms", "partition": "random", "policy": {"kind": "cg"}, "skipMigration": true, "seed": 7}}`,
 		testSnapshot(t, 2))
 	code, body := postJSON(t, ts.URL+"/v1/jobs", wrapped.Bytes())
 	if code != http.StatusAccepted {
@@ -200,7 +200,7 @@ func TestSubmitErrors(t *testing.T) {
 
 	// Unknown strategy.
 	var wrapped bytes.Buffer
-	fmt.Fprintf(&wrapped, `{"snapshot": %s, "strategy": "quantum"}`, testSnapshot(t, 3))
+	fmt.Fprintf(&wrapped, `{"snapshot": %s, "options": {"partition": "quantum"}}`, testSnapshot(t, 3))
 	code, body = postJSON(t, ts.URL+"/v1/jobs", wrapped.Bytes())
 	if ec, msg := errEnvelope(body); code != http.StatusBadRequest || ec != "invalid_request" || !strings.Contains(msg, "unknown strategy") {
 		t.Fatalf("unknown strategy: status %d %v", code, body)

@@ -209,7 +209,9 @@ func (s *Snapshot) Validate() error {
 }
 
 // ToCluster validates the snapshot and reconstructs the problem and
-// assignment (nil if the snapshot has no placements).
+// assignment (nil if the snapshot has no placements). The resource
+// vectors are copied, so folding events over the problem (a drain
+// zeroes a machine's capacity in place) leaves the snapshot intact.
 func (s *Snapshot) ToCluster() (*cluster.Problem, *cluster.Assignment, error) {
 	if err := s.Validate(); err != nil {
 		return nil, nil, err
@@ -219,14 +221,14 @@ func (s *Snapshot) ToCluster() (*cluster.Problem, *cluster.Assignment, error) {
 	restricted := false
 	for _, sj := range s.Services {
 		p.Services = append(p.Services, cluster.Service{
-			Name: sj.Name, Replicas: sj.Replicas, Request: sj.Request,
+			Name: sj.Name, Replicas: sj.Replicas, Request: cluster.Resources(sj.Request).Clone(),
 		})
 		if len(sj.Machines) > 0 {
 			restricted = true
 		}
 	}
 	for _, mj := range s.Machines {
-		p.Machines = append(p.Machines, cluster.Machine{Name: mj.Name, Capacity: mj.Capacity, Spec: mj.Spec})
+		p.Machines = append(p.Machines, cluster.Machine{Name: mj.Name, Capacity: cluster.Resources(mj.Capacity).Clone(), Spec: mj.Spec})
 	}
 	g := graph.New(n)
 	for _, e := range s.Affinity {

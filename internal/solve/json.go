@@ -12,35 +12,26 @@ func (c StopCause) MarshalJSON() ([]byte, error) {
 	return json.Marshal(c.String())
 }
 
-// UnmarshalJSON accepts both the string form and the legacy numeric
-// encoding.
+// UnmarshalJSON parses the string form written by MarshalJSON.
 func (c *StopCause) UnmarshalJSON(b []byte) error {
 	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		switch s {
-		case "none":
-			*c = None
-		case "optimal":
-			*c = Optimal
-		case "deadline":
-			*c = Deadline
-		case "cancelled":
-			*c = Cancelled
-		case "node-limit":
-			*c = NodeLimit
-		default:
-			return fmt.Errorf("solve: unknown stop cause %q", s)
-		}
-		return nil
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("solve: stop cause must be a string: %s", b)
 	}
-	var n int
-	if err := json.Unmarshal(b, &n); err != nil {
-		return fmt.Errorf("solve: stop cause must be a string or integer: %s", b)
+	switch s {
+	case "none":
+		*c = None
+	case "optimal":
+		*c = Optimal
+	case "deadline":
+		*c = Deadline
+	case "cancelled":
+		*c = Cancelled
+	case "node-limit":
+		*c = NodeLimit
+	default:
+		return fmt.Errorf("solve: unknown stop cause %q", s)
 	}
-	if n < int(None) || n > int(NodeLimit) {
-		return fmt.Errorf("solve: stop cause %d out of range", n)
-	}
-	*c = StopCause(n)
 	return nil
 }
 

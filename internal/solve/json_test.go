@@ -26,19 +26,15 @@ func TestStopCauseJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStopCauseJSONLegacyNumeric checks the decoder takes only the
+// string form: the numeric encoding of early versions is rejected like
+// an unknown name.
 func TestStopCauseJSONLegacyNumeric(t *testing.T) {
-	var c StopCause
-	if err := json.Unmarshal([]byte("2"), &c); err != nil {
-		t.Fatal(err)
-	}
-	if c != Deadline {
-		t.Fatalf("numeric 2 -> %v, want deadline", c)
-	}
-	if err := json.Unmarshal([]byte(`"bogus"`), &c); err == nil {
-		t.Fatal("unknown cause accepted")
-	}
-	if err := json.Unmarshal([]byte("99"), &c); err == nil {
-		t.Fatal("out-of-range numeric accepted")
+	for _, in := range []string{"2", "99", `"bogus"`, "null"} {
+		c := Optimal
+		if err := json.Unmarshal([]byte(in), &c); err == nil {
+			t.Fatalf("stop cause %s accepted as %v", in, c)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
-// Package churn generates replayable event traces against generated
-// workload clusters — the synthetic stand-in for the live region's
-// deploy/scale/drain stream that the incremental engine consumes.
+// Package churn generates replayable churn — per-tick batches of
+// lifetime events — against generated workload clusters: the synthetic
+// stand-in for the live region's deploy/scale/drain stream that the
+// incremental engine consumes.
 package churn
 
 import (
@@ -8,7 +9,7 @@ import (
 	"math/rand"
 
 	"github.com/cloudsched/rasa/internal/cluster"
-	"github.com/cloudsched/rasa/internal/incr"
+	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/workload"
 )
 
@@ -40,26 +41,26 @@ type RedeployConfig struct {
 	Seed int64
 }
 
-// Redeploy emits the production simulator's churn schedule as a
-// replayable trace: each tick, PerTick services are drawn and
-// scale-bounced — halved, then restored to their SLA target — which
-// strips half their containers and leaves a deficit the default
-// scheduler refills wherever it likes, eroding collocation exactly
-// like an owner-driven rolling redeploy.
+// Redeploy emits the production simulator's churn schedule, one event
+// batch per tick (a tick's batch may be empty): each tick, PerTick
+// services are drawn and scale-bounced — halved, then restored to
+// their SLA target — which strips half their containers and leaves a
+// deficit the default scheduler refills wherever it likes, eroding
+// collocation exactly like an owner-driven rolling redeploy.
 //
 // The schedule is part of prodsim's like-for-like contract between
 // scenarios: exactly one rng draw is consumed per churned service,
 // including single-replica services that cannot bounce (their draw
 // emits nothing). Bounces always restore the original target, so the
 // shadow replica counts never drift from the live cluster's.
-func Redeploy(p *cluster.Problem, cfg RedeployConfig) *incr.Trace {
+func Redeploy(p *cluster.Problem, cfg RedeployConfig) [][]lifetime.Event {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	replicas := make([]int, p.N())
 	for s := range p.Services {
 		replicas[s] = p.Services[s].Replicas
 	}
-	tr := &incr.Trace{Version: incr.TraceVersion, Seed: cfg.Seed}
-	for tick := 0; tick < cfg.Ticks; tick++ {
+	batches := make([][]lifetime.Event, cfg.Ticks)
+	for tick := range batches {
 		for c := 0; c < cfg.PerTick; c++ {
 			s := rng.Intn(len(replicas))
 			d := replicas[s]
@@ -67,13 +68,13 @@ func Redeploy(p *cluster.Problem, cfg RedeployConfig) *incr.Trace {
 			if bounce < 1 {
 				continue
 			}
-			tr.Events = append(tr.Events,
-				incr.TraceEvent{Tick: tick, EventJSON: incr.ToJSON(incr.ScaleService{Service: s, Replicas: bounce})},
-				incr.TraceEvent{Tick: tick, EventJSON: incr.ToJSON(incr.ScaleService{Service: s, Replicas: d})},
+			batches[tick] = append(batches[tick],
+				lifetime.ScaleService{Service: s, Replicas: bounce},
+				lifetime.ScaleService{Service: s, Replicas: d},
 			)
 		}
 	}
-	return tr
+	return batches
 }
 
 // Churn event mix: mostly replica scaling (owner redeploys), some
@@ -88,14 +89,15 @@ const (
 	// remainder: removeService
 )
 
-// Generate emits a replayable churn trace against the generated
-// cluster. The generator tracks a shadow of the evolving state (replica
-// targets, live service/machine counts, remaining capacity) so every
-// event in the trace is valid when applied in order — including index
-// shifts after service removals — without mutating the cluster itself.
+// Generate emits churn against the generated cluster as one event batch
+// per tick: cfg.PerTick events each, the last batch possibly shorter.
+// The generator tracks a shadow of the evolving state (replica targets,
+// live service/machine counts, remaining capacity) so every event is
+// valid when the batches are applied in order — including index shifts
+// after service removals — without mutating the cluster itself.
 // Drains are capped so remaining capacity always covers total demand
 // with headroom, keeping the churned cluster solvable.
-func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
+func Generate(c *workload.Cluster, cfg Config) ([][]lifetime.Event, error) {
 	if cfg.Events <= 0 {
 		return nil, fmt.Errorf("workload: churn event count must be positive")
 	}
@@ -141,12 +143,12 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 		fracDrain, fracAdd = 0, 0
 	}
 
-	tr := &incr.Trace{Version: incr.TraceVersion, Seed: cfg.Seed}
+	batches := make([][]lifetime.Event, (cfg.Events+cfg.PerTick-1)/cfg.PerTick)
 	added := 0
 	for i := 0; i < cfg.Events; i++ {
 		tick := i / cfg.PerTick
 		n := len(replicas)
-		var ev incr.Event
+		var ev lifetime.Event
 		switch r := rng.Float64(); {
 		case r < fracScale:
 			s := rng.Intn(n)
@@ -167,7 +169,7 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 			}
 			demand += float64(target-replicas[s]) * requests[s]
 			replicas[s] = target
-			ev = incr.ScaleService{Service: s, Replicas: target}
+			ev = lifetime.ScaleService{Service: s, Replicas: target}
 		case r < fracScale+fracAffinity:
 			a := rng.Intn(n)
 			b := rng.Intn(n)
@@ -175,7 +177,7 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 				b = (b + 1) % n
 			}
 			w := avgWeight * (0.25 + 1.5*rng.Float64())
-			ev = incr.UpdateAffinity{A: a, B: b, Weight: w}
+			ev = lifetime.UpdateAffinity{A: a, B: b, Weight: w}
 		case r < fracScale+fracAffinity+fracDrain:
 			// Drain only while the remaining fleet keeps ~20% headroom
 			// over demand; otherwise fall back to a scale-down.
@@ -183,14 +185,14 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 			if machCap[m] > 0 && capacity-machCap[m] > 1.2*demand {
 				capacity -= machCap[m]
 				machCap[m] = 0
-				ev = incr.DrainMachine{Machine: m}
+				ev = lifetime.DrainMachine{Machine: m}
 			} else {
 				s := rng.Intn(n)
 				if replicas[s] > 1 {
 					replicas[s]--
 					demand -= requests[s]
 				}
-				ev = incr.ScaleService{Service: s, Replicas: replicas[s]}
+				ev = lifetime.ScaleService{Service: s, Replicas: replicas[s]}
 			}
 		case r < fracScale+fracAffinity+fracDrain+fracAdd:
 			// Clone a random original machine spec for the new capacity.
@@ -199,7 +201,7 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 			fullCaps = append(fullCaps, src)
 			capacity += src[0]
 			added++
-			ev = incr.AddMachine{
+			ev = lifetime.AddMachine{
 				Name:     fmt.Sprintf("churn-m%d", added),
 				Capacity: src.Clone(),
 				Spec:     -1,
@@ -210,16 +212,16 @@ func Generate(c *workload.Cluster, cfg Config) (*incr.Trace, error) {
 				s := rng.Intn(n)
 				replicas[s]++
 				demand += requests[s]
-				ev = incr.ScaleService{Service: s, Replicas: replicas[s]}
+				ev = lifetime.ScaleService{Service: s, Replicas: replicas[s]}
 				break
 			}
 			s := rng.Intn(n)
 			demand -= float64(replicas[s]) * requests[s]
 			replicas = append(replicas[:s], replicas[s+1:]...)
 			requests = append(requests[:s], requests[s+1:]...)
-			ev = incr.RemoveService{Service: s}
+			ev = lifetime.RemoveService{Service: s}
 		}
-		tr.Events = append(tr.Events, incr.TraceEvent{Tick: tick, EventJSON: incr.ToJSON(ev)})
+		batches[tick] = append(batches[tick], ev)
 	}
-	return tr, nil
+	return batches, nil
 }

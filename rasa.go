@@ -11,8 +11,8 @@
 // path computation — implemented entirely in Go on a from-scratch
 // simplex/branch-and-bound substrate.
 //
-// Quick start (the API is context-first; the non-context forms in
-// compat.go are deprecated wrappers):
+// Quick start (every long-running entry point takes a context.Context
+// first):
 //
 //	b := rasa.NewClusterBuilder("cpu", "memory")
 //	web := b.AddService("web", 4, rasa.Resources{2, 4})
@@ -292,9 +292,7 @@ type TrainedPolicy struct {
 //
 // For the default kind "gcn" the returned policy wraps an online
 // trainer seeded with the offline examples, so serving it keeps
-// improving the model; see TrainedPolicy.Policy. It replaces the
-// deprecated TrainSelectorContext / TrainMLPSelectorContext /
-// LabelSubproblemsContext trio.
+// improving the model; see TrainedPolicy.Policy.
 func TrainPolicyContext(ctx context.Context, cfg TrainingConfig) (*TrainedPolicy, error) {
 	cfg = cfg.withDefaults()
 	clusters := cfg.Clusters
@@ -356,8 +354,9 @@ func TrainPolicyContext(ctx context.Context, cfg TrainingConfig) (*TrainedPolicy
 	return nil, wrapErr(fmt.Errorf("%w: unknown policy kind %q (want gcn or mlp)", ErrInvalidProblem, cfg.Kind))
 }
 
-// labelClusters is the shared labelling loop behind TrainPolicyContext
-// and the deprecated label/train trio in compat.go.
+// labelClusters is TrainPolicyContext's labelling loop: it partitions
+// each cluster rounds times with growing subproblem sizes and races CG
+// against MIP on every subproblem.
 func labelClusters(ctx context.Context, clusters []*GeneratedCluster, labelBudget time.Duration, rounds int, seed int64) ([]selector.Labeled, error) {
 	var labeled []selector.Labeled
 	for ci, c := range clusters {
