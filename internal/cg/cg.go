@@ -86,6 +86,10 @@ type state struct {
 	// two-phase solve.
 	masterWS    *lp.Workspace
 	masterBasis *lp.Basis
+
+	// pricing holds each group's pricing model once its first round
+	// has built it.
+	pricing []*pricingModel
 }
 
 type edge struct {
@@ -128,6 +132,7 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, e
 		opts:     opts,
 		seen:     make(map[string]bool),
 		masterWS: lp.AcquireWorkspace(),
+		pricing:  make([]*pricingModel, len(groups)),
 	}
 	defer st.masterWS.Release()
 
@@ -482,94 +487,123 @@ func (st *state) price(duals []float64) bool {
 	return improved
 }
 
-// priceGroupMIP solves the pattern-generation subproblem for a group
-// exactly: maximize pattern value minus lambda'p over feasible patterns.
-func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
+// pricingModel is one machine group's pattern-pricing MIP:
+//
+//	maximize    sum_s (bonus - lambda_s) p_s + sum_e w_e a_e
+//	subject to  a_e <= p_i/d_i,  a_e <= p_j/d_j   for each edge e = (i, j)
+//	            resource and anti-affinity capacity of the group
+//	            0 <= p_s <= d_s integer,  a_e >= 0
+//
+// over the services the group can host. It is built once per Solve;
+// only the objective's lambda terms change between rounds.
+type pricingModel struct {
+	prob mip.Problem
+	pIdx []int // local service -> p variable (also its objective entry), -1 if not hostable
+}
+
+// buildPricing builds group gi's pricing model with a zero dual vector.
+func (st *state) buildPricing(gi int) *pricingModel {
 	g := &st.groups[gi]
 	p := st.sp.P
 	nS := len(st.sp.Services)
-
-	pIdx := make([]int, nS)
-	for i := range pIdx {
-		pIdx[i] = -1
-	}
+	pm := &pricingModel{pIdx: make([]int, nS)}
 	var nv int
 	for si := 0; si < nS; si++ {
+		pm.pIdx[si] = -1
 		if g.CanHost[si] {
-			pIdx[si] = nv
+			pm.pIdx[si] = nv
 			nv++
 		}
 	}
-	type edgeVar struct {
-		e  int
-		av int
-	}
-	var evs []edgeVar
+	var evs []int // edges whose endpoints the group can both host
 	for ei, e := range st.edges {
-		if pIdx[e.i] >= 0 && pIdx[e.j] >= 0 {
-			evs = append(evs, edgeVar{e: ei, av: nv})
-			nv++
+		if pm.pIdx[e.i] >= 0 && pm.pIdx[e.j] >= 0 {
+			evs = append(evs, ei)
 		}
 	}
-	prob := mip.Problem{LP: lp.Problem{NumVars: nv}, Integer: make([]bool, nv)}
+	nv += len(evs)
+	lpp := &pm.prob.LP
+	*lpp = lp.Problem{NumVars: nv, Upper: make([]float64, nv)}
+	pm.prob.Integer = make([]bool, nv)
+	for j := range lpp.Upper {
+		lpp.Upper[j] = math.Inf(1)
+	}
 	for si := 0; si < nS; si++ {
-		if v := pIdx[si]; v >= 0 {
-			prob.Integer[v] = true
-			coef := st.bonus - lambda[si]
-			if coef != 0 {
-				prob.LP.Objective = append(prob.LP.Objective, lp.Coef{Var: v, Val: coef})
-			}
-			// p_s <= d_s
-			prob.LP.AddRow([]lp.Coef{{Var: v, Val: 1}}, lp.LE, float64(p.Services[st.sp.Services[si]].Replicas))
+		if v := pm.pIdx[si]; v >= 0 {
+			pm.prob.Integer[v] = true
+			lpp.Objective = append(lpp.Objective, lp.Coef{Var: v, Val: st.bonus})
+			lpp.Upper[v] = float64(p.Services[st.sp.Services[si]].Replicas)
 		}
 	}
-	for _, ev := range evs {
-		prob.LP.Objective = append(prob.LP.Objective, lp.Coef{Var: ev.av, Val: st.edges[ev.e].w})
-		e := st.edges[ev.e]
+	for k, ei := range evs {
+		av := nv - len(evs) + k
+		e := st.edges[ei]
+		lpp.Objective = append(lpp.Objective, lp.Coef{Var: av, Val: e.w})
 		di := float64(p.Services[st.sp.Services[e.i]].Replicas)
 		dj := float64(p.Services[st.sp.Services[e.j]].Replicas)
-		// a_e <= p_i/d_i and a_e <= p_j/d_j; objective carries w_e.
-		prob.LP.AddRow([]lp.Coef{{Var: ev.av, Val: 1}, {Var: pIdx[e.i], Val: -1 / di}}, lp.LE, 0)
-		prob.LP.AddRow([]lp.Coef{{Var: ev.av, Val: 1}, {Var: pIdx[e.j], Val: -1 / dj}}, lp.LE, 0)
+		lpp.AddRow([]lp.Coef{{Var: av, Val: 1}, {Var: pm.pIdx[e.i], Val: -1 / di}}, lp.LE, 0)
+		lpp.AddRow([]lp.Coef{{Var: av, Val: 1}, {Var: pm.pIdx[e.j], Val: -1 / dj}}, lp.LE, 0)
 	}
 	for r := range p.ResourceNames {
 		var row []lp.Coef
 		for si := 0; si < nS; si++ {
-			if v := pIdx[si]; v >= 0 {
+			if v := pm.pIdx[si]; v >= 0 {
 				if req := p.Services[st.sp.Services[si]].Request[r]; req > 0 {
 					row = append(row, lp.Coef{Var: v, Val: req})
 				}
 			}
 		}
 		if len(row) > 0 {
-			prob.LP.AddRow(row, lp.LE, g.Capacity[r])
+			lpp.AddRow(row, lp.LE, g.Capacity[r])
 		}
 	}
 	for k, rule := range st.sp.Anti {
 		var row []lp.Coef
 		for _, s := range rule.Services {
 			for si, os := range st.sp.Services {
-				if os == s && pIdx[si] >= 0 {
-					row = append(row, lp.Coef{Var: pIdx[si], Val: 1})
+				if os == s && pm.pIdx[si] >= 0 {
+					row = append(row, lp.Coef{Var: pm.pIdx[si], Val: 1})
 				}
 			}
 		}
 		if len(row) > 0 {
-			prob.LP.AddRow(row, lp.LE, float64(g.AntiCap[k]))
+			lpp.AddRow(row, lp.LE, float64(g.AntiCap[k]))
 		}
 	}
-	sol, err := mip.Solve(st.ctx, &prob, mip.Options{Deadline: st.loopDeadline, MaxNodes: 2000})
+	return pm
+}
+
+// solvePricing solves group gi's pricing model under the duals lambda,
+// building the model on the group's first round.
+func (st *state) solvePricing(gi int, lambda []float64) (mip.Solution, error) {
+	if st.pricing[gi] == nil {
+		st.pricing[gi] = st.buildPricing(gi)
+	}
+	pm := st.pricing[gi]
+	for si, v := range pm.pIdx {
+		if v >= 0 {
+			pm.prob.LP.Objective[v].Val = st.bonus - lambda[si]
+		}
+	}
+	return mip.Solve(st.ctx, &pm.prob, mip.Options{Deadline: st.loopDeadline, MaxNodes: 2000})
+}
+
+// priceGroupMIP solves the pattern-generation subproblem for a group
+// exactly: maximize pattern value minus lambda'p over feasible patterns.
+func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
+	sol, err := st.solvePricing(gi, lambda)
 	st.stats.Merge(sol.Stats)
 	if err != nil || sol.X == nil {
 		return nil, 0
 	}
+	nS := len(st.sp.Services)
 	counts := make([]int, nS)
-	for si := 0; si < nS; si++ {
-		if v := pIdx[si]; v >= 0 {
+	for si, v := range st.pricing[gi].pIdx {
+		if v >= 0 {
 			counts[si] = int(math.Round(sol.X[v]))
 		}
 	}
-	if !model.PatternFeasible(st.sp, g, counts) {
+	if !model.PatternFeasible(st.sp, &st.groups[gi], counts) {
 		return nil, 0
 	}
 	// Recompute the reduced-cost numerator from the integral pattern.

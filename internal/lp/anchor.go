@@ -9,21 +9,26 @@ import (
 )
 
 // anchor is a copy of the optimal dense tableau of one solve (the root
-// relaxation of a branch-and-bound run). SolveNode solves every later
-// node of that run from it: a node's parent basis differs from the
-// root's optimal basis in a handful of columns, so re-deriving it from
-// the anchor takes a few pivots where rebuilding the tableau and
-// Gauss-Jordaning the whole basis back in takes one per row.
+// relaxation of a branch-and-bound run), bound state included.
+// SolveNode solves every later node of that run from it: a node differs
+// from the root only in its variable bounds, so the anchor keeps its
+// shape, and the node's parent basis differs from the root's optimal
+// basis in a handful of columns. Re-deriving that basis from the anchor
+// takes a few pivots where rebuilding the tableau and Gauss-Jordaning
+// the whole basis back in takes one per row.
 type anchor struct {
 	ok               bool
 	m, n, nStruc     int
-	nArt             int
+	sig              uint64    // layout signature
 	a                []float64 // m*(n+1), stride n+1, as in Workspace.a
 	phase2           []float64 // n+1
 	basis            []int     // m
 	artificial       []bool    // n
 	slackCol, colRow []int     // m, n
 	slackSign        []float64 // m
+	lo, up, ref      []float64 // nStruc
+	span             []float64 // n
+	comp             []bool    // n
 }
 
 // Anchor snapshots the tableau of the workspace's most recent solve as
@@ -44,59 +49,33 @@ func (w *Workspace) Anchor() bool {
 	an.slackCol = append(an.slackCol[:0], w.slackCol[:w.m]...)
 	an.colRow = append(an.colRow[:0], w.colRow[:w.n]...)
 	an.slackSign = append(an.slackSign[:0], w.slackSign[:w.m]...)
-	an.nArt = 0
-	for _, art := range an.artificial {
-		if art {
-			an.nArt++
-		}
-	}
+	an.lo = append(an.lo[:0], w.lo[:w.nStruc]...)
+	an.up = append(an.up[:0], w.up[:w.nStruc]...)
+	an.ref = append(an.ref[:0], w.ref[:w.nStruc]...)
+	an.span = append(an.span[:0], w.span[:w.n]...)
+	an.comp = append(an.comp[:0], w.comp[:w.n]...)
+	an.sig = w.sig
 	return true
 }
 
-// SolveNode solves the anchored problem plus the extra rows,
-// re-optimizing from the basis from, which must have been captured on
-// the anchored problem plus a prefix of extra (a branch-and-bound
-// parent; the extra rows are its branching chain plus the child's
-// bound). The result is the one SolveFrom gives on the full problem,
-// up to roundoff, and a basis captured after it warm-starts either.
+// SolveNode solves the anchored problem with its variable bounds
+// replaced by lo and up (len NumVars each; +inf in up for no upper
+// bound), re-optimizing from the basis from, which must have been
+// captured on the anchored problem under any bounds (a branch-and-bound
+// parent). The bounds must not cross (lo <= up): a node whose bounds
+// cross is infeasible without an LP, and the caller settles it. The
+// result is the one SolveFrom gives on the same bounded problem, up to
+// roundoff, and a basis captured after it warm-starts either.
 //
-// ok=false means the node does not fit the anchored path and the
-// caller must use SolveFrom: no anchor; an extra row that is not a
-// single-variable LE/GE bound with a non-negative right-hand side; a
-// node large enough for the sparse kernel; a basis that does not match
-// the node's column layout, is singular on the anchor, or is not dual
-// feasible there. No pivot is counted when ok=false.
-func (w *Workspace) SolveNode(ctx context.Context, opts Options, extra []Constraint, from *Basis) (Solution, bool) {
+// ok=false means the caller must use SolveFrom: there is no anchor, or
+// from does not fit it (another shape, singular on the anchor, or not
+// dual feasible there). No pivot is counted when ok=false.
+func (w *Workspace) SolveNode(ctx context.Context, opts Options, lo, up []float64, from *Basis) (Solution, bool) {
 	start := time.Now()
 	an := &w.anc
-	m := an.m + len(extra)
-	if !an.ok || from == nil || from.m < an.m || from.m > m || from.nStruc != an.nStruc || len(from.cols) != from.m ||
-		kernelFor(opts.Kernel, m, an.nStruc) == KernelSparse {
+	if !an.ok || len(lo) != an.nStruc || len(up) != an.nStruc {
 		return Solution{}, false
 	}
-	// n and nArt track the column layout of the anchored rows plus
-	// extra[:k]; from must have been captured under the layout at
-	// k = from.m-an.m.
-	n, nArt := an.n, an.nArt
-	for k, r := range extra {
-		if an.m+k == from.m && (n != from.n || nArt != from.nArt) {
-			return Solution{}, false
-		}
-		if len(r.Coefs) != 1 || r.Sense == EQ || !(r.RHS >= 0) || math.IsInf(r.RHS, 0) {
-			return Solution{}, false
-		}
-		if c := r.Coefs[0]; c.Var < 0 || c.Var >= an.nStruc || c.Val == 0 || math.IsNaN(c.Val) || math.IsInf(c.Val, 0) {
-			return Solution{}, false
-		}
-		n++
-		if r.Sense == GE {
-			n, nArt = n+1, nArt+1
-		}
-	}
-	if from.m == m && (n != from.n || nArt != from.nArt) {
-		return Solution{}, false
-	}
-
 	var stats solve.Stats
 	finish := func(sol Solution) (Solution, bool) {
 		w.lastStatus = sol.Status
@@ -108,12 +87,16 @@ func (w *Workspace) SolveNode(ctx context.Context, opts Options, extra []Constra
 		stats.Stop = cause
 		return finish(Solution{Status: IterLimit})
 	}
+	if from == nil || from.m != an.m || from.n != an.n || from.nStruc != an.nStruc || from.sig != an.sig || len(from.cols) != from.m {
+		return Solution{}, false
+	}
 	w.lastKernel = KernelDense
 	w.trackPhase1 = false
-	w.widenAnchor(m, n, extra)
+	w.loadAnchor()
 	if !w.rebase(from) {
 		return Solution{}, false
 	}
+	w.setBounds(lo, up, from.upper)
 	sol, ok := w.reoptimize(ctx, opts, &stats)
 	if !ok {
 		return Solution{}, false
@@ -121,96 +104,53 @@ func (w *Workspace) SolveNode(ctx context.Context, opts Options, extra []Constra
 	return finish(sol)
 }
 
-// widenAnchor loads the anchor into the workspace at the node's stride
-// and appends each extra bound row in tableau form: its slack (LE) or
-// surplus and artificial (GE) in the columns build would give them,
-// the row negated for GE so the slack or surplus is basic, and the
-// anchor's basic value of the bounded variable eliminated. The result
-// is canonical for the anchor basis plus the new slacks.
-func (w *Workspace) widenAnchor(m, n int, extra []Constraint) {
+// loadAnchor copies the anchor into the workspace.
+func (w *Workspace) loadAnchor() {
 	an := &w.anc
-	w.m, w.n, w.nStruc, w.stride = m, n, an.nStruc, n+1
-	w.a = growF(w.a, m*w.stride)
-	w.phase2 = growF(w.phase2, w.stride)
-	w.basis = growI(w.basis, m)
-	w.slackCol = growI(w.slackCol, m)
-	w.slackSign = growF(w.slackSign, m)
-	w.artificial = growB(w.artificial, n)
-	w.colRow = growI(w.colRow, n)
-	w.rowOf = growI(w.rowOf, n)
-
-	as := an.n + 1
-	for i := 0; i < an.m; i++ {
-		row, src := w.row(i), an.a[i*as:(i+1)*as]
-		copy(row, src[:an.n])
-		row[n] = src[an.n]
-	}
-	copy(w.phase2, an.phase2[:an.n])
-	w.phase2[n] = an.phase2[an.n]
-	copy(w.basis, an.basis)
-	copy(w.slackCol, an.slackCol)
-	copy(w.slackSign, an.slackSign)
-	copy(w.artificial, an.artificial)
-	copy(w.colRow, an.colRow)
+	w.m, w.n, w.nStruc, w.stride, w.sig = an.m, an.n, an.nStruc, an.n+1, an.sig
+	w.a = append(w.a[:0], an.a...)
+	w.phase2 = append(w.phase2[:0], an.phase2...)
+	w.basis = append(w.basis[:0], an.basis...)
+	w.slackCol = append(w.slackCol[:0], an.slackCol...)
+	w.slackSign = append(w.slackSign[:0], an.slackSign...)
+	w.artificial = append(w.artificial[:0], an.artificial...)
+	w.colRow = append(w.colRow[:0], an.colRow...)
+	w.lo = append(w.lo[:0], an.lo...)
+	w.up = append(w.up[:0], an.up...)
+	w.ref = append(w.ref[:0], an.ref...)
+	w.span = append(w.span[:0], an.span...)
+	w.comp = append(w.comp[:0], an.comp...)
+	w.rowOf = growI(w.rowOf, w.n)
 	for j := range w.rowOf {
 		w.rowOf[j] = -1
 	}
-	for i, c := range an.basis {
+	for i, c := range w.basis {
 		w.rowOf[c] = i
-	}
-
-	col := an.n
-	for k, r := range extra {
-		i := an.m + k
-		row := w.row(i)
-		c := r.Coefs[0]
-		sign := 1.0
-		if r.Sense == GE {
-			sign = -1
-		}
-		row[c.Var] = sign * c.Val
-		row[n] = sign * r.RHS
-		row[col] = 1
-		w.basis[i], w.rowOf[col] = col, i
-		w.slackCol[i], w.slackSign[i], w.colRow[col] = col, -sign, i
-		col++
-		if r.Sense == GE {
-			row[col] = -1
-			w.artificial[col], w.colRow[col] = true, i
-			col++
-		}
-		if b := w.rowOf[c.Var]; b >= 0 {
-			addScaled(row, w.row(b), -row[c.Var])
-			row[c.Var] = 0
-		}
 	}
 }
 
-// rebase pivots the basis from into the widened anchor tableau: each
-// target column not yet basic enters in the row, among those whose
-// basic column is not a target, with the largest entry. The rows are
-// then ordered as canonicalize would leave them (row k holds target
-// column k), so the repair that follows breaks exact ties as the
-// rebuild path does. Returns false when the target is singular here.
+// rebase pivots the basis from into the anchor tableau: each target
+// column not yet basic enters in the row, among those whose basic
+// column is not a target, with the largest entry. The rows are then
+// ordered as canonicalize would leave them (row k holds target column
+// k), so the repair that follows breaks exact ties as the rebuild path
+// does. On return rowOf maps every basic column to its row. Returns
+// false when the target is singular here.
 func (w *Workspace) rebase(from *Basis) bool {
-	w.target = append(w.target[:0], from.cols...)
-	for i := from.m; i < w.m; i++ {
-		w.target = append(w.target, w.slackCol[i])
-	}
-	w.inTarget = growB(w.inTarget, w.n)
-	for _, c := range w.target {
-		if c < 0 || c >= w.n || w.inTarget[c] {
+	w.mark = growB(w.mark, w.n)
+	for _, c := range from.cols {
+		if c < 0 || c >= w.n || w.mark[c] {
 			return false
 		}
-		w.inTarget[c] = true
+		w.mark[c] = true
 	}
-	for _, c := range w.target {
+	for _, c := range from.cols {
 		if w.rowOf[c] >= 0 {
 			continue
 		}
 		best, bestAbs := -1, 1e-7
 		for r := 0; r < w.m; r++ {
-			if w.inTarget[w.basis[r]] {
+			if w.mark[w.basis[r]] {
 				continue
 			}
 			if v := math.Abs(w.a[r*w.stride+c]); v > bestAbs {
@@ -225,7 +165,7 @@ func (w *Workspace) rebase(from *Basis) bool {
 		w.rowOf[c] = best
 	}
 	// Every target column is basic now; rowOf becomes its wanted row.
-	for k, c := range w.target {
+	for k, c := range from.cols {
 		w.rowOf[c] = k
 	}
 	for i := 0; i < w.m; i++ {
@@ -234,4 +174,34 @@ func (w *Workspace) rebase(from *Basis) bool {
 		}
 	}
 	return true
+}
+
+// setBounds moves every structural column to the bounds lo, up: a
+// nonbasic column to its upper bound when it is in atUpper and that
+// bound is finite, to its lower bound otherwise; a basic column keeps
+// its complement unless its upper bound became infinite. Only columns
+// whose reference point or complement changes cost a rebind.
+func (w *Workspace) setBounds(lo, up []float64, atUpper []int) {
+	for _, j := range atUpper {
+		if j >= 0 && j < w.nStruc {
+			w.mark[j] = true // rebase left mark set on basic columns only
+		}
+	}
+	for j := 0; j < w.nStruc; j++ {
+		l, u := lo[j], up[j]
+		r := w.rowOf[j]
+		comp := w.comp[j]
+		if r < 0 {
+			comp = w.mark[j]
+		}
+		comp = comp && !math.IsInf(u, 1)
+		ref := l
+		if comp {
+			ref = u
+		}
+		if comp != w.comp[j] || ref != w.ref[j] {
+			w.rebind(j, r, comp, ref)
+		}
+		w.lo[j], w.up[j], w.span[j] = l, u, u-l
+	}
 }

@@ -12,71 +12,133 @@ import (
 // randomNodeRoot draws a branch-and-bound root relaxation: either the
 // TestWarmMatchesColdRandom shape (positive LE rows over boxed
 // variables) or randomMixedLP's integer, degenerate, mixed-sense rows
-// with boxes added so the root stays bounded.
+// with boxes added so the root stays bounded. A box is a variable
+// upper bound or a row, at random, and some variables get a lower
+// bound too.
 func randomNodeRoot(rng *rand.Rand) *Problem {
+	var p *Problem
+	box := 10.0
 	if rng.Intn(2) == 0 {
-		p := randomMixedLP(rng)
+		p = randomMixedLP(rng)
+		box = float64(2 + rng.Intn(6))
+	} else {
+		nv := 2 + rng.Intn(5)
+		p = &Problem{NumVars: nv}
+		for j := 0; j < nv; j++ {
+			p.Objective = append(p.Objective, Coef{Var: j, Val: rng.Float64() * 3})
+		}
+		for i := 0; i < 2+rng.Intn(4); i++ {
+			var cs []Coef
+			for j := 0; j < nv; j++ {
+				if v := rng.Float64() * 2; v > 0.3 {
+					cs = append(cs, Coef{Var: j, Val: v})
+				}
+			}
+			if len(cs) == 0 {
+				cs = []Coef{{Var: 0, Val: 1}}
+			}
+			p.AddRow(cs, LE, 1+rng.Float64()*8)
+		}
+	}
+	if rng.Intn(2) == 0 {
 		for j := 0; j < p.NumVars; j++ {
-			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, float64(2+rng.Intn(6)))
+			p.AddRow([]Coef{{Var: j, Val: 1}}, LE, box)
 		}
 		return p
 	}
-	nv := 2 + rng.Intn(5)
-	p := &Problem{NumVars: nv}
-	for j := 0; j < nv; j++ {
-		p.Objective = append(p.Objective, Coef{Var: j, Val: rng.Float64() * 3})
-	}
-	for i := 0; i < 2+rng.Intn(4); i++ {
-		var cs []Coef
-		for j := 0; j < nv; j++ {
-			if v := rng.Float64() * 2; v > 0.3 {
-				cs = append(cs, Coef{Var: j, Val: v})
-			}
+	p.Lower, p.Upper = make([]float64, p.NumVars), make([]float64, p.NumVars)
+	for j := range p.Upper {
+		p.Upper[j] = box
+		if rng.Intn(4) == 0 {
+			p.Lower[j] = float64(rng.Intn(2))
 		}
-		if len(cs) == 0 {
-			cs = []Coef{{Var: 0, Val: 1}}
-		}
-		p.AddRow(cs, LE, 1+rng.Float64()*8)
-	}
-	for j := 0; j < nv; j++ {
-		p.AddRow([]Coef{{Var: j, Val: 1}}, LE, 10)
 	}
 	return p
 }
 
-// randomBound draws the next branching row for a node whose relaxation
-// is at x: mostly the down or up branch on a variable, sometimes an
-// arbitrary bound, which makes infeasible children common.
-func randomBound(rng *rand.Rand, x []float64) Constraint {
+// boundsOf returns p's bounds as explicit slices.
+func boundsOf(p *Problem) (lo, up []float64) {
+	lo, up = make([]float64, p.NumVars), make([]float64, p.NumVars)
+	for j := range lo {
+		lo[j], up[j] = p.bound(j)
+	}
+	return lo, up
+}
+
+// randomBound applies the next bound change to lo/up for a node whose
+// relaxation is at x: mostly the down or up branch on a variable,
+// sometimes an arbitrary bound, which loosens some and makes
+// infeasible (even crossing) children common.
+func randomBound(rng *rand.Rand, x, lo, up []float64) {
 	j := rng.Intn(len(x))
 	v := math.Floor(x[j] + 1e-9)
 	switch rng.Intn(5) {
 	case 0, 1:
-		return Constraint{Coefs: []Coef{{Var: j, Val: 1}}, Sense: LE, RHS: math.Max(v-float64(rng.Intn(2)), 0)}
+		up[j] = math.Max(v-float64(rng.Intn(2)), 0)
 	case 2, 3:
-		return Constraint{Coefs: []Coef{{Var: j, Val: 1}}, Sense: GE, RHS: v + 1}
+		lo[j] = v + 1
+	default:
+		if rng.Intn(2) == 0 {
+			up[j] = float64(rng.Intn(9)) / float64(1+rng.Intn(2))
+		} else {
+			lo[j] = float64(rng.Intn(5))
+		}
 	}
-	return Constraint{Coefs: []Coef{{Var: j, Val: float64(1 + rng.Intn(2))}}, Sense: Sense(rng.Intn(2)), RHS: float64(rng.Intn(9))}
 }
 
-// withRows is p with extra rows appended.
-func withRows(p *Problem, extra []Constraint) *Problem {
-	q := &Problem{NumVars: p.NumVars, Objective: p.Objective}
-	q.Rows = append(append(q.Rows, p.Rows...), extra...)
+// bounded is root with its bounds replaced by lo/up.
+func bounded(root *Problem, lo, up []float64) *Problem {
+	return &Problem{NumVars: root.NumVars, Objective: root.Objective, Rows: root.Rows,
+		Lower: append([]float64(nil), lo...), Upper: append([]float64(nil), up...)}
+}
+
+// rowForm is root with the bounds lo/up written as rows (x_j <= up_j
+// for each finite upper bound, x_j >= lo_j for each positive lower
+// bound) and no variable bounds: the formulation the anchored path
+// replaced.
+func rowForm(root *Problem, lo, up []float64) *Problem {
+	q := &Problem{NumVars: root.NumVars, Objective: root.Objective}
+	q.Rows = append(q.Rows, root.Rows...)
+	for j := range lo {
+		if !math.IsInf(up[j], 1) {
+			q.AddRow([]Coef{{Var: j, Val: 1}}, LE, up[j])
+		}
+		if lo[j] > 0 {
+			q.AddRow([]Coef{{Var: j, Val: 1}}, GE, lo[j])
+		}
+	}
 	return q
 }
 
-// chainStats counts what one anchored chain exercised.
+// chainStats counts what one anchored chain exercised. solves and
+// anchored cover every parent basis whose layout is the anchor's;
+// relaid counts SolveFrom captures whose layout is not.
 type chainStats struct {
-	solves, anchored, infeasible int
+	solves, anchored, infeasible, crossed, relaid int
+}
+
+// senseFlipped reports whether some row of p changes its normalized
+// sense between the lower bounds lo0 and lo1: a row whose effective
+// right-hand side changed sign, which is what changes a dense layout.
+func senseFlipped(p *Problem, lo0, lo1 []float64) bool {
+	p0, p1 := &Problem{NumVars: p.NumVars, Lower: lo0}, &Problem{NumVars: p.NumVars, Lower: lo1}
+	for _, r := range p.Rows {
+		if normSense(r.Sense, effRHS(p0, r)) != normSense(r.Sense, effRHS(p1, r)) {
+			return true
+		}
+	}
+	return false
 }
 
 // checkAnchoredChain solves a random root, anchors it, and walks a
-// random chain of bound rows. At every node it solves the child four
-// ways — SolveNode and SolveFrom, each from the basis the previous
-// SolveNode and the previous SolveFrom captured — and requires all four
-// to agree on status and objective, with a valid optimality certificate
-// when optimal.
+// random chain of bound changes. At every node it solves the child
+// from both the basis the previous SolveNode captured and the one the
+// previous SolveFrom captured, each by SolveNode and by SolveFrom on
+// the bounded problem. All four must agree with a cold solve of the
+// bounded problem and with a cold solve of its row form on status and
+// objective (1e-7), with a valid optimality certificate when optimal.
+// A child whose bounds cross ends the chain: its row form must be
+// infeasible, and SolveNode is not asked (its caller settles it).
 func checkAnchoredChain(t *testing.T, rng *rand.Rand) chainStats {
 	t.Helper()
 	ctx := context.Background()
@@ -87,33 +149,72 @@ func checkAnchoredChain(t *testing.T, rng *rand.Rand) chainStats {
 	if err != nil {
 		t.Fatal(err)
 	}
+	lo, up := boundsOf(root)
 	if !wn.Anchor() {
 		if rs.Status == Optimal {
 			t.Fatalf("dense optimal root did not anchor")
 		}
-		if _, ok := wn.SolveNode(ctx, Options{}, []Constraint{{Coefs: []Coef{{Var: 0, Val: 1}}, Sense: LE}}, &Basis{}); ok {
+		if _, ok := wn.SolveNode(ctx, Options{}, lo, up, &Basis{}); ok {
 			t.Fatalf("SolveNode accepted a node without an anchor (root %v)", rs.Status)
 		}
 		return cs
 	}
 	bNode := wn.CaptureBasis(nil)
 	bFrom := bNode
+	rootLo := append([]float64(nil), lo...)
+	capLo := append([]float64(nil), lo...) // lower bounds bNode and bFrom were captured under
 	x := rs.X
-	var chain []Constraint
 	for depth := 0; depth < 6; depth++ {
-		chain = append(chain, randomBound(rng, x))
-		child := withRows(root, chain)
+		randomBound(rng, x, lo, up)
+		rows := rowForm(root, lo, up)
+		want := solveCold(t, rows)
+		crossed := false
+		for j := range lo {
+			crossed = crossed || lo[j] > up[j]
+		}
+		child := bounded(root, lo, up)
+		if crossed {
+			if want.Status != Infeasible {
+				t.Fatalf("depth %d: crossing bounds but row form %v", depth, want.Status)
+			}
+			cs.crossed++
+			return cs
+		}
+		cold := solveCold(t, child)
+		if cold.Status != want.Status || (want.Status == Optimal &&
+			math.Abs(cold.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective))) {
+			t.Fatalf("depth %d: bounded cold %v %.12g, row form %v %.12g (child %+v)", depth, cold.Status, cold.Objective, want.Status, want.Objective, child)
+		}
+		if want.Status == Optimal {
+			checkCertificates(t, "row form", rows, want)
+		}
 		type run struct {
 			name  string
 			sol   Solution
 			basis *Basis
 		}
 		var runs []run
-		for _, from := range []*Basis{bNode, bFrom} {
-			sol, ok := wn.SolveNode(ctx, Options{}, chain, from)
-			cs.solves++
+		for k, from := range []*Basis{bNode, bFrom} {
+			sol, ok := wn.SolveNode(ctx, Options{}, lo, up, from)
+			if from.sig == wn.anc.sig {
+				cs.solves++
+				if ok {
+					cs.anchored++
+				}
+			} else {
+				// A basis SolveFrom captured (the only kind SolveNode
+				// does not lay out as the anchor) has another layout only
+				// when its lower bounds changed the sign of a row's
+				// effective right-hand side. SolveNode must decline it.
+				if !senseFlipped(root, rootLo, capLo) {
+					t.Fatalf("depth %d: basis %d has another layout without a sense flip", depth, k)
+				}
+				if ok {
+					t.Fatalf("depth %d: basis of another layout accepted", depth)
+				}
+				cs.relaid++
+			}
 			if ok {
-				cs.anchored++
 				if sol.Stats.ColdPivots != 0 {
 					t.Fatalf("depth %d: anchored solve ran %d cold pivots", depth, sol.Stats.ColdPivots)
 				}
@@ -127,16 +228,15 @@ func checkAnchoredChain(t *testing.T, rng *rand.Rand) chainStats {
 			}
 			runs = append(runs, run{"from", sol, wf.CaptureBasis(nil)})
 		}
-		want := runs[3].sol // SolveFrom from its own basis: the rebuild path
 		for _, r := range runs {
 			if r.sol.Status != want.Status {
-				t.Fatalf("depth %d: %s status %v, rebuild %v (child %+v)", depth, r.name, r.sol.Status, want.Status, child)
+				t.Fatalf("depth %d: %s status %v, row form %v (child %+v)", depth, r.name, r.sol.Status, want.Status, child)
 			}
 			if want.Status != Optimal {
 				continue
 			}
 			if math.Abs(r.sol.Objective-want.Objective) > 1e-7*(1+math.Abs(want.Objective)) {
-				t.Fatalf("depth %d: %s objective %.12g, rebuild %.12g (child %+v)", depth, r.name, r.sol.Objective, want.Objective, child)
+				t.Fatalf("depth %d: %s objective %.12g, row form %.12g (child %+v)", depth, r.name, r.sol.Objective, want.Objective, child)
 			}
 			checkCertificates(t, r.name, child, r.sol)
 		}
@@ -147,15 +247,18 @@ func checkAnchoredChain(t *testing.T, rng *rand.Rand) chainStats {
 			return cs
 		}
 		bNode, bFrom, x = runs[0].basis, runs[3].basis, runs[0].sol.X
+		copy(capLo, lo)
 	}
 	return cs
 }
 
-// TestAnchoredNodeMatchesRebuild is the differential property for the
-// anchored node path: over random roots and random chains of LE/GE
-// bound rows (infeasible children and degenerate roots included), a
-// node solved from the anchor matches the rebuilt problem's warm solve,
-// and bases captured on either path warm-start the other.
+// TestAnchoredNodeMatchesRebuild is the ground-truth property for the
+// anchored node path: over random roots (boxes as rows or as variable
+// bounds, degenerate roots included) and random chains of bound changes
+// (infeasible and crossing children included), a node solved from the
+// anchor matches a cold solve of the bounded problem and of its row
+// form, and bases captured by SolveNode and SolveFrom warm-start each
+// other.
 func TestAnchoredNodeMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	var total chainStats
@@ -164,9 +267,13 @@ func TestAnchoredNodeMatchesRebuild(t *testing.T) {
 		total.solves += cs.solves
 		total.anchored += cs.anchored
 		total.infeasible += cs.infeasible
+		total.crossed += cs.crossed
+		total.relaid += cs.relaid
 	}
-	if total.solves < 500 || total.infeasible < 20 {
-		t.Fatalf("generator too narrow: %d node solves, %d infeasible chains", total.solves, total.infeasible)
+	t.Logf("%d node solves from bases of the anchor's layout, %d anchored; %d from SolveFrom bases of another layout; %d infeasible and %d crossing chains",
+		total.solves, total.anchored, total.relaid, total.infeasible, total.crossed)
+	if total.solves < 1000 || total.infeasible < 20 || total.crossed < 20 {
+		t.Fatalf("generator too narrow: %d node solves, %d infeasible and %d crossing chains", total.solves, total.infeasible, total.crossed)
 	}
 	if total.anchored < total.solves*9/10 {
 		t.Fatalf("anchored path declined %d of %d node solves", total.solves-total.anchored, total.solves)
@@ -186,62 +293,70 @@ func FuzzAnchoredNode(f *testing.F) {
 }
 
 // TestSolveNodeDeclines pins the cases SolveNode must hand back to
-// SolveFrom: rows that are not single-variable LE/GE bounds with a
-// non-negative right-hand side, a basis of the wrong layout, and a
-// workspace with no anchor (none taken, taken after a non-optimal or a
-// sparse solve, or dropped by Release).
+// SolveFrom: a workspace with no anchor (none taken, taken after a
+// non-optimal or a sparse solve, or dropped by Release), and a basis
+// that does not fit the anchor.
 func TestSolveNodeDeclines(t *testing.T) {
 	ctx := context.Background()
 	root := &Problem{NumVars: 2, Objective: dense(3, 5)}
 	root.AddRow(dense(1, 0), LE, 4)
 	root.AddRow(dense(0, 2), LE, 12)
 	root.AddRow(dense(3, 2), LE, 18)
-	x0 := func(s Sense, rhs float64) Constraint {
-		return Constraint{Coefs: []Coef{{Var: 0, Val: 1}}, Sense: s, RHS: rhs}
-	}
+	lo, up := boundsOf(root)
+	up1 := []float64{1, math.Inf(1)}
 
 	w := new(Workspace)
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 1)}, &Basis{}); ok {
+	if _, ok := w.SolveNode(ctx, Options{}, lo, up1, &Basis{}); ok {
 		t.Fatal("fresh workspace: SolveNode accepted a node")
 	}
 	if s, err := w.Solve(ctx, root, Options{}); err != nil || s.Status != Optimal || !w.Anchor() {
 		t.Fatalf("root: %v %v", s.Status, err)
 	}
 	b := w.CaptureBasis(nil)
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 1)}, b); !ok {
-		t.Fatal("plain bound row declined")
+	if s, ok := w.SolveNode(ctx, Options{}, lo, up1, b); !ok || s.Status != Optimal {
+		t.Fatalf("plain bound change declined (ok=%v, %v)", ok, s.Status)
 	}
-	for name, row := range map[string]Constraint{
-		"EQ":           x0(EQ, 1),
-		"negative RHS": x0(LE, -1),
-		"two coefs":    {Coefs: dense(1, 1), Sense: LE, RHS: 3},
-		"no coefs":     {Sense: LE, RHS: 3},
-		"bad var":      {Coefs: []Coef{{Var: 2, Val: 1}}, Sense: LE, RHS: 3},
-		"zero coef":    {Coefs: []Coef{{Var: 1, Val: 0}}, Sense: LE, RHS: 3},
-		"NaN RHS":      x0(LE, math.NaN()),
-	} {
-		if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 2), row}, b); ok {
-			t.Errorf("%s row accepted", name)
-		}
+
+	// A basis captured on another problem does not fit the anchor.
+	other := withRows(root, []Constraint{{Coefs: dense(1, 1), Sense: GE, RHS: 1}})
+	wo := new(Workspace)
+	if s, _ := wo.Solve(ctx, other, Options{}); s.Status != Optimal {
+		t.Fatalf("other: %v", s.Status)
 	}
-	// A basis captured under a GE chain does not fit an LE chain.
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(GE, 1)}, b); !ok {
-		t.Fatal("GE bound row declined")
+	if _, ok := w.SolveNode(ctx, Options{}, lo, up, wo.CaptureBasis(nil)); ok {
+		t.Error("basis of another problem accepted")
 	}
-	ge := w.CaptureBasis(nil)
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 3), x0(LE, 2)}, ge); ok {
-		t.Error("basis of a different layout accepted")
+	if _, ok := w.SolveNode(ctx, Options{}, lo, up, nil); ok {
+		t.Error("nil basis accepted")
 	}
-	if _, ok := w.SolveNode(ctx, Options{Kernel: KernelSparse}, []Constraint{x0(LE, 1)}, b); ok {
-		t.Error("node routed to the sparse kernel accepted")
+	// A basis of the same rows under another layout: the lower bound on
+	// y turns x + y >= 1 into an LE row and -x + y <= 1 into a GE row,
+	// so the column count is the same but the columns mean other things.
+	flip := &Problem{NumVars: 2, Objective: dense(-1, -1)}
+	flip.AddRow(dense(1, 1), GE, 1)
+	flip.AddRow(dense(-1, 1), LE, 1)
+	wf := new(Workspace)
+	if s, _ := wf.Solve(ctx, flip, Options{}); s.Status != Optimal || !wf.Anchor() {
+		t.Fatalf("flip root: %v", s.Status)
+	}
+	shifted := *flip
+	shifted.Lower, shifted.Upper = []float64{0, 3}, []float64{math.Inf(1), math.Inf(1)}
+	ws := new(Workspace)
+	if s, _ := ws.Solve(ctx, &shifted, Options{}); s.Status != Optimal {
+		t.Fatalf("shifted: %v", s.Status)
+	}
+	if sb := ws.CaptureBasis(nil); sb.n != wf.anc.n {
+		t.Fatalf("layouts differ in width (%d vs %d); the case needs equal widths", sb.n, wf.anc.n)
+	} else if _, ok := wf.SolveNode(ctx, Options{}, shifted.Lower, shifted.Upper, sb); ok {
+		t.Error("basis of another layout with the same width accepted")
 	}
 
 	// Anchoring after a solve that did not end optimal drops the anchor.
-	infeasible := withRows(root, []Constraint{x0(GE, 5)})
+	infeasible := withRows(root, []Constraint{{Coefs: dense(1, 0), Sense: GE, RHS: 5}})
 	if s, _ := w.Solve(ctx, infeasible, Options{}); s.Status != Infeasible || w.Anchor() {
 		t.Fatalf("infeasible solve anchored (status %v)", s.Status)
 	}
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 1)}, b); ok {
+	if _, ok := w.SolveNode(ctx, Options{}, lo, up1, b); ok {
 		t.Error("dropped anchor still used")
 	}
 	// So does anchoring after a sparse solve.
@@ -253,9 +368,16 @@ func TestSolveNodeDeclines(t *testing.T) {
 		t.Fatal("re-anchor failed")
 	}
 	w.Release()
-	if _, ok := w.SolveNode(ctx, Options{}, []Constraint{x0(LE, 1)}, b); ok {
+	if _, ok := w.SolveNode(ctx, Options{}, lo, up1, b); ok {
 		t.Error("released workspace kept its anchor")
 	}
+}
+
+// withRows is p with extra rows appended.
+func withRows(p *Problem, more []Constraint) *Problem {
+	q := &Problem{NumVars: p.NumVars, Objective: p.Objective, Lower: p.Lower, Upper: p.Upper}
+	q.Rows = append(append(q.Rows, p.Rows...), more...)
+	return q
 }
 
 // TestSolveNodeBudgetAndCancel keeps SolveFrom's rules on the anchored
@@ -274,19 +396,20 @@ func TestSolveNodeBudgetAndCancel(t *testing.T) {
 			continue
 		}
 		b := w.CaptureBasis(nil)
-		chain := []Constraint{randomBound(rng, rs.X)}
-		full, ok := w.SolveNode(context.Background(), Options{}, chain, b)
+		lo, up := boundsOf(root)
+		randomBound(rng, rs.X, lo, up)
+		full, ok := w.SolveNode(context.Background(), Options{}, lo, up, b)
 		if !ok {
 			continue
 		}
 		for budget := 1; budget < full.Stats.SimplexIters; budget++ {
 			checked++
-			sol, ok := w.SolveNode(context.Background(), Options{MaxIter: budget}, chain, b)
+			sol, ok := w.SolveNode(context.Background(), Options{MaxIter: budget}, lo, up, b)
 			if !ok || sol.Stats.SimplexIters > budget || sol.Status != IterLimit {
 				t.Fatalf("trial %d budget %d: ok=%v status %v after %d pivots", trial, budget, ok, sol.Status, sol.Stats.SimplexIters)
 			}
 		}
-		sol, ok := w.SolveNode(cancelled, Options{}, chain, b)
+		sol, ok := w.SolveNode(cancelled, Options{}, lo, up, b)
 		if !ok || sol.Status != IterLimit || sol.Stats.SimplexIters != 0 || sol.Stats.Stop != solve.Cancelled {
 			t.Fatalf("trial %d: cancelled solve ok=%v status %v pivots %d stop %v", trial, ok, sol.Status, sol.Stats.SimplexIters, sol.Stats.Stop)
 		}

@@ -45,12 +45,33 @@ func randomMixedLP(rng *rand.Rand) *Problem {
 	return p
 }
 
+// withRandomBounds gives half the problems variable bounds: finite
+// upper bounds (some fractional, some zero) on about half the
+// variables and positive lower bounds, at most the upper, on a quarter.
+func withRandomBounds(rng *rand.Rand, p *Problem) *Problem {
+	if rng.Intn(2) == 0 {
+		return p
+	}
+	p.Lower, p.Upper = make([]float64, p.NumVars), make([]float64, p.NumVars)
+	for j := range p.Upper {
+		p.Upper[j] = math.Inf(1)
+		if rng.Intn(2) == 0 {
+			p.Upper[j] = float64(rng.Intn(7)) / float64(1+rng.Intn(2))
+		}
+		if rng.Intn(4) == 0 {
+			p.Lower[j] = math.Min(float64(rng.Intn(3)), p.Upper[j])
+		}
+	}
+	return p
+}
+
 // checkCertificates validates an Optimal solution as a primal/dual
-// optimality certificate for the original problem: primal feasibility,
-// dual sign conditions per row sense, dual feasibility of every
-// column, and strong duality. Duals are non-unique under degeneracy,
-// so the two kernels are compared through certificates, not
-// coordinates.
+// optimality certificate for the original problem: primal feasibility
+// (rows and variable bounds), dual sign conditions per row sense, dual
+// feasibility of every column (a reduced cost may be positive only at
+// an upper bound and negative only at a lower one), and strong
+// duality. Duals are non-unique under degeneracy, so the two kernels
+// are compared through certificates, not coordinates.
 func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 	t.Helper()
 	const tol = 1e-6
@@ -58,8 +79,8 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		t.Fatalf("%s: malformed solution: |X|=%d |Duals|=%d", tag, len(sol.X), len(sol.Duals))
 	}
 	for j, v := range sol.X {
-		if v < -tol {
-			t.Fatalf("%s: x[%d] = %g < 0", tag, j, v)
+		if lo, up := p.bound(j); v < lo-tol || v > up+tol {
+			t.Fatalf("%s: x[%d] = %g outside [%g, %g]", tag, j, v, lo, up)
 		}
 	}
 	obj := 0.0
@@ -97,8 +118,9 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		}
 		dualObj += sol.Duals[i] * r.RHS
 	}
-	// Dual feasibility: every column prices out non-positive (max
-	// problem over x >= 0).
+	// Dual feasibility: a column prices out positive only at its upper
+	// bound and negative only at its lower one (max problem), and the
+	// bounds it is held at enter the dual objective.
 	reduced := make([]float64, p.NumVars)
 	for _, c := range p.Objective {
 		reduced[c.Var] += c.Val
@@ -109,8 +131,16 @@ func checkCertificates(t *testing.T, tag string, p *Problem, sol Solution) {
 		}
 	}
 	for j, d := range reduced {
-		if d > tol {
-			t.Fatalf("%s: column %d prices out positive: reduced cost %g", tag, j, d)
+		lo, up := p.bound(j)
+		switch {
+		case d > tol && sol.X[j] < up-tol:
+			t.Fatalf("%s: column %d prices out positive below its upper bound: reduced cost %g", tag, j, d)
+		case d < -tol && sol.X[j] > lo+tol:
+			t.Fatalf("%s: column %d prices out negative above its lower bound: reduced cost %g", tag, j, d)
+		case d > tol:
+			dualObj += d * up
+		case d < -tol:
+			dualObj += d * lo
 		}
 	}
 	if math.Abs(dualObj-obj) > 1e-5*(1+math.Abs(obj)) {
@@ -133,7 +163,7 @@ func solveWith(t *testing.T, p *Problem, k Kernel) Solution {
 func TestKernelsAgreeRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 800; trial++ {
-		p := randomMixedLP(rng)
+		p := withRandomBounds(rng, randomMixedLP(rng))
 		ds := solveWith(t, p, KernelDense)
 		ss := solveWith(t, p, KernelSparse)
 		if ds.Status != ss.Status {
@@ -175,6 +205,7 @@ func TestKernelsAgreeLarger(t *testing.T) {
 			}
 			p.AddRow(coefs, LE, float64(5+rng.Intn(40)))
 		}
+		withRandomBounds(rng, p)
 		ds := solveWith(t, p, KernelDense)
 		ss := solveWith(t, p, KernelSparse)
 		if ds.Status != ss.Status {
@@ -193,13 +224,17 @@ func TestKernelsAgreeLarger(t *testing.T) {
 
 // TestCrossKernelWarmStart checks that a basis captured by one kernel
 // warm-starts the other: the sparse kernel captures in the dense
-// column layout, so the handles must be interchangeable in both
-// directions, including across an appended branching row.
+// column layout, at-upper nonbasic columns included, so the handles
+// must be interchangeable in both directions. Re-solving the captured
+// problem lands on the captured vertex (a degenerate vertex may cost a
+// pivot that does not move x), and a child with a tightened upper bound
+// matches its cold solve.
 func TestCrossKernelWarmStart(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	ctx := context.Background()
-	for trial := 0; trial < 200; trial++ {
-		p := randomMixedLP(rng)
+	atUpper, resolves, pivoted := 0, 0, 0
+	for trial := 0; trial < 400; trial++ {
+		p := withRandomBounds(rng, randomMixedLP(rng))
 		for capK, solveK := range map[Kernel]Kernel{KernelSparse: KernelDense, KernelDense: KernelSparse} {
 			w := AcquireWorkspace()
 			parent, err := w.Solve(ctx, p, Options{Kernel: capK})
@@ -211,13 +246,30 @@ func TestCrossKernelWarmStart(t *testing.T) {
 				continue
 			}
 			basis := w.CaptureBasis(nil)
+			atUpper += len(basis.upper)
 
-			// Child: tighten one variable with an appended bound row,
-			// the branch-and-bound move.
-			child := &Problem{NumVars: p.NumVars, Objective: p.Objective}
-			child.Rows = append(child.Rows, p.Rows...)
+			same, err := AcquireWorkspace().SolveFrom(ctx, p, Options{Kernel: solveK}, basis)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if same.Status != Optimal || same.Stats.ColdPivots != 0 {
+				t.Fatalf("trial %d (%v->%v): re-solve from the capture: %v after %d cold pivots", trial, capK, solveK, same.Status, same.Stats.ColdPivots)
+			}
+			resolves++
+			if same.Stats.SimplexIters != 0 {
+				pivoted++ // a degenerate vertex may take a pivot that does not move x
+			}
+			for j := range same.X {
+				if math.Abs(same.X[j]-parent.X[j]) > 1e-7 {
+					t.Fatalf("trial %d (%v->%v): re-solve lands on x=%v, capture at %v", trial, capK, solveK, same.X, parent.X)
+				}
+			}
+
+			// Child: tighten one variable's upper bound, the
+			// branch-and-bound move.
 			v := rng.Intn(p.NumVars)
-			child.AddRow([]Coef{{Var: v, Val: 1}}, LE, math.Floor(parent.X[v]))
+			lo, up := p.bound(v)
+			child := withBound(p, v, lo, math.Max(lo, math.Min(up, math.Floor(parent.X[v]))))
 
 			warm, err := w.SolveFrom(ctx, child, Options{Kernel: solveK}, basis)
 			if err != nil {
@@ -236,6 +288,13 @@ func TestCrossKernelWarmStart(t *testing.T) {
 			w.Release()
 		}
 	}
+	if atUpper < 20 {
+		t.Fatalf("only %d at-upper nonbasic columns captured; generator too narrow", atUpper)
+	}
+	if pivoted*20 > resolves {
+		t.Fatalf("%d of %d re-solves from a capture needed pivots", pivoted, resolves)
+	}
+	t.Logf("%d at-upper columns captured; %d of %d re-solves pivoted", atUpper, pivoted, resolves)
 }
 
 // TestSparseAnytimeIterLimit pins the anytime contract on the sparse

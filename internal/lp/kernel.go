@@ -62,20 +62,34 @@ func kernelFor(k Kernel, rows, vars int) Kernel {
 // solve can capture (and load) bases in the dense layout, keeping
 // warm-start handles interchangeable across kernels.
 type layoutInfo struct {
-	n     int   // total columns
-	nArt  int   // artificial columns
-	owner []int // column -> owning row (-1 for structural columns)
-	slack []int // per row: the slack/surplus/artificial column used for dual reads
+	n     int    // total columns
+	sig   uint64 // layoutSig over the rows' normalized senses
+	owner []int  // column -> owning row (-1 for structural columns)
+	slack []int  // per row: the slack/surplus/artificial column used for dual reads
 }
 
-// prefixLayout computes the layout of rows[:len(rows)] with nStruc
-// structural columns. It must mirror the column assignment in
+// sigSeed starts a layout signature.
+const sigSeed uint64 = 14695981039346656037
+
+// layoutSig folds one row's normalized sense into a layout signature
+// (FNV-1a). The normalized senses in row order fix the column layout,
+// so two row sets share a layout exactly when their signatures agree
+// (barring a 64-bit hash collision). Bases carry the signature of the
+// layout they were captured under, and a warm start checks it.
+func layoutSig(sig uint64, s Sense) uint64 {
+	return (sig ^ uint64(s+1)) * 1099511628211
+}
+
+// prefixLayout computes the layout of p's rows after the first nStruc
+// structural columns (fewer than p.NumVars for a basis captured before
+// columns were appended). It must mirror the column assignment in
 // Workspace.build exactly; TestPrefixLayoutMatchesBuild pins the two
 // together.
-func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
+func prefixLayout(p *Problem, nStruc int) layoutInfo {
+	rows := p.Rows
 	n := nStruc
 	for _, r := range rows {
-		if normSense(r) == GE {
+		if normSense(r.Sense, effRHS(p, r)) == GE {
 			n += 2
 		} else {
 			n++
@@ -83,6 +97,7 @@ func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
 	}
 	li := layoutInfo{
 		n:     n,
+		sig:   sigSeed,
 		owner: make([]int, n),
 		slack: make([]int, len(rows)),
 	}
@@ -91,7 +106,9 @@ func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
 	}
 	col := nStruc
 	for i, r := range rows {
-		switch normSense(r) {
+		s := normSense(r.Sense, effRHS(p, r))
+		li.sig = layoutSig(li.sig, s)
+		switch s {
 		case LE:
 			li.slack[i] = col
 			li.owner[col] = i
@@ -101,12 +118,10 @@ func prefixLayout(rows []Constraint, nStruc int) layoutInfo {
 			li.owner[col] = i
 			col++
 			li.owner[col] = i // artificial
-			li.nArt++
 			col++
 		case EQ:
 			li.slack[i] = col
 			li.owner[col] = i // artificial
-			li.nArt++
 			col++
 		}
 	}

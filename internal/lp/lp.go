@@ -3,7 +3,7 @@
 //
 //	maximize    c'x
 //	subject to  a_i'x {<=,=,>=} b_i   for each row i
-//	            x >= 0
+//	            l <= x <= u           (default l = 0, u = +inf)
 //
 // It is the substrate beneath the MIP branch-and-bound solver
 // (internal/mip) and the column-generation master problem (internal/cg),
@@ -15,7 +15,11 @@
 //
 //   - A dense tableau simplex with Dantzig pricing and an automatic
 //     switch to Bland's rule when cycling is suspected — the reference
-//     kernel, lowest constant factor on small problems.
+//     kernel, lowest constant factor on small problems. Variable bounds
+//     use the bounded-variable method: a nonbasic column sits at its
+//     lower or upper bound (an at-upper column is stored complemented),
+//     the primal ratio test includes bound flips, and the dual simplex
+//     repairs basic variables outside either bound. A bound costs no row.
 //   - A sparse revised simplex (sparse.go): CSC constraint storage, a
 //     product-form eta file with periodic refactorization, bounded
 //     variables (presolve turns assignment-style singleton rows into
@@ -34,11 +38,15 @@
 //
 // Branch-and-bound nodes take a cheaper warm path (anchor.go): the
 // workspace snapshots the root relaxation's optimal dense tableau
-// (Workspace.Anchor), and SolveNode solves each node from that anchor
-// by appending the node's bound rows and pivoting in only the few
-// columns where its parent's basis differs from the root's, instead of
-// rebuilding the tableau and re-pivoting the whole basis. A node the
-// anchored path cannot take falls back to SolveFrom.
+// (Workspace.Anchor), and SolveNode solves each node from that anchor.
+// A node differs from the root only in its variable bounds, so the
+// anchor has a fixed shape: a node costs one copy of it, the pivots
+// for the few columns where its parent's basis differs from the root's,
+// a right-hand-side shift for each nonbasic column whose bound moved,
+// and the dual repair, instead of a rebuild of the tableau and a
+// re-pivot of the whole basis. Without an anchor (a sparse or
+// non-optimal root) or with a basis that does not fit it, the caller
+// falls back to SolveFrom.
 package lp
 
 import (
@@ -86,13 +94,30 @@ type Constraint struct {
 	RHS   float64
 }
 
-// Problem is an LP instance. Variables are indexed 0..NumVars-1 and are
-// implicitly non-negative. The objective is always maximized; negate
-// coefficients to minimize.
+// Problem is an LP instance. Variables are indexed 0..NumVars-1. The
+// objective is always maximized; negate coefficients to minimize.
 type Problem struct {
 	NumVars   int
 	Objective []Coef
 	Rows      []Constraint
+	// Lower and Upper are optional per-variable bounds (len NumVars).
+	// Nil means [0, +inf): a nil Lower is all zeros, a nil Upper all
+	// +inf. Lower must be finite and non-negative, and Lower <= Upper.
+	// A bound costs no tableau row, so a branch-and-bound child or a
+	// pricing model's p_s <= d_s states it here, not with AddRow.
+	Lower, Upper []float64
+}
+
+// bound returns variable j's bounds.
+func (p *Problem) bound(j int) (lo, up float64) {
+	lo, up = 0, math.Inf(1)
+	if p.Lower != nil {
+		lo = p.Lower[j]
+	}
+	if p.Upper != nil {
+		up = p.Upper[j]
+	}
+	return lo, up
 }
 
 // AddRow appends a constraint built from dense or sparse coefficients.
@@ -201,6 +226,18 @@ func validate(p *Problem) error {
 		}
 		if math.IsNaN(r.RHS) || math.IsInf(r.RHS, 0) {
 			return fmt.Errorf("%w: row %d has non-finite RHS", ErrBadProblem, i)
+		}
+	}
+	if (p.Lower != nil && len(p.Lower) != p.NumVars) || (p.Upper != nil && len(p.Upper) != p.NumVars) {
+		return fmt.Errorf("%w: bounds of length %d/%d for %d variables", ErrBadProblem, len(p.Lower), len(p.Upper), p.NumVars)
+	}
+	if p.Lower == nil && p.Upper == nil {
+		return nil
+	}
+	for j := 0; j < p.NumVars; j++ {
+		// !(lo >= 0) and !(lo <= up) also catch NaN.
+		if lo, up := p.bound(j); !(lo >= 0) || math.IsInf(lo, 1) || math.IsNaN(up) || !(lo <= up) {
+			return fmt.Errorf("%w: variable %d has bounds [%g, %g]", ErrBadProblem, j, lo, up)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -158,6 +159,47 @@ func TestValidation(t *testing.T) {
 		if _, err := Solve(context.Background(), p, Options{}); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
+	}
+}
+
+// TestValidateBounds is the bounds half of validation: malformed
+// Lower/Upper are ErrBadProblem for either kernel, well-formed ones
+// (+inf upper, fixed variables) pass, and the happy path with bounds
+// does not allocate.
+func TestValidateBounds(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, c := range []struct {
+		name         string
+		lower, upper []float64
+		ok           bool
+	}{
+		{"nil", nil, nil, true},
+		{"upper only", nil, []float64{3, inf}, true},
+		{"fixed", []float64{1, 0}, []float64{1, 2}, true},
+		{"short lower", []float64{0}, nil, false},
+		{"long upper", nil, []float64{1, 2, 3}, false},
+		{"NaN lower", []float64{nan, 0}, nil, false},
+		{"NaN upper", nil, []float64{1, nan}, false},
+		{"negative lower", []float64{-1, 0}, nil, false},
+		{"infinite lower", []float64{inf, 0}, []float64{inf, inf}, false},
+		{"lower above upper", []float64{2, 0}, []float64{1, 1}, false},
+		{"negative upper", nil, []float64{-1, 1}, false},
+	} {
+		p := &Problem{NumVars: 2, Objective: dense(1, 1), Lower: c.lower, Upper: c.upper}
+		p.AddRow(dense(1, 1), LE, 4)
+		for _, k := range []Kernel{KernelDense, KernelSparse} {
+			_, err := Solve(context.Background(), p, Options{Kernel: k})
+			if c.ok && err != nil {
+				t.Errorf("%s (%v): %v", c.name, k, err)
+			}
+			if !c.ok && !errors.Is(err, ErrBadProblem) {
+				t.Errorf("%s (%v): got %v, want ErrBadProblem", c.name, k, err)
+			}
+		}
+	}
+	p := &Problem{NumVars: 2, Lower: []float64{0, 1}, Upper: []float64{2, inf}}
+	if n := testing.AllocsPerRun(10, func() { _ = validate(p) }); n != 0 {
+		t.Fatalf("validate allocates %v times on a well-formed bounded problem", n)
 	}
 }
 

@@ -71,7 +71,7 @@ func newPresolver(p *Problem) *presolver {
 		ps.boundVar[i] = -1
 	}
 	for j := 0; j < n; j++ {
-		ps.up[j] = math.Inf(1)
+		ps.lo[j], ps.up[j] = p.bound(j)
 		ps.loRow[j], ps.upRow[j], ps.eqRow[j] = -1, -1, -1
 	}
 	for _, c := range p.Objective {

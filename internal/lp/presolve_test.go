@@ -163,7 +163,7 @@ func FuzzKernelsAgree(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		p := randomMixedLP(rng)
+		p := withRandomBounds(rng, randomMixedLP(rng))
 		ds := solveWith(t, p, KernelDense)
 		ss := solveWith(t, p, KernelSparse)
 		if ds.Status != ss.Status {

@@ -99,10 +99,8 @@ func TestMaxIterTotalBudgetWarm(t *testing.T) {
 			continue
 		}
 		basis := w.CaptureBasis(nil)
-		child := &Problem{NumVars: p.NumVars, Objective: p.Objective}
-		child.Rows = append(child.Rows, p.Rows...)
 		v := rng.Intn(p.NumVars)
-		child.AddRow([]Coef{{Var: v, Val: 1}}, LE, math.Floor(parent.X[v]))
+		child := withBound(p, v, 0, math.Floor(parent.X[v]))
 		for budget := 1; budget <= 6; budget++ {
 			sol, err := w.SolveFrom(ctx, child, Options{Kernel: KernelDense, MaxIter: budget}, basis)
 			if err != nil {
@@ -173,6 +171,28 @@ func TestWarmStartLayoutDriftGuard(t *testing.T) {
 			w.Release()
 		}
 	}
+
+	// Lower bounds drift the layout too: y >= 3 turns x + y >= 1 into
+	// an LE row and -x + y <= 1 into a GE row, keeping the column count.
+	flip := &Problem{NumVars: 2, Objective: []Coef{{Var: 0, Val: -1}, {Var: 1, Val: -1}}}
+	flip.AddRow([]Coef{{Var: 0, Val: 1}, {Var: 1, Val: 1}}, GE, 1)
+	flip.AddRow([]Coef{{Var: 0, Val: -1}, {Var: 1, Val: 1}}, LE, 1)
+	shifted := *flip
+	shifted.Lower = []float64{0, 3}
+	for _, k := range []Kernel{KernelDense, KernelSparse} {
+		w := AcquireWorkspace()
+		if s, err := w.Solve(ctx, flip, Options{Kernel: k}); err != nil || s.Status != Optimal {
+			t.Fatalf("kernel %v: flip: %v %v", k, s.Status, err)
+		}
+		warm, err := w.SolveFrom(ctx, &shifted, Options{Kernel: k}, w.CaptureBasis(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if warm.Status != Optimal || math.Abs(warm.Objective+5) > 1e-9 || warm.Stats.WarmPivots != 0 {
+			t.Fatalf("kernel %v: lower-bound drift: %v obj %g after %d warm pivots, want optimal -5 solved cold", k, warm.Status, warm.Objective, warm.Stats.WarmPivots)
+		}
+		w.Release()
+	}
 }
 
 // TestPrefixLayoutMatchesBuild pins prefixLayout to the column
@@ -181,25 +201,21 @@ func TestWarmStartLayoutDriftGuard(t *testing.T) {
 func TestPrefixLayoutMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 300; trial++ {
-		p := randomMixedLP(rng)
+		p := withRandomBounds(rng, randomMixedLP(rng))
 		w := AcquireWorkspace()
 		w.trackPhase1 = false
 		w.build(p)
-		li := prefixLayout(p.Rows, p.NumVars)
+		li := prefixLayout(p, p.NumVars)
 		if li.n != w.n {
 			t.Fatalf("trial %d: prefixLayout n=%d, build n=%d", trial, li.n, w.n)
 		}
-		nArt := 0
 		for j := 0; j < w.n; j++ {
-			if w.artificial[j] {
-				nArt++
-			}
 			if li.owner[j] != w.colRow[j] {
 				t.Fatalf("trial %d: column %d owner %d != build colRow %d", trial, j, li.owner[j], w.colRow[j])
 			}
 		}
-		if li.nArt != nArt {
-			t.Fatalf("trial %d: prefixLayout nArt=%d, build has %d artificials", trial, li.nArt, nArt)
+		if li.sig != w.sig {
+			t.Fatalf("trial %d: prefixLayout signature %x, build %x", trial, li.sig, w.sig)
 		}
 		for i := range p.Rows {
 			if li.slack[i] != w.slackCol[i] {

@@ -134,9 +134,11 @@ type spState struct {
 	epoch int
 
 	// Basis capture in the dense column layout (see buildCapture).
-	capCols                        []int
-	capM, capNStruc, capN, capNArt int
-	capOK                          bool
+	capCols               []int
+	capUpper              []int // nonbasic structurals at their upper bound
+	capM, capNStruc, capN int
+	capSig                uint64
+	capOK                 bool
 }
 
 func growI8(s []int8, k int) []int8 {

@@ -2,6 +2,7 @@ package lp
 
 import (
 	"context"
+	"math"
 
 	"github.com/cloudsched/rasa/internal/solve"
 )
@@ -53,16 +54,16 @@ func (w *Workspace) solveSparse(ctx context.Context, p *Problem, opts Options, f
 func (w *Workspace) sparseWarm(ctx context.Context, p *Problem, opts Options, from *Basis, stats *solve.Stats) (sol Solution, final, ok bool) {
 	k := &w.sps
 	m := len(p.Rows)
-	if from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
+	if from.m != m || from.nStruc > p.NumVars || len(from.cols) != from.m {
 		return Solution{}, false, false
 	}
-	// The captured column indices are only meaningful if the shared
-	// row prefix still implies the layout they were captured under; a
-	// changed row sense shifts every later slack column (and an
-	// LE<->EQ change keeps n but swaps a slack for an artificial),
-	// which the n/nArt pair detects.
-	li := prefixLayout(p.Rows[:from.m], from.nStruc)
-	if li.n != from.n || li.nArt != from.nArt {
+	// The captured column indices are only meaningful if the rows still
+	// imply the layout they were captured under; a changed row sense
+	// shifts every later slack column (and an LE<->EQ change keeps n but
+	// swaps a slack for an artificial), which the layout signature
+	// detects.
+	li := prefixLayout(p, from.nStruc)
+	if li.n != from.n || li.sig != from.sig {
 		return Solution{}, false, false
 	}
 
@@ -90,18 +91,15 @@ func (w *Workspace) sparseWarm(ctx context.Context, p *Problem, opts Options, fr
 		seen[col] = true
 		seed[i] = col
 	}
-	for i := from.m; i < m; i++ {
-		c := k.f.n + i
-		if seen[c] {
-			return Solution{}, false, false
-		}
-		seen[c] = true
-		seed[i] = c
-	}
 	for i, c := range seed {
 		k.basic[i] = c
 		k.vstat[c] = spBasic
 		k.slot[c] = i
+	}
+	for _, j := range from.upper {
+		if j < from.nStruc && !seen[j] && !math.IsInf(k.tup[j], 1) {
+			k.vstat[j] = spNBUpper
+		}
 	}
 	if !k.refactorize() {
 		return Solution{}, true, false
@@ -133,12 +131,13 @@ func (w *Workspace) sparseSolution(p *Problem, st Status, cause solve.StopCause,
 		}
 	}
 	k.buildCapture(p)
+	k.captureUpper(p, sol.X)
 	return sol
 }
 
 // formFromProblem builds the computational form for the verbatim
-// problem (warm solves): default bounds, duplicate coefficients
-// merged via the epoch-stamped accumulator.
+// problem (warm solves): the problem's own bounds, duplicate
+// coefficients merged via the epoch-stamped accumulator.
 func formFromProblem(f *spForm, p *Problem, k *spState) {
 	m, n := len(p.Rows), p.NumVars
 	f.m, f.n = m, n
@@ -149,7 +148,7 @@ func formFromProblem(f *spForm, p *Problem, k *spState) {
 	f.b = growF(f.b, m)
 	f.sense = growS(f.sense, m)
 	for j := 0; j < n; j++ {
-		f.up[j] = inf
+		f.lo[j], f.up[j] = p.bound(j)
 	}
 	for _, c := range p.Objective {
 		f.obj[c.Var] += c.Val
@@ -218,10 +217,10 @@ func formFromProblem(f *spForm, p *Problem, k *spState) {
 // active on a nonbasic variable — that variable, reproducing the
 // vertex the dense kernel would have ended on.
 func (k *spState) buildCapture(p *Problem) {
-	li := prefixLayout(p.Rows, p.NumVars)
+	li := prefixLayout(p, p.NumVars)
 	m := len(p.Rows)
 	k.capCols = growI(k.capCols, m)[:0]
-	k.capM, k.capNStruc, k.capN, k.capNArt = m, p.NumVars, li.n, li.nArt
+	k.capM, k.capNStruc, k.capN, k.capSig = m, p.NumVars, li.n, li.sig
 	if k.pre == nil {
 		for i := 0; i < m; i++ {
 			c := k.basic[i]
@@ -256,6 +255,28 @@ func (k *spState) buildCapture(p *Problem) {
 		k.capCols = append(k.capCols, col)
 	}
 	k.capOK = true
+}
+
+// captureUpper records the structural columns outside capCols that x
+// puts at a finite upper bound of p, so a warm start from the capture
+// places them there.
+func (k *spState) captureUpper(p *Problem, x []float64) {
+	k.capUpper = k.capUpper[:0]
+	if p.Upper == nil {
+		return
+	}
+	basic := growB(k.bwork, p.NumVars)
+	k.bwork = basic
+	for _, c := range k.capCols {
+		if c < p.NumVars {
+			basic[c] = true
+		}
+	}
+	for j := 0; j < p.NumVars; j++ {
+		if lo, up := p.bound(j); !basic[j] && up > lo && !math.IsInf(up, 1) && x[j] >= up-1e-9*(1+up) {
+			k.capUpper = append(k.capUpper, j)
+		}
+	}
 }
 
 // claimsRow reports whether variable j should stand in as the basic

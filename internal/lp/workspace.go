@@ -17,21 +17,23 @@ import (
 //
 // A Workspace additionally supports warm starts: CaptureBasis snapshots
 // the optimal basis of the last solve, and SolveFrom re-optimizes a
-// related problem from that basis — dual simplex when rows were added
-// (a branch-and-bound child tightening one bound), primal simplex when
-// columns were added (a column-generation master with new patterns) —
-// instead of running the full two-phase method from scratch. Anchor and
-// SolveNode (anchor.go) go one step further for branch-and-bound: every
-// node is re-optimized from a kept copy of the root's optimal tableau,
-// so a node costs the few pivots that separate its parent's basis from
-// the root's plus its own repair, not a rebuild of the whole tableau.
+// related problem from that basis — dual simplex when bounds were
+// tightened, primal simplex when columns were added (a
+// column-generation master with new patterns) — instead of running the
+// full two-phase method from scratch. Anchor and SolveNode (anchor.go)
+// go one step further for branch-and-bound: every node is re-optimized
+// from a kept copy of the root's optimal tableau under the node's
+// bounds, so a node costs the few pivots that separate its parent's
+// basis from the root's plus its own repair, not a rebuild of the whole
+// tableau.
 //
 // A Workspace is not safe for concurrent use. Acquire one per goroutine
 // (AcquireWorkspace / Release are backed by a sync.Pool, so parallel
 // subproblem solves do not contend on a shared tableau).
 type Workspace struct {
-	m, n, nStruc int // rows, total columns (excl. RHS), structural vars
-	stride       int // n+1
+	m, n, nStruc int    // rows, total columns (excl. RHS), structural vars
+	stride       int    // n+1
+	sig          uint64 // layout signature of the rows (layoutSig)
 
 	a          []float64 // m*stride flat tableau; a[i*stride+n] is row i's RHS
 	phase1     []float64 // phase-1 cost row (cold solves only), len stride
@@ -44,7 +46,19 @@ type Workspace struct {
 	target     []int     // scratch: warm-start target basis
 	nz         []int     // scratch: nonzero columns of the pivot row
 	rowOf      []int     // scratch (SolveNode): column -> basic row, -1 if nonbasic
-	inTarget   []bool    // scratch (SolveNode): column is in the target basis
+	mark       []bool    // scratch: column marks (target basis, at-upper set)
+
+	// Variable bounds (the bounded-variable method). Structural column j
+	// is stored as y_j in [0, span[j]] with x_j = ref[j] + y_j, or
+	// x_j = ref[j] - y_j when comp[j]: a complemented column measures its
+	// distance below the upper bound. A nonbasic column sits at y_j = 0,
+	// so at its lower bound, or at its upper one when complemented, and
+	// the simplex loops below run on y unchanged apart from the ratio
+	// tests, which also stop at span. Logical columns have span +inf and
+	// are never complemented.
+	lo, up, ref []float64 // per structural column
+	span        []float64 // per column
+	comp        []bool    // per column
 
 	// trackPhase1 gates phase-1 cost-row maintenance; warm starts never
 	// run phase 1 and skip the bookkeeping.
@@ -65,16 +79,18 @@ type Workspace struct {
 }
 
 // Basis is a snapshot of the simplex basis of a solved tableau, the
-// warm-start handle passed back into SolveFrom. It records the column
-// layout dimensions at capture time so basis columns can be remapped
-// when the follow-up problem appends structural variables (CG master)
-// or rows (branch-and-bound children).
+// warm-start handle passed back into SolveFrom and SolveNode: the basic
+// columns and the nonbasic columns at their upper bound, so a warm
+// start from either kernel lands on the same vertex. It records the
+// column layout at capture time so basis columns can be remapped when
+// the follow-up problem appends structural variables (CG master).
 type Basis struct {
-	cols   []int // basic column of each row (order-insensitive: used as a set)
-	m      int   // rows covered
-	nStruc int   // structural variables at capture
-	n      int   // total columns at capture
-	nArt   int   // artificial columns at capture (layout-drift guard)
+	cols   []int  // basic column of each row (order-insensitive: used as a set)
+	upper  []int  // nonbasic structural columns at their upper bound
+	m      int    // rows covered
+	nStruc int    // structural variables at capture
+	n      int    // total columns at capture
+	sig    uint64 // layout signature at capture (layout-drift guard)
 }
 
 // Rows reports how many constraint rows the basis covers.
@@ -108,7 +124,9 @@ func (w *Workspace) Release() {
 // dimensions and are covered by the same cap).
 func (w *Workspace) retainedFloats() int {
 	return cap(w.a) + cap(w.phase1) + cap(w.phase2) + cap(w.slackSign) + w.sps.retainedFloats() +
-		cap(w.anc.a) + cap(w.anc.phase2) + cap(w.anc.slackSign)
+		cap(w.lo) + cap(w.up) + cap(w.ref) + cap(w.span) +
+		cap(w.anc.a) + cap(w.anc.phase2) + cap(w.anc.slackSign) +
+		cap(w.anc.lo) + cap(w.anc.up) + cap(w.anc.ref) + cap(w.anc.span)
 }
 
 // CaptureBasis snapshots the basis of the workspace's most recent solve
@@ -125,15 +143,20 @@ func (w *Workspace) CaptureBasis(dst *Basis) *Basis {
 		// warm-start either kernel.
 		k := &w.sps
 		dst.cols = append(dst.cols[:0], k.capCols...)
-		dst.m, dst.nStruc, dst.n, dst.nArt = k.capM, k.capNStruc, k.capN, k.capNArt
+		dst.upper = append(dst.upper[:0], k.capUpper...)
+		dst.m, dst.nStruc, dst.n, dst.sig = k.capM, k.capNStruc, k.capN, k.capSig
 		return dst
 	}
 	dst.cols = append(dst.cols[:0], w.basis[:w.m]...)
-	dst.m, dst.nStruc, dst.n = w.m, w.nStruc, w.n
-	dst.nArt = 0
-	for j := w.nStruc; j < w.n; j++ {
-		if w.artificial[j] {
-			dst.nArt++
+	dst.m, dst.nStruc, dst.n, dst.sig = w.m, w.nStruc, w.n, w.sig
+	w.mark = growB(w.mark, w.n)
+	for _, c := range w.basis[:w.m] {
+		w.mark[c] = true
+	}
+	dst.upper = dst.upper[:0]
+	for j := 0; j < w.nStruc; j++ {
+		if w.comp[j] && !w.mark[j] {
+			dst.upper = append(dst.upper, j)
 		}
 	}
 	return dst
@@ -182,9 +205,8 @@ func (w *Workspace) Solve(ctx context.Context, p *Problem, opts Options) (Soluti
 }
 
 // SolveFrom solves p warm-started from a basis captured on a related
-// problem: p must extend the basis's problem by appending structural
-// variables (columns) and/or LE/GE rows, with the shared prefix of rows
-// unchanged. Unsupported or numerically unusable bases fall back to a
+// problem: p has the basis's problem's rows, and may append structural
+// variables (columns) or change variable bounds. Unsupported or numerically unusable bases fall back to a
 // cold solve, so SolveFrom never returns worse answers than Solve —
 // warm starts are purely an optimization. Pivots performed on the warm
 // path are counted in Stats.WarmPivots (cold-path pivots, including
@@ -263,9 +285,14 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 func (w *Workspace) extract(st Status) Solution {
 	sol := Solution{Status: st}
 	sol.X = make([]float64, w.nStruc)
+	copy(sol.X, w.ref[:w.nStruc])
 	for i := 0; i < w.m; i++ {
 		if c := w.basis[i]; c < w.nStruc {
-			sol.X[c] = w.rhs(i)
+			if w.comp[c] {
+				sol.X[c] -= w.rhs(i)
+			} else {
+				sol.X[c] += w.rhs(i)
+			}
 		}
 	}
 	sol.Objective = -w.phase2[w.n]
@@ -275,16 +302,18 @@ func (w *Workspace) extract(st Status) Solution {
 
 // build constructs the initial tableau. Columns are laid out
 // structural-first, then per row in row order: a slack (LE) or surplus
-// plus artificial (GE) or artificial (EQ). The per-row interleaving —
-// unlike the textbook all-slacks-then-all-artificials grouping — keeps
-// every existing column's index stable when rows are appended, which is
-// what lets a branch-and-bound child reuse its parent's basis verbatim.
+// plus artificial (GE) or artificial (EQ). Every structural column starts nonbasic at its lower bound, so each
+// row is normalized by the sign of its right-hand side with those
+// lower bounds moved across (effRHS).
 func (w *Workspace) build(p *Problem) {
 	m := len(p.Rows)
 	nStruc := p.NumVars
 	n := nStruc
+	w.sig = sigSeed
 	for _, r := range p.Rows {
-		switch normSense(r) {
+		s := normSense(r.Sense, effRHS(p, r))
+		w.sig = layoutSig(w.sig, s)
+		switch s {
 		case LE:
 			n++
 		case GE:
@@ -303,25 +332,39 @@ func (w *Workspace) build(p *Problem) {
 	w.slackSign = growF(w.slackSign, m)
 	w.artificial = growB(w.artificial, n)
 	w.colRow = growI(w.colRow, n)
+	w.lo = growF(w.lo, nStruc)
+	w.up = growF(w.up, nStruc)
+	w.ref = growF(w.ref, nStruc)
+	w.span = growF(w.span, n)
+	w.comp = growB(w.comp, n)
 	for j := 0; j < nStruc; j++ {
 		w.colRow[j] = -1
+		lo, up := p.bound(j)
+		w.lo[j], w.up[j], w.ref[j], w.span[j] = lo, up, lo, up-lo
+	}
+	for j := nStruc; j < n; j++ {
+		w.span[j] = math.Inf(1)
 	}
 
 	for _, c := range p.Objective {
 		w.phase2[c.Var] += c.Val
+		if p.Lower != nil {
+			w.phase2[n] -= c.Val * p.Lower[c.Var] // -c'lo: the objective at the start
+		}
 	}
 	col := nStruc
 	for i, r := range p.Rows {
 		row := w.row(i)
+		rhs := effRHS(p, r)
 		sign := 1.0
-		if r.RHS < 0 {
+		if rhs < 0 {
 			sign = -1.0
 		}
 		for _, c := range r.Coefs {
 			row[c.Var] += sign * c.Val
 		}
-		row[n] = sign * r.RHS
-		switch normSense(r) {
+		row[n] = sign * rhs
+		switch normSense(r.Sense, rhs) {
 		case LE:
 			row[col] = 1
 			w.basis[i] = col
@@ -367,11 +410,23 @@ func (w *Workspace) build(p *Problem) {
 	}
 }
 
-// normSense is the row's sense after RHS-sign normalization (rows with
-// negative RHS are negated at build time, mirroring LE<->GE).
-func normSense(r Constraint) Sense {
-	s := r.Sense
-	if r.RHS < 0 && s != EQ {
+// effRHS is row r's right-hand side with every variable at its lower
+// bound moved across: the value the row's logical starts at.
+func effRHS(p *Problem, r Constraint) float64 {
+	rhs := r.RHS
+	if p.Lower != nil {
+		for _, c := range r.Coefs {
+			rhs -= c.Val * p.Lower[c.Var]
+		}
+	}
+	return rhs
+}
+
+// normSense is the sense of a row with effective right-hand side rhs
+// after sign normalization (rows with negative rhs are negated at build
+// time, mirroring LE<->GE).
+func normSense(s Sense, rhs float64) Sense {
+	if rhs < 0 && s != EQ {
 		if s == LE {
 			return GE
 		}
@@ -384,28 +439,25 @@ func normSense(r Constraint) Sense {
 // was unusable and the caller must run the cold path; ok=true means the
 // returned Solution is final (any Status).
 func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, from *Basis, stats *solve.Stats) (Solution, bool) {
-	m := len(p.Rows)
-	if from == nil || from.m > m || from.nStruc > p.NumVars || len(from.cols) != from.m {
+	if from == nil || from.m != len(p.Rows) || from.nStruc > p.NumVars || len(from.cols) != from.m {
 		return Solution{}, false
 	}
 	// The captured column indices are positional: they are only
-	// meaningful if the shared row prefix still implies the layout they
-	// were captured under. A row sense changed in the prefix shifts
-	// every later slack/surplus column (LE<->GE changes the column
-	// count; LE<->EQ keeps it but swaps a slack for an artificial), and
-	// a drifted basis would canonicalize into the wrong columns and
-	// silently optimize a different vertex set. The (n, nArt) pair of
-	// the prefix layout detects both drifts.
-	if li := prefixLayout(p.Rows[:from.m], from.nStruc); li.n != from.n || li.nArt != from.nArt {
+	// meaningful if the rows still imply the layout they were captured
+	// under. A changed row sense (or a lower bound that flips the sign
+	// of a row's effective right-hand side) shifts every later
+	// slack/surplus column (LE<->GE changes the column count; LE<->EQ
+	// keeps it but swaps a slack for an artificial), and a drifted basis
+	// would canonicalize into the wrong columns. The layout signature
+	// detects both drifts.
+	if li := prefixLayout(p, from.nStruc); li.n != from.n || li.sig != from.sig {
 		return Solution{}, false
 	}
 	w.trackPhase1 = false
 	w.build(p)
 
 	// Target basis: the captured basis with non-structural columns
-	// shifted past any appended structural variables, plus the slack or
-	// surplus of every appended row. Appended EQ rows have no slack to
-	// seed the extended basis with, so they cannot warm-start.
+	// shifted past any appended structural variables.
 	shift := p.NumVars - from.nStruc
 	w.target = w.target[:0]
 	for _, c := range from.cols {
@@ -417,12 +469,17 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 		}
 		w.target = append(w.target, c)
 	}
-	for i := from.m; i < m; i++ {
-		sc := w.slackCol[i]
-		if w.artificial[sc] {
-			return Solution{}, false
+	// Nonbasic columns the capture left at their upper bound start there.
+	if len(from.upper) > 0 {
+		w.mark = growB(w.mark, w.n)
+		for _, c := range w.target {
+			w.mark[c] = true
 		}
-		w.target = append(w.target, sc)
+		for _, j := range from.upper {
+			if j < from.nStruc && !w.mark[j] && !math.IsInf(w.up[j], 1) {
+				w.rebind(j, -1, true, w.up[j])
+			}
+		}
 	}
 	if !w.canonicalize(w.target) {
 		return Solution{}, false
@@ -433,8 +490,9 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 // reoptimize finishes a warm solve from a canonical tableau whose
 // basis came from a related problem: dual simplex repair when the basis
 // is primal infeasible (a tightened bound), then primal polish.
-// ok=false means the basis is not dual feasible either, so neither
-// simplex applies and the caller must take a colder path; no pivot has
+// ok=false means the basis is not dual feasible either (or keeps an
+// artificial away from 0), so neither simplex applies and the caller
+// must take a colder path; no pivot has
 // been spent in that case.
 func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats) (Solution, bool) {
 	// MaxIter is a total budget: the dual repair and the primal polish
@@ -447,7 +505,15 @@ func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.S
 
 	primalFeasible := true
 	for i := 0; i < w.m; i++ {
-		if w.rhs(i) < -feasEps {
+		if w.artificial[w.basis[i]] && math.Abs(w.rhs(i)) > feasEps {
+			// The basis keeps an artificial away from 0: it does not fit
+			// this problem's right-hand sides, and no simplex here repairs
+			// that.
+			return Solution{}, false
+		}
+	}
+	for i := 0; i < w.m; i++ {
+		if v := w.rhs(i); v < -feasEps || v > w.span[w.basis[i]]+feasEps {
 			primalFeasible = false
 			break
 		}
@@ -457,9 +523,9 @@ func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.S
 		// to repair it; a parent's optimal basis always is, so a failure
 		// here means the basis does not fit this problem — punt to a
 		// colder path. Basic columns read exactly 0 in a canonical
-		// tableau, so one sweep suffices.
+		// tableau, so one sweep suffices; fixed columns never move.
 		for j := 0; j < w.n; j++ {
-			if !w.artificial[j] && w.phase2[j] > 10*costEps {
+			if !w.artificial[j] && w.span[j] != 0 && w.phase2[j] > 10*costEps {
 				return Solution{}, false
 			}
 		}
@@ -546,8 +612,13 @@ func (w *Workspace) iterate(ctx context.Context, cost []float64, maxIter int, de
 		if enter < 0 {
 			return Optimal, solve.Optimal
 		}
-		leave := w.chooseLeaving(enter)
-		if leave < 0 {
+		leave, toUpper, ratio := w.chooseLeaving(enter)
+		switch {
+		case w.span[enter] < ratio-1e-12:
+			// Bound flip: the entering column reaches its other bound
+			// before any basic variable reaches one; the basis stays.
+			w.rebind(enter, -1, !w.comp[enter], w.otherBound(enter))
+		case leave < 0:
 			if phase1 {
 				// Phase-1 objective is bounded above by 0; an unbounded
 				// direction indicates numerical trouble; treat current
@@ -555,8 +626,15 @@ func (w *Workspace) iterate(ctx context.Context, cost []float64, maxIter int, de
 				return Optimal, solve.Optimal
 			}
 			return Unbounded, solve.None
+		default:
+			if toUpper {
+				// The leaving variable stops at its upper bound: complement
+				// it so it leaves at y = 0 like any other.
+				b := w.basis[leave]
+				w.rebind(b, leave, !w.comp[b], w.otherBound(b))
+			}
+			w.pivot(leave, enter)
 		}
-		w.pivot(leave, enter)
 		w.countPivot(warm, stats)
 
 		obj := -cost[w.n]
@@ -577,37 +655,50 @@ func (w *Workspace) iterate(ctx context.Context, cost []float64, maxIter int, de
 // dualIterate runs dual simplex pivots from a dual-feasible basis until
 // primal feasibility (then Optimal is left to the primal polish),
 // proven primal infeasibility, or a budget/cancellation stop. It is the
-// warm-start engine for branch-and-bound children: the one added bound
-// row makes the parent basis primal infeasible by exactly one variable,
-// and a handful of dual pivots restores it.
+// warm-start engine for branch-and-bound children: the one tightened
+// bound puts a single basic variable of the parent basis outside its
+// bounds, and a handful of dual pivots restores it.
 func (w *Workspace) dualIterate(ctx context.Context, maxIter int, deadline time.Time, stats *solve.Stats) (Status, solve.StopCause) {
 	poll := solve.NewPoll(ctx, deadline, 0)
 	for iter := 0; iter < maxIter; iter++ {
 		if cause, stop := poll.Interrupted(); stop {
 			return IterLimit, cause
 		}
-		// Leaving row: most negative RHS. Rows kept by a basic artificial
-		// are redundant (~0) and are never selected.
+		// Leaving row: the basic variable furthest outside its bounds.
+		// Rows kept by a basic artificial are redundant (~0) and are
+		// never selected.
 		leave := -1
-		worst := -feasEps
+		worst := feasEps
 		for i := 0; i < w.m; i++ {
-			if w.artificial[w.basis[i]] {
+			b := w.basis[i]
+			if w.artificial[b] {
 				continue
 			}
-			if v := w.rhs(i); v < worst {
-				leave, worst = i, v
+			v := w.rhs(i)
+			viol := -v
+			if over := v - w.span[b]; over > viol {
+				viol = over
+			}
+			if viol > worst {
+				leave, worst = i, viol
 			}
 		}
 		if leave < 0 {
 			return Optimal, solve.Optimal // primal feasible again
 		}
+		if b := w.basis[leave]; w.rhs(leave) > 0 {
+			// Above its upper bound: complemented, it reads below 0 and
+			// leaves at that bound.
+			w.rebind(b, leave, !w.comp[b], w.otherBound(b))
+		}
 		// Entering column: dual ratio test over negative row entries,
-		// ties to the lowest index (Bland-safe).
+		// ties to the lowest index (Bland-safe). Fixed columns cannot
+		// move and never enter.
 		row := w.row(leave)
 		enter := -1
 		bestRatio := math.Inf(1)
 		for j := 0; j < w.n; j++ {
-			if w.artificial[j] {
+			if w.artificial[j] || w.span[j] == 0 {
 				continue
 			}
 			aj := row[j]
@@ -641,12 +732,13 @@ func (w *Workspace) countPivot(warm bool, stats *solve.Stats) {
 
 // chooseEntering picks the entering column: Dantzig (most positive
 // reduced cost) or Bland (lowest index with positive reduced cost).
-// Artificial columns never re-enter outside phase 1.
+// Artificial columns never re-enter outside phase 1, and fixed columns
+// never enter.
 func (w *Workspace) chooseEntering(cost []float64, bland, phase1 bool) int {
 	best := -1
 	bestVal := costEps
 	for j := 0; j < w.n; j++ {
-		if !phase1 && w.artificial[j] {
+		if (!phase1 && w.artificial[j]) || w.span[j] == 0 {
 			continue
 		}
 		c := cost[j]
@@ -662,20 +754,83 @@ func (w *Workspace) chooseEntering(cost []float64, bland, phase1 bool) int {
 
 // chooseLeaving runs the minimum-ratio test on column enter, breaking
 // ties by the smallest basis column index (lexicographic, Bland-safe).
-func (w *Workspace) chooseLeaving(enter int) int {
-	best := -1
-	bestRatio := math.Inf(1)
+// A basic variable limits the step at 0 (a positive entry) or at its
+// span (a negative one; toUpper reports that case). ratio is the step,
+// +inf when no row limits it.
+func (w *Workspace) chooseLeaving(enter int) (best int, toUpper bool, bestRatio float64) {
+	best, bestRatio = -1, math.Inf(1)
 	for i := 0; i < w.m; i++ {
 		a := w.a[i*w.stride+enter]
-		if a <= pivotEps {
+		var ratio float64
+		up := false
+		switch {
+		case a > pivotEps:
+			ratio = w.rhs(i) / a
+		case a < -pivotEps && !math.IsInf(w.span[w.basis[i]], 1):
+			ratio, up = (w.span[w.basis[i]]-w.rhs(i))/-a, true
+		default:
 			continue
 		}
-		ratio := w.rhs(i) / a
 		if ratio < bestRatio-1e-12 || (ratio < bestRatio+1e-12 && (best < 0 || w.basis[i] < w.basis[best])) {
-			best, bestRatio = i, ratio
+			best, bestRatio, toUpper = i, ratio, up
 		}
 	}
-	return best
+	return best, toUpper, bestRatio
+}
+
+// otherBound is the bound structural column j moves to when its
+// complement flips.
+func (w *Workspace) otherBound(j int) float64 {
+	if w.comp[j] {
+		return w.lo[j]
+	}
+	return w.up[j]
+}
+
+// rebind re-expresses structural column j, basic in row r (-1 when
+// nonbasic), as x_j = ref + y_j, or x_j = ref - y_j when comp. The
+// right-hand sides and the objective absorb the move of the reference
+// point. Flipping the complement negates the column, and for a basic
+// column its row too, so the basic entry stays +1. A rebind is a bound
+// flip of a nonbasic column, the complement of a basic variable that
+// leaves at its upper bound, or a branch-and-bound bound change.
+func (w *Workspace) rebind(j, r int, comp bool, ref float64) {
+	d := ref - w.ref[j]
+	if w.comp[j] {
+		d = -d
+	}
+	flip := comp != w.comp[j]
+	w.comp[j], w.ref[j] = comp, ref
+	if r >= 0 {
+		row := w.row(r)
+		row[w.n] -= d
+		if flip {
+			for k, v := range row {
+				row[k] = -v
+			}
+			row[j] = 1
+		}
+		return
+	}
+	for i := 0; i < w.m; i++ {
+		shiftCol(w.row(i), j, w.n, d, flip)
+	}
+	if w.trackPhase1 {
+		shiftCol(w.phase1, j, w.n, d, flip)
+	}
+	shiftCol(w.phase2, j, w.n, d, flip)
+}
+
+// shiftCol is rebind's update of one tableau or cost row for a nonbasic
+// column j: the move d times the entry comes off the right-hand side
+// (column n), and a flip negates the entry.
+func shiftCol(row []float64, j, n int, d float64, flip bool) {
+	if f := row[j]; f != 0 {
+		row[n] -= d * f
+		if flip {
+			row[j] = -f
+		}
+	}
 }
 
 func (w *Workspace) pivot(leave, enter int) {

@@ -17,11 +17,23 @@ func solveCold(t *testing.T, p *Problem) Solution {
 	return s
 }
 
+// withBound is p with variable j's bounds replaced by [lo, up]; the
+// other variables keep theirs.
+func withBound(p *Problem, j int, lo, up float64) *Problem {
+	q := &Problem{NumVars: p.NumVars, Objective: p.Objective, Rows: p.Rows}
+	q.Lower, q.Upper = make([]float64, p.NumVars), make([]float64, p.NumVars)
+	for k := range q.Lower {
+		q.Lower[k], q.Upper[k] = p.bound(k)
+	}
+	q.Lower[j], q.Upper[j] = lo, up
+	return q
+}
+
 // TestWarmStartAddedBoundRow is the branch-and-bound down-branch shape:
-// solve the parent, capture its basis, append one x_j <= v row, and
-// re-solve warm. The warm solve must agree with a cold solve of the
-// child to high precision and must do its work in warm (dual-simplex)
-// pivots, not a fresh two-phase run.
+// solve the parent, capture its basis, tighten one upper bound
+// x_j <= v, and re-solve warm. The warm solve must agree with a cold
+// solve of the child to high precision and must do its work in warm
+// (dual-simplex) pivots, not a fresh two-phase run.
 func TestWarmStartAddedBoundRow(t *testing.T) {
 	parent := &Problem{NumVars: 2, Objective: dense(3, 5)}
 	parent.AddRow(dense(1, 0), LE, 4)
@@ -35,8 +47,7 @@ func TestWarmStartAddedBoundRow(t *testing.T) {
 	}
 	basis := w.CaptureBasis(nil)
 
-	child := &Problem{NumVars: 2, Objective: parent.Objective, Rows: append([]Constraint{}, parent.Rows...)}
-	child.AddRow(dense(0, 1), LE, 5) // y <= 5 cuts off the optimum y=6
+	child := withBound(parent, 1, 0, 5) // y <= 5 cuts off the optimum y=6
 
 	warm, err := w.SolveFrom(context.Background(), child, Options{}, basis)
 	if err != nil {
@@ -58,8 +69,9 @@ func TestWarmStartAddedBoundRow(t *testing.T) {
 	}
 }
 
-// TestWarmStartAddedGERow is the up-branch shape (x_j >= v). The
-// appended GE row enters the extended basis through its surplus column.
+// TestWarmStartAddedGERow is the up-branch shape (x_j >= v): a raised
+// lower bound puts a basic variable below it, and the dual simplex
+// repairs the parent basis.
 func TestWarmStartAddedGERow(t *testing.T) {
 	parent := &Problem{NumVars: 3, Objective: dense(2, 3, 1)}
 	parent.AddRow(dense(1, 1, 1), LE, 10)
@@ -73,8 +85,7 @@ func TestWarmStartAddedGERow(t *testing.T) {
 	}
 	basis := w.CaptureBasis(nil)
 
-	child := &Problem{NumVars: 3, Objective: parent.Objective, Rows: append([]Constraint{}, parent.Rows...)}
-	child.AddRow(dense(0, 0, 1), GE, 2) // force z up from its relaxed value
+	child := withBound(parent, 2, 2, math.Inf(1)) // force z up from its relaxed value
 
 	warm, err := w.SolveFrom(context.Background(), child, Options{}, basis)
 	if err != nil {
@@ -105,8 +116,7 @@ func TestWarmStartInfeasibleChild(t *testing.T) {
 	}
 	basis := w.CaptureBasis(nil)
 
-	child := &Problem{NumVars: 2, Objective: parent.Objective, Rows: append([]Constraint{}, parent.Rows...)}
-	child.AddRow(dense(1, 0), GE, 3) // contradicts x <= 2
+	child := withBound(parent, 0, 3, math.Inf(1)) // contradicts x <= 2
 
 	warm, err := w.SolveFrom(context.Background(), child, Options{}, basis)
 	if err != nil {
@@ -180,6 +190,29 @@ func TestWarmStartBadBasisFallsBack(t *testing.T) {
 	}
 }
 
+// TestWarmStartKeptArtificialRejected: a basis that keeps the
+// artificial of a redundant equality basic does not fit a problem of
+// the same shape whose right-hand sides make that row inconsistent. The
+// warm path must not report the artificial's nonzero value as a
+// feasible point; it falls back and finds the problem infeasible.
+func TestWarmStartKeptArtificialRejected(t *testing.T) {
+	parent := &Problem{NumVars: 2, Objective: dense(2, 3)}
+	parent.AddRow(dense(1, 1), EQ, 4)
+	parent.AddRow(dense(1, 1), EQ, 4)
+	w := new(Workspace)
+	if s, err := w.Solve(context.Background(), parent, Options{}); err != nil || s.Status != Optimal {
+		t.Fatalf("parent: %v %v", s.Status, err)
+	}
+	basis := w.CaptureBasis(nil)
+	child := &Problem{NumVars: 2, Objective: parent.Objective}
+	child.AddRow(dense(1, 1), EQ, 4)
+	child.AddRow(dense(1, 1), EQ, 5)
+	s, err := w.SolveFrom(context.Background(), child, Options{}, basis)
+	if err != nil || s.Status != Infeasible {
+		t.Fatalf("got %v %v, want Infeasible", s.Status, err)
+	}
+}
+
 // TestWorkspaceReuse runs problems of different shapes and sizes through
 // one workspace back to back; every solve must match a fresh solve, i.e.
 // no state may leak between solves through the recycled arrays.
@@ -219,7 +252,7 @@ func TestWorkspaceReuse(t *testing.T) {
 }
 
 // TestWarmMatchesColdRandom is the warm-start soundness property at the
-// LP level: for random bounded LPs and a random appended bound row, the
+// LP level: for random bounded LPs and a random tightened bound, the
 // warm-started child solve agrees with the cold child solve.
 func TestWarmMatchesColdRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -253,11 +286,9 @@ func TestWarmMatchesColdRandom(t *testing.T) {
 		basis := w.CaptureBasis(nil)
 
 		j := rng.Intn(nv)
-		child := &Problem{NumVars: nv, Objective: p.Objective, Rows: append([]Constraint{}, p.Rows...)}
+		child := withBound(p, j, 0, math.Floor(ps.X[j]))
 		if rng.Intn(2) == 0 {
-			child.AddRow([]Coef{{Var: j, Val: 1}}, LE, math.Floor(ps.X[j]))
-		} else {
-			child.AddRow([]Coef{{Var: j, Val: 1}}, GE, math.Floor(ps.X[j])+1)
+			child = withBound(p, j, math.Floor(ps.X[j])+1, math.Inf(1))
 		}
 		warm, err := w.SolveFrom(context.Background(), child, Options{}, basis)
 		if err != nil {

@@ -129,37 +129,26 @@ type Solution struct {
 
 const intEps = 1e-6
 
-// node is a branch-and-bound node: a persistent chain of bound rows
-// added on top of the root LP.
+// node is a branch-and-bound node: one bound change on top of its
+// parent's bounds. The root changes nothing (pcVar = -1).
 type node struct {
 	parent *node
-	branch lp.Constraint // the bound added at this node (unused at root)
-	depth  int
 	bound  float64 // LP relaxation objective (upper bound for subtree)
 
-	// Pseudocost bookkeeping: which variable/direction created this node
-	// and the parent's LP bound and fractional part at branching time.
+	// The bound change that created this node, x_pcVar >= value when
+	// pcUp and x_pcVar <= value otherwise, plus the pseudocost
+	// bookkeeping: the parent's LP bound and the variable's fractional
+	// part at branching time.
 	pcVar         int
-	pcFrac        float64
 	pcUp          bool
+	value         float64
+	pcFrac        float64
 	pcParentBound float64
 
 	// basis is the optimal LP basis of this node, captured when its
 	// relaxation solves to optimality; children warm-start from it (their
-	// problem is this node's problem plus one appended bound row).
+	// problem is this node's with one bound tightened).
 	basis *lp.Basis
-}
-
-func (n *node) rows() []lp.Constraint {
-	var chain []lp.Constraint
-	for cur := n; cur != nil && cur.parent != nil; cur = cur.parent {
-		chain = append(chain, cur.branch)
-	}
-	// Reverse for readability/determinism (oldest first).
-	for i, j := 0, len(chain)-1; i < j; i, j = i+1, j-1 {
-		chain[i], chain[j] = chain[j], chain[i]
-	}
-	return chain
 }
 
 // nodeHeap is a max-heap on LP bound (best-bound-first search).
@@ -185,6 +174,11 @@ type solver struct {
 	// solve: tableau storage is allocated once and reused, and node
 	// solves warm-start in it from their parent's captured basis.
 	ws *lp.Workspace
+	// rootLo and rootUp are the problem's variable bounds; lo and up are
+	// the scratch a node's bounds are walked into, and nodeLP, the root
+	// LP under those bounds, is what a node falls back to SolveFrom with.
+	rootLo, rootUp, lo, up []float64
+	nodeLP                 lp.Problem
 	// pseudocost state: sums of per-unit objective degradation and
 	// observation counts, for down and up branches.
 	pcDownSum, pcUpSum []float64
@@ -222,16 +216,32 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	if opts.RoundEvery == 0 {
 		opts.RoundEvery = 8
 	}
+	n := p.LP.NumVars
+	lo, up := make([]float64, n), make([]float64, n)
 	s := &solver{
 		ctx:          ctx,
 		prob:         p,
 		opts:         opts,
 		ws:           lp.AcquireWorkspace(),
+		rootLo:       make([]float64, n),
+		rootUp:       make([]float64, n),
+		lo:           lo,
+		up:           up,
+		nodeLP:       lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: lo, Upper: up},
 		pcDownSum:    make([]float64, p.LP.NumVars),
 		pcUpSum:      make([]float64, p.LP.NumVars),
 		pcDownN:      make([]int, p.LP.NumVars),
 		pcUpN:        make([]int, p.LP.NumVars),
 		incumbentObj: math.Inf(-1),
+	}
+	for j := 0; j < n; j++ {
+		s.rootUp[j] = math.Inf(1)
+	}
+	if p.LP.Lower != nil {
+		copy(s.rootLo, p.LP.Lower)
+	}
+	if p.LP.Upper != nil {
+		copy(s.rootUp, p.LP.Upper)
 	}
 	start := time.Now()
 	sol, err := s.run()
@@ -240,14 +250,14 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	return sol, err
 }
 
-// solveLP solves the root LP plus the node's branch rows. The root's
-// optimal tableau becomes the workspace's anchor, and every later node
-// is re-optimized from it (lp.Workspace.SolveNode), rebased onto the
-// parent's captured basis: the node's problem extends the parent's by
-// exactly one appended bound row, the dual-simplex sweet spot. A node
-// the anchored path declines is solved by a warm SolveFrom on the full
-// row set. On an optimal solve the node's own basis is captured for its
-// future children before the shared workspace moves on to the next node.
+// solveLP solves the node's LP: the root LP under the node's bounds.
+// The root's optimal tableau becomes the workspace's anchor, and every
+// later node is re-optimized from it (lp.Workspace.SolveNode), rebased
+// onto the parent's captured basis: the node's problem is the parent's
+// with one bound tightened, the dual-simplex sweet spot. A node the
+// anchored path declines is solved by a warm SolveFrom. On an optimal
+// solve the node's own basis is captured for its future children
+// before the shared workspace moves on to the next node.
 func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	opts := lp.Options{Deadline: s.opts.Deadline}
 	var sol lp.Solution
@@ -255,19 +265,14 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	if n.parent == nil {
 		sol, err = s.ws.SolveFrom(s.ctx, &s.prob.LP, opts, s.opts.RootBasis)
 	} else {
-		extra := n.rows()
+		if !s.nodeBounds(n) {
+			return lp.Solution{Status: lp.Infeasible}, nil
+		}
 		var ok bool
 		// n.parent.basis is nil when the parent's LP didn't reach
 		// optimality: SolveNode declines and SolveFrom solves cold.
-		if sol, ok = s.ws.SolveNode(s.ctx, opts, extra, n.parent.basis); !ok {
-			prob := lp.Problem{
-				NumVars:   s.prob.LP.NumVars,
-				Objective: s.prob.LP.Objective,
-				Rows:      make([]lp.Constraint, 0, len(s.prob.LP.Rows)+len(extra)),
-			}
-			prob.Rows = append(prob.Rows, s.prob.LP.Rows...)
-			prob.Rows = append(prob.Rows, extra...)
-			sol, err = s.ws.SolveFrom(s.ctx, &prob, opts, n.parent.basis)
+		if sol, ok = s.ws.SolveNode(s.ctx, opts, s.lo, s.up, n.parent.basis); !ok {
+			sol, err = s.ws.SolveFrom(s.ctx, &s.nodeLP, opts, n.parent.basis)
 		}
 	}
 	if err == nil && sol.Status == lp.Optimal {
@@ -279,6 +284,27 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	}
 	s.stats.Merge(sol.Stats)
 	return sol, err
+}
+
+// nodeBounds walks n's bound changes up to the root into s.lo/s.up,
+// keeping the tightest bound on each side. It reports false when the
+// bounds cross: the node is infeasible without an LP, and neither
+// SolveNode nor SolveFrom takes crossing bounds.
+func (s *solver) nodeBounds(n *node) bool {
+	copy(s.lo, s.rootLo)
+	copy(s.up, s.rootUp)
+	for cur := n; cur.parent != nil; cur = cur.parent {
+		j := cur.pcVar
+		if cur.pcUp {
+			s.lo[j] = math.Max(s.lo[j], cur.value)
+		} else {
+			s.up[j] = math.Min(s.up[j], cur.value)
+		}
+		if s.lo[j] > s.up[j] {
+			return false
+		}
+	}
+	return true
 }
 
 func (s *solver) isIntegral(x []float64) bool {
@@ -301,12 +327,12 @@ func (s *solver) objective(x []float64) float64 {
 	return obj
 }
 
-// feasible checks all original rows and non-negativity for a candidate
-// incumbent produced by a rounder.
+// feasible checks all original rows and variable bounds for a
+// candidate incumbent produced by a rounder.
 func (s *solver) feasible(x []float64) bool {
 	const tol = 1e-6
 	for j := range x {
-		if x[j] < -tol {
+		if x[j] < s.rootLo[j]-tol || x[j] > s.rootUp[j]+tol {
 			return false
 		}
 	}
@@ -557,20 +583,7 @@ func (s *solver) processLP(n *node, sol lp.Solution, open *nodeHeap) {
 	}
 	frac := sol.X[j] - math.Floor(sol.X[j])
 	floorV := math.Floor(sol.X[j])
-	down := &node{
-		parent: n,
-		depth:  n.depth + 1,
-		branch: lp.Constraint{Coefs: []lp.Coef{{Var: j, Val: 1}}, Sense: lp.LE, RHS: floorV},
-		bound:  sol.Objective, // parent bound until solved
-	}
-	up := &node{
-		parent: n,
-		depth:  n.depth + 1,
-		branch: lp.Constraint{Coefs: []lp.Coef{{Var: j, Val: 1}}, Sense: lp.GE, RHS: floorV + 1},
-		bound:  sol.Objective,
-	}
-	down.pcVar, down.pcFrac, down.pcUp, down.pcParentBound = j, frac, false, sol.Objective
-	up.pcVar, up.pcFrac, up.pcUp, up.pcParentBound = j, frac, true, sol.Objective
-	heap.Push(open, down)
-	heap.Push(open, up)
+	// Children inherit the parent's bound until their own LP is solved.
+	heap.Push(open, &node{parent: n, bound: sol.Objective, pcVar: j, value: floorV, pcFrac: frac, pcParentBound: sol.Objective})
+	heap.Push(open, &node{parent: n, bound: sol.Objective, pcVar: j, pcUp: true, value: floorV + 1, pcFrac: frac, pcParentBound: sol.Objective})
 }

@@ -189,6 +189,48 @@ func TestCustomRounder(t *testing.T) {
 	}
 }
 
+// TestNaiveRoundingRespectsBounds: with no Rounder, rounding checks the
+// variable bounds as well as the rows. The LP optimum x = 2.5 sits at
+// the upper bound and rounds to 3, which is outside it and must never
+// become the incumbent.
+func TestNaiveRoundingRespectsBounds(t *testing.T) {
+	p := &Problem{
+		LP:      lp.Problem{NumVars: 1, Objective: dense(1), Upper: []float64{2.5}},
+		Integer: allInt(1),
+	}
+	s, err := Solve(context.Background(), p, Options{RoundEvery: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Status != Optimal || s.X[0] != 2 || s.Objective != 2 || s.Stats.Incumbents != 1 {
+		t.Fatalf("status %v x %v obj %v incumbents %d, want optimal x=2 from a single incumbent", s.Status, s.X, s.Objective, s.Stats.Incumbents)
+	}
+}
+
+// TestCrossingBoundsWithoutAnchor: a root big enough for the sparse
+// kernel leaves no anchor, so every node is solved by SolveFrom on the
+// bounded problem. An up-branch above a fractional upper bound has
+// crossing bounds, which the node must settle as infeasible itself
+// (SolveFrom rejects them as a malformed problem).
+func TestCrossingBoundsWithoutAnchor(t *testing.T) {
+	const n, m = 30, 120
+	p := &Problem{LP: lp.Problem{NumVars: n, Upper: make([]float64, n)}, Integer: allInt(n)}
+	for j := 0; j < n; j++ {
+		p.LP.Objective = append(p.LP.Objective, lp.Coef{Var: j, Val: float64(1 + j%3)})
+		p.LP.Upper[j] = 2.5
+	}
+	for i := 0; i < m; i++ {
+		p.LP.AddRow([]lp.Coef{{Var: i % n, Val: 1}, {Var: (i + 1) % n, Val: 1}}, lp.LE, 10)
+	}
+	s, err := Solve(context.Background(), p, Options{RoundEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 2.0 * (10 + 20 + 30); s.Status != Optimal || s.Objective != want {
+		t.Fatalf("status %v obj %v, want optimal %v", s.Status, s.Objective, want)
+	}
+}
+
 func TestRoundingDisabled(t *testing.T) {
 	p := &Problem{
 		LP:      lp.Problem{NumVars: 1, Objective: dense(1)},
@@ -231,14 +273,35 @@ func randomIP(rng *rand.Rand, n, m int) *Problem {
 	return p
 }
 
-// bruteForce enumerates all integer points within the box constraints
-// (assumed to be the first n rows: x_j <= ub_j) and returns the best
-// feasible objective, or -inf if none.
+// withBounds restates randomIP's box rows x_j <= ub_j (its first n
+// rows) as variable upper bounds, and gives some variables a lower
+// bound of 1 where the box allows it.
+func withBounds(rng *rand.Rand, p *Problem) *Problem {
+	n := p.LP.NumVars
+	p.LP.Lower, p.LP.Upper = make([]float64, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		p.LP.Upper[j] = p.LP.Rows[j].RHS
+		if rng.Intn(3) == 0 {
+			p.LP.Lower[j] = 1
+		}
+	}
+	p.LP.Rows = p.LP.Rows[n:]
+	return p
+}
+
+// bruteForce enumerates all integer points within the box — the
+// variable bounds when the problem has them, else the first n rows
+// x_j <= ub_j — and returns the best feasible objective, or -inf if
+// none.
 func bruteForce(p *Problem) float64 {
 	n := p.LP.NumVars
-	ub := make([]int, n)
+	lb, ub := make([]int, n), make([]int, n)
 	for j := 0; j < n; j++ {
-		ub[j] = int(p.LP.Rows[j].RHS)
+		if p.LP.Upper != nil {
+			lb[j], ub[j] = int(p.LP.Lower[j]), int(p.LP.Upper[j])
+		} else {
+			ub[j] = int(p.LP.Rows[j].RHS)
+		}
 	}
 	best := math.Inf(-1)
 	x := make([]float64, n)
@@ -263,7 +326,7 @@ func bruteForce(p *Problem) float64 {
 			}
 			return
 		}
-		for v := 0; v <= ub[j]; v++ {
+		for v := lb[j]; v <= ub[j]; v++ {
 			x[j] = float64(v)
 			rec(j + 1)
 		}
@@ -273,7 +336,9 @@ func bruteForce(p *Problem) float64 {
 }
 
 // Property: branch-and-bound matches exhaustive enumeration on small
-// random integer programs, for both branching rules.
+// random integer programs, for both branching rules, with the boxes
+// stated as rows or as variable bounds (branching then tightens a
+// bound the problem already has).
 func TestPropertyMatchesBruteForce(t *testing.T) {
 	for _, rule := range []BranchRule{Pseudocost, MostFractional} {
 		rule := rule
@@ -282,8 +347,14 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 			n := 2 + rng.Intn(5)
 			m := 1 + rng.Intn(5)
 			p := randomIP(rng, n, m)
+			if rng.Intn(2) == 0 {
+				p = withBounds(rng, p)
+			}
 			want := bruteForce(p)
 			s, err := Solve(context.Background(), p, Options{Branching: rule})
+			if math.IsInf(want, -1) {
+				return err == nil && s.Status == Infeasible
+			}
 			if err != nil || s.Status != Optimal {
 				return false
 			}
