@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/cloudsched/rasa/internal/cluster"
@@ -465,26 +466,62 @@ func (st *state) solveMaster(integral bool) (lp.Solution, bool) {
 
 // price generates new patterns with positive reduced cost using the
 // master duals. Returns true if any pattern was added.
+//
+// A group is priced on a helper goroutine whenever the batch has a
+// spare solver slot (solve.Slots in the context), inline otherwise, so
+// a subproblem that runs while others wait prices one group at a time
+// and the last subproblems of a batch use the slots the finished ones
+// left. Columns and stats are taken in group order once every group is
+// priced, so the result does not depend on how many slots were spare.
 func (st *state) price(duals []float64) bool {
 	nG := len(st.groups)
 	mu := duals[:nG]
 	lambda := duals[nG:]
+	out := make([]priced, nG)
+	slots := solve.SlotsFrom(st.ctx)
+	var wg sync.WaitGroup
+	n := 0 // groups priced before the budget ran out
+	for ; n < nG && !st.expired(); n++ {
+		if !slots.TryAcquire() {
+			out[n] = st.priceGroup(n, lambda)
+			continue
+		}
+		wg.Add(1)
+		go func(gi int) {
+			defer wg.Done()
+			defer slots.Release()
+			out[gi] = st.priceGroup(gi, lambda)
+		}(n)
+	}
+	wg.Wait()
 	improved := false
-	for gi := range st.groups {
-		if st.expired() {
-			break
-		}
-		counts, rc := st.priceGroupMIP(gi, lambda)
-		if counts == nil {
-			counts, rc = st.priceGroupGreedy(gi, lambda)
-		}
-		if counts != nil && rc > mu[gi]+rcEps {
-			if st.addPattern(counts, gi) {
-				improved = true
-			}
+	for gi, r := range out[:n] {
+		st.stats.Merge(r.stats)
+		if r.counts != nil && r.rc > mu[gi]+rcEps && st.addPattern(r.counts, gi) {
+			improved = true
 		}
 	}
 	return improved
+}
+
+// priced is one group's pricing outcome: the best pattern found (nil if
+// none), its reduced-cost numerator, and the effort spent.
+type priced struct {
+	counts []int
+	rc     float64
+	stats  solve.Stats
+}
+
+// priceGroup prices group gi exactly, falling back to the greedy pricer
+// when the MIP finds no pattern. It touches no state shared with other
+// groups but its own pricing model.
+func (st *state) priceGroup(gi int, lambda []float64) priced {
+	var r priced
+	r.counts, r.rc, r.stats = st.priceGroupMIP(gi, lambda)
+	if r.counts == nil {
+		r.counts, r.rc = st.priceGroupGreedy(gi, lambda)
+	}
+	return r
 }
 
 // pricingModel is one machine group's pattern-pricing MIP:
@@ -590,11 +627,11 @@ func (st *state) solvePricing(gi int, lambda []float64) (mip.Solution, error) {
 
 // priceGroupMIP solves the pattern-generation subproblem for a group
 // exactly: maximize pattern value minus lambda'p over feasible patterns.
-func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
+// It returns the MIP's stats for the caller to merge.
+func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64, solve.Stats) {
 	sol, err := st.solvePricing(gi, lambda)
-	st.stats.Merge(sol.Stats)
 	if err != nil || sol.X == nil {
-		return nil, 0
+		return nil, 0, sol.Stats
 	}
 	nS := len(st.sp.Services)
 	counts := make([]int, nS)
@@ -604,14 +641,14 @@ func (st *state) priceGroupMIP(gi int, lambda []float64) ([]int, float64) {
 		}
 	}
 	if !model.PatternFeasible(st.sp, &st.groups[gi], counts) {
-		return nil, 0
+		return nil, 0, sol.Stats
 	}
 	// Recompute the reduced-cost numerator from the integral pattern.
 	rc := st.patternValue(counts)
 	for si := 0; si < nS; si++ {
 		rc -= lambda[si] * float64(counts[si])
 	}
-	return counts, rc
+	return counts, rc, sol.Stats
 }
 
 // priceGroupGreedy is the fallback pricer: greedily add the container

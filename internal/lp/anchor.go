@@ -38,6 +38,7 @@ type anchor struct {
 func (w *Workspace) Anchor() bool {
 	an := &w.anc
 	an.ok = w.lastKernel == KernelDense && w.lastStatus == Optimal
+	w.live = an.ok
 	if !an.ok {
 		return false
 	}
@@ -67,6 +68,15 @@ func (w *Workspace) Anchor() bool {
 // result is the one SolveFrom gives on the same bounded problem, up to
 // roundoff, and a basis captured after it warm-starts either.
 //
+// The basis is pivoted in from whichever tableau shares more basic
+// columns with it: the anchor, or the live tableau the previous Anchor
+// or SolveNode left in the workspace (a sibling's or a cousin's end
+// state), which also spares the copy of the anchor. Either way the rows
+// end in the same order, so a node starts from the same basis.
+//
+// The returned X and Duals are buffers the workspace owns: they stay
+// valid until its next solve, and a caller that keeps them must copy.
+//
 // ok=false means the caller must use SolveFrom: there is no anchor, or
 // from does not fit it (another shape, singular on the anchor, or not
 // dual feasible there). No pivot is counted when ok=false.
@@ -74,34 +84,62 @@ func (w *Workspace) SolveNode(ctx context.Context, opts Options, lo, up []float6
 	start := time.Now()
 	an := &w.anc
 	if !an.ok || len(lo) != an.nStruc || len(up) != an.nStruc {
-		return Solution{}, false
+		return w.decline()
 	}
 	var stats solve.Stats
-	finish := func(sol Solution) (Solution, bool) {
-		w.lastStatus = sol.Status
-		sol.Stats = stats
-		sol.Stats.Wall = time.Since(start)
-		return sol, true
-	}
 	if cause, stop := solve.Interrupted(ctx, opts.Deadline); stop {
 		stats.Stop = cause
-		return finish(Solution{Status: IterLimit})
+		return w.finishNode(Solution{Status: IterLimit}, stats, start)
 	}
 	if from == nil || from.m != an.m || from.n != an.n || from.nStruc != an.nStruc || from.sig != an.sig || len(from.cols) != from.m {
-		return Solution{}, false
+		return w.decline()
+	}
+	if !w.markTarget(from) {
+		return w.decline()
 	}
 	w.lastKernel = KernelDense
 	w.trackPhase1 = false
-	w.loadAnchor()
-	if !w.rebase(from) {
-		return Solution{}, false
+	w.fromLive = w.live && w.overlap(w.basis[:w.m]) >= w.overlap(an.basis)
+	if w.fromLive {
+		w.indexRows()
+	} else {
+		w.loadAnchor()
+	}
+	w.live = true
+	if !w.rebase(from, &stats) {
+		return w.decline()
 	}
 	w.setBounds(lo, up, from.upper)
-	sol, ok := w.reoptimize(ctx, opts, &stats)
+	sol, ok := w.reoptimize(ctx, opts, &stats, true)
 	if !ok {
-		return Solution{}, false
+		return w.decline()
 	}
-	return finish(sol)
+	return w.finishNode(sol, stats, start)
+}
+
+// decline is SolveNode's ok=false: the tableau may be half rebased, so
+// it is no longer live.
+func (w *Workspace) decline() (Solution, bool) {
+	w.live = false
+	return Solution{}, false
+}
+
+func (w *Workspace) finishNode(sol Solution, stats solve.Stats, start time.Time) (Solution, bool) {
+	w.lastStatus = sol.Status
+	sol.Stats = stats
+	sol.Stats.Wall = time.Since(start)
+	return sol, true
+}
+
+// overlap counts the columns of basis that markTarget marked.
+func (w *Workspace) overlap(basis []int) int {
+	k := 0
+	for _, c := range basis {
+		if w.mark[c] {
+			k++
+		}
+	}
+	return k
 }
 
 // loadAnchor copies the anchor into the workspace.
@@ -120,30 +158,44 @@ func (w *Workspace) loadAnchor() {
 	w.ref = append(w.ref[:0], an.ref...)
 	w.span = append(w.span[:0], an.span...)
 	w.comp = append(w.comp[:0], an.comp...)
+	w.indexRows()
+}
+
+// indexRows points rowOf at the row of every basic column, -1 for the
+// nonbasic ones.
+func (w *Workspace) indexRows() {
 	w.rowOf = growI(w.rowOf, w.n)
 	for j := range w.rowOf {
 		w.rowOf[j] = -1
 	}
-	for i, c := range w.basis {
+	for i, c := range w.basis[:w.m] {
 		w.rowOf[c] = i
 	}
 }
 
-// rebase pivots the basis from into the anchor tableau: each target
-// column not yet basic enters in the row, among those whose basic
-// column is not a target, with the largest entry. The rows are then
-// ordered as canonicalize would leave them (row k holds target column
-// k), so the repair that follows breaks exact ties as the rebuild path
-// does. On return rowOf maps every basic column to its row. Returns
-// false when the target is singular here.
-func (w *Workspace) rebase(from *Basis) bool {
-	w.mark = growB(w.mark, w.n)
+// markTarget marks the columns of from in mark and reports whether they
+// are distinct columns of the anchor's layout.
+func (w *Workspace) markTarget(from *Basis) bool {
+	n := w.anc.n
+	w.mark = growB(w.mark, n)
 	for _, c := range from.cols {
-		if c < 0 || c >= w.n || w.mark[c] {
+		if c < 0 || c >= n || w.mark[c] {
 			return false
 		}
 		w.mark[c] = true
 	}
+	return true
+}
+
+// rebase pivots the basis from (marked by markTarget) into the tableau:
+// each target column not yet basic enters in the row, among those whose
+// basic column is not a target, with the largest entry. The rows are
+// then ordered as canonicalize would leave them (row k holds target
+// column k), so the repair that follows breaks exact ties as the
+// rebuild path does, whichever tableau the pivots started from. On
+// return rowOf maps every basic column to its row. Returns false when
+// the target is singular here.
+func (w *Workspace) rebase(from *Basis, stats *solve.Stats) bool {
 	for _, c := range from.cols {
 		if w.rowOf[c] >= 0 {
 			continue
@@ -162,6 +214,7 @@ func (w *Workspace) rebase(from *Basis) bool {
 		}
 		w.rowOf[w.basis[best]] = -1
 		w.pivot(best, c)
+		stats.BasisPivots++
 		w.rowOf[c] = best
 	}
 	// Every target column is basic now; rowOf becomes its wanted row.

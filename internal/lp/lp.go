@@ -38,15 +38,18 @@
 //
 // Branch-and-bound nodes take a cheaper warm path (anchor.go): the
 // workspace snapshots the root relaxation's optimal dense tableau
-// (Workspace.Anchor), and SolveNode solves each node from that anchor.
-// A node differs from the root only in its variable bounds, so the
-// anchor has a fixed shape: a node costs one copy of it, the pivots
-// for the few columns where its parent's basis differs from the root's,
-// a right-hand-side shift for each nonbasic column whose bound moved,
-// and the dual repair, instead of a rebuild of the tableau and a
-// re-pivot of the whole basis. Without an anchor (a sparse or
-// non-optimal root) or with a basis that does not fit it, the caller
-// falls back to SolveFrom.
+// (Workspace.Anchor), and SolveNode solves each node from that anchor
+// or from the live tableau the previous node left, whichever shares
+// more basic columns with the node's parent basis. A node differs from
+// the root only in its variable bounds, so both have the anchor's
+// shape: a node costs the pivots for the few columns where its
+// parent's basis differs from the chosen tableau's (plus a copy when
+// that is the anchor), a right-hand-side shift for each nonbasic column
+// whose bound moved, and the dual repair, instead of a rebuild of the
+// tableau and a re-pivot of the whole basis. A node solve allocates
+// nothing: its X and Duals are workspace buffers, valid until the next
+// solve. Without an anchor (a sparse or non-optimal root) or with a
+// basis that does not fit it, the caller falls back to SolveFrom.
 package lp
 
 import (

@@ -22,10 +22,12 @@ import (
 // column-generation master with new patterns) — instead of running the
 // full two-phase method from scratch. Anchor and SolveNode (anchor.go)
 // go one step further for branch-and-bound: every node is re-optimized
-// from a kept copy of the root's optimal tableau under the node's
-// bounds, so a node costs the few pivots that separate its parent's
-// basis from the root's plus its own repair, not a rebuild of the whole
-// tableau.
+// under its bounds from a kept copy of the root's optimal tableau or
+// from the live tableau the previous node left, whichever is nearer to
+// its parent's basis, so a node costs the few pivots that separate the
+// two bases plus its own repair, not a rebuild of the whole tableau.
+// SolveNode's X and Duals are buffers of the workspace, valid until its
+// next solve; Solve and SolveFrom return slices of their own.
 //
 // A Workspace is not safe for concurrent use. Acquire one per goroutine
 // (AcquireWorkspace / Release are backed by a sync.Pool, so parallel
@@ -74,8 +76,15 @@ type Workspace struct {
 	// there to snapshot.
 	lastStatus Status
 	// anc is the snapshot SolveNode solves branch-and-bound nodes from
-	// (anchor.go).
-	anc anchor
+	// (anchor.go). live reports that the tableau above is one of the
+	// anchored problem, left by Anchor or SolveNode, which the next node
+	// may rebase from instead of the anchor; every other solve, a
+	// declined node and Release clear it. fromLive records which source
+	// the last SolveNode took.
+	anc            anchor
+	live, fromLive bool
+	// xOut and dualOut back the X and Duals of SolveNode's solutions.
+	xOut, dualOut []float64
 }
 
 // Basis is a snapshot of the simplex basis of a solved tableau, the
@@ -115,7 +124,7 @@ func (w *Workspace) Release() {
 	if w.retainedFloats() > maxPooledFloats {
 		*w = Workspace{}
 	}
-	w.anc.ok = false
+	w.anc.ok, w.live = false, false
 	wsPool.Put(w)
 }
 
@@ -217,6 +226,7 @@ func (w *Workspace) SolveFrom(ctx context.Context, p *Problem, opts Options, fro
 
 func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, from *Basis) (Solution, error) {
 	start := time.Now()
+	w.live = false // whatever follows, the tableau is not the anchored problem's
 	if err := validate(p); err != nil {
 		return Solution{}, err
 	}
@@ -278,13 +288,20 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 	}
 	stats.Stop = cause
 	// Optimal, or IterLimit with a feasible basic point: report it either way.
-	return finish(w.extract(st))
+	return finish(w.extract(st, false))
 }
 
-// extract reads the solution (point, objective, duals) off the tableau.
-func (w *Workspace) extract(st Status) Solution {
+// extract reads the solution (point, objective, duals) off the tableau,
+// into the workspace's xOut and dualOut when buf, else into new slices.
+func (w *Workspace) extract(st Status, buf bool) Solution {
 	sol := Solution{Status: st}
-	sol.X = make([]float64, w.nStruc)
+	if buf {
+		w.xOut = growF(w.xOut, w.nStruc)
+		w.dualOut = growF(w.dualOut, w.m)
+		sol.X, sol.Duals = w.xOut, w.dualOut
+	} else {
+		sol.X, sol.Duals = make([]float64, w.nStruc), make([]float64, w.m)
+	}
 	copy(sol.X, w.ref[:w.nStruc])
 	for i := 0; i < w.m; i++ {
 		if c := w.basis[i]; c < w.nStruc {
@@ -296,7 +313,7 @@ func (w *Workspace) extract(st Status) Solution {
 		}
 	}
 	sol.Objective = -w.phase2[w.n]
-	sol.Duals = w.duals()
+	w.duals(sol.Duals)
 	return sol
 }
 
@@ -481,10 +498,10 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 			}
 		}
 	}
-	if !w.canonicalize(w.target) {
+	if !w.canonicalize(w.target, stats) {
 		return Solution{}, false
 	}
-	return w.reoptimize(ctx, opts, stats)
+	return w.reoptimize(ctx, opts, stats, false)
 }
 
 // reoptimize finishes a warm solve from a canonical tableau whose
@@ -492,9 +509,9 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 // is primal infeasible (a tightened bound), then primal polish.
 // ok=false means the basis is not dual feasible either (or keeps an
 // artificial away from 0), so neither simplex applies and the caller
-// must take a colder path; no pivot has
-// been spent in that case.
-func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats) (Solution, bool) {
+// must take a colder path; no pivot has been spent in that case. buf
+// selects extract's output buffers.
+func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats, buf bool) (Solution, bool) {
 	// MaxIter is a total budget: the dual repair and the primal polish
 	// share it (and any pivots a preceding sparse attempt spent count
 	// against it too).
@@ -547,18 +564,27 @@ func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.S
 		return Solution{Status: Unbounded}, true
 	}
 	stats.Stop = cause
-	return w.extract(st), true
+	return w.extract(st, buf), true
 }
 
 // canonicalize runs Gauss-Jordan elimination driving the target columns
 // into the basis (partial pivoting over rows, so the row<->basis-column
 // pairing is re-derived rather than trusted). Returns false when the
-// target set is singular for this tableau.
-func (w *Workspace) canonicalize(target []int) bool {
+// target set is singular for this tableau. A target column that is
+// already basic (a slack of the freshly built tableau) is a unit column,
+// so pivoting on it would change nothing: its row is only moved into
+// place. The pivots are counted in stats.BasisPivots.
+func (w *Workspace) canonicalize(target []int, stats *solve.Stats) bool {
 	if len(target) != w.m {
 		return false
 	}
 	for k, c := range target {
+		if r := w.basicRow(c, k); r >= 0 {
+			if r != k {
+				w.swapRows(k, r)
+			}
+			continue
+		}
 		best := -1
 		bestAbs := 1e-7
 		for r := k; r < w.m; r++ {
@@ -573,8 +599,20 @@ func (w *Workspace) canonicalize(target []int) bool {
 			w.swapRows(k, best)
 		}
 		w.pivot(k, c)
+		stats.BasisPivots++
 	}
 	return true
+}
+
+// basicRow is the row at or after row k whose basic column is c, -1 if
+// there is none.
+func (w *Workspace) basicRow(c, k int) int {
+	for r := k; r < w.m; r++ {
+		if w.basis[r] == c {
+			return r
+		}
+	}
+	return -1
 }
 
 // swapRows exchanges tableau rows i and k with their basic columns.
@@ -912,15 +950,15 @@ func (w *Workspace) expelArtificials() {
 	}
 }
 
-// duals reads the dual value of each original row from the reduced cost
-// of its slack/surplus/artificial column in the final phase-2 cost row.
+// duals writes into out (len m) the dual value of each original row,
+// read from the reduced cost of its slack/surplus/artificial column in
+// the final phase-2 cost row.
 // Rows whose artificial is still basic are linearly dependent on the
 // rest of the system: the basis prices their constraint through the
 // rows they depend on, so the only consistent dual for the redundant
 // copy is exactly 0 — the raw column read would hand CG pricing roundoff
 // noise at the reduced-cost tolerance instead.
-func (w *Workspace) duals() []float64 {
-	out := make([]float64, w.m)
+func (w *Workspace) duals(out []float64) {
 	for i := 0; i < w.m; i++ {
 		out[i] = w.slackSign[i] * w.phase2[w.slackCol[i]]
 	}
@@ -931,5 +969,4 @@ func (w *Workspace) duals() []float64 {
 			}
 		}
 	}
-	return out
 }

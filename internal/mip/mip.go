@@ -19,6 +19,7 @@ import (
 	"container/heap"
 	"context"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/cloudsched/rasa/internal/lp"
@@ -80,7 +81,8 @@ type Problem struct {
 // solution. It returns the repaired point, its objective, and whether it
 // succeeded. Model builders provide problem-specific rounders; a nil
 // rounder falls back to naive nearest-integer rounding with a full
-// feasibility check.
+// feasibility check. x is the node LP's buffer, valid only during the
+// call: a rounder that keeps it must copy it.
 type Rounder func(x []float64) ([]float64, float64, bool)
 
 // Options tune a solve.
@@ -147,8 +149,10 @@ type node struct {
 
 	// basis is the optimal LP basis of this node, captured when its
 	// relaxation solves to optimality; children warm-start from it (their
-	// problem is this node's with one bound tightened).
-	basis *lp.Basis
+	// problem is this node's with one bound tightened). unpopped counts
+	// the children not yet popped: once both are, the basis is recycled.
+	basis    *lp.Basis
+	unpopped int
 }
 
 // nodeHeap is a max-heap on LP bound (best-bound-first search).
@@ -167,6 +171,7 @@ func (h *nodeHeap) Pop() any {
 }
 
 type solver struct {
+	*scratch
 	ctx  context.Context
 	prob *Problem
 	opts Options
@@ -174,15 +179,9 @@ type solver struct {
 	// solve: tableau storage is allocated once and reused, and node
 	// solves warm-start in it from their parent's captured basis.
 	ws *lp.Workspace
-	// rootLo and rootUp are the problem's variable bounds; lo and up are
-	// the scratch a node's bounds are walked into, and nodeLP, the root
-	// LP under those bounds, is what a node falls back to SolveFrom with.
-	rootLo, rootUp, lo, up []float64
-	nodeLP                 lp.Problem
-	// pseudocost state: sums of per-unit objective degradation and
-	// observation counts, for down and up branches.
-	pcDownSum, pcUpSum []float64
-	pcDownN, pcUpN     []int
+	// nodeLP, the root LP under the bounds lo/up, is what a node falls
+	// back to SolveFrom with.
+	nodeLP lp.Problem
 
 	incumbent    []float64
 	incumbentObj float64
@@ -192,6 +191,68 @@ type solver struct {
 	// rootBasis is the root relaxation's optimal basis, surfaced on the
 	// Solution for cross-solve warm starting.
 	rootBasis *lp.Basis
+}
+
+// scratch is the storage a solve takes over from an earlier one through
+// scratchPool, so the thousands of small pricing MIPs of a CG run
+// allocate neither their per-variable arrays nor their node bases.
+type scratch struct {
+	// rootLo and rootUp are the problem's variable bounds; lo and up are
+	// the scratch a node's bounds are walked into.
+	rootLo, rootUp, lo, up []float64
+	// pseudocost state: sums of per-unit objective degradation and
+	// observation counts, for down and up branches.
+	pcDownSum, pcUpSum []float64
+	pcDownN, pcUpN     []int
+	// bases is every node basis the solve owns: all it captured except
+	// the root's, which Solution.RootBasis hands to the caller. free is
+	// the stack of those no open node will read again.
+	bases, free []*lp.Basis
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// maxPooledInts caps the basis storage (in ints) a scratch may carry
+// back into the pool; a large direct MIP's bases are dropped instead.
+const maxPooledInts = 1 << 17
+
+// takeScratch returns pooled scratch sized for n variables, with every
+// basis it carries free.
+func takeScratch(n int) *scratch {
+	sc := scratchPool.Get().(*scratch)
+	sc.rootLo = zeroed(sc.rootLo, n)
+	sc.rootUp = zeroed(sc.rootUp, n)
+	sc.lo = zeroed(sc.lo, n)
+	sc.up = zeroed(sc.up, n)
+	sc.pcDownSum = zeroed(sc.pcDownSum, n)
+	sc.pcUpSum = zeroed(sc.pcUpSum, n)
+	sc.pcDownN = zeroed(sc.pcDownN, n)
+	sc.pcUpN = zeroed(sc.pcUpN, n)
+	sc.free = append(sc.free[:0], sc.bases...)
+	return sc
+}
+
+// putScratch returns sc to the pool once nothing reads its bases.
+func putScratch(sc *scratch) {
+	size := 0
+	for _, b := range sc.bases {
+		size += b.Rows()
+	}
+	if size > maxPooledInts {
+		sc.bases = nil
+	}
+	sc.free = sc.free[:0]
+	scratchPool.Put(sc)
+}
+
+// zeroed returns s resized to n zero values, reusing its capacity.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // Solve runs branch and bound. The zero Options value gives exact solves
@@ -217,23 +278,15 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		opts.RoundEvery = 8
 	}
 	n := p.LP.NumVars
-	lo, up := make([]float64, n), make([]float64, n)
 	s := &solver{
+		scratch:      takeScratch(n),
 		ctx:          ctx,
 		prob:         p,
 		opts:         opts,
 		ws:           lp.AcquireWorkspace(),
-		rootLo:       make([]float64, n),
-		rootUp:       make([]float64, n),
-		lo:           lo,
-		up:           up,
-		nodeLP:       lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: lo, Upper: up},
-		pcDownSum:    make([]float64, p.LP.NumVars),
-		pcUpSum:      make([]float64, p.LP.NumVars),
-		pcDownN:      make([]int, p.LP.NumVars),
-		pcUpN:        make([]int, p.LP.NumVars),
 		incumbentObj: math.Inf(-1),
 	}
+	s.nodeLP = lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: s.lo, Upper: s.up}
 	for j := 0; j < n; j++ {
 		s.rootUp[j] = math.Inf(1)
 	}
@@ -246,6 +299,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 	start := time.Now()
 	sol, err := s.run()
 	s.ws.Release()
+	putScratch(s.scratch)
 	sol.Stats.Wall = time.Since(start)
 	return sol, err
 }
@@ -257,7 +311,8 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 // with one bound tightened, the dual-simplex sweet spot. A node the
 // anchored path declines is solved by a warm SolveFrom. On an optimal
 // solve the node's own basis is captured for its future children
-// before the shared workspace moves on to the next node.
+// before the shared workspace moves on to the next node. A node's X and
+// Duals are the workspace's buffers, valid until the next solve.
 func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	opts := lp.Options{Deadline: s.opts.Deadline}
 	var sol lp.Solution
@@ -276,7 +331,7 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 		}
 	}
 	if err == nil && sol.Status == lp.Optimal {
-		n.basis = s.ws.CaptureBasis(nil)
+		n.basis = s.captureBasis(n.parent == nil)
 		if n.parent == nil {
 			s.rootBasis = n.basis
 			s.ws.Anchor()
@@ -284,6 +339,34 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	}
 	s.stats.Merge(sol.Stats)
 	return sol, err
+}
+
+// captureBasis captures the workspace's basis for a node: the root's
+// into a basis of its own, since Solution.RootBasis exports it, any
+// other into a free basis of the scratch.
+func (s *solver) captureBasis(root bool) *lp.Basis {
+	if root {
+		return s.ws.CaptureBasis(nil)
+	}
+	var dst *lp.Basis
+	if k := len(s.free); k > 0 {
+		dst, s.free = s.free[k-1], s.free[:k-1]
+	} else {
+		dst = new(lp.Basis)
+		s.bases = append(s.bases, dst)
+	}
+	return s.ws.CaptureBasis(dst)
+}
+
+// popped records that one child of parent has been popped. Once both
+// have, nothing reads parent's basis again and it is freed for reuse;
+// the root's never is.
+func (s *solver) popped(parent *node) {
+	parent.unpopped--
+	if parent.unpopped == 0 && parent.parent != nil && parent.basis != nil {
+		s.free = append(s.free, parent.basis)
+		parent.basis = nil
+	}
 }
 
 // nodeBounds walks n's bound changes up to the root into s.lo/s.up,
@@ -506,9 +589,11 @@ func (s *solver) run() (Solution, error) {
 		}
 		n := heap.Pop(open).(*node)
 		if s.haveInc && n.bound <= s.incumbentObj+s.gapSlack() {
+			s.popped(n.parent)
 			continue // pruned by bound
 		}
 		sol, err := s.solveLP(n)
+		s.popped(n.parent)
 		if err != nil {
 			return Solution{}, err
 		}
@@ -584,6 +669,7 @@ func (s *solver) processLP(n *node, sol lp.Solution, open *nodeHeap) {
 	frac := sol.X[j] - math.Floor(sol.X[j])
 	floorV := math.Floor(sol.X[j])
 	// Children inherit the parent's bound until their own LP is solved.
+	n.unpopped = 2
 	heap.Push(open, &node{parent: n, bound: sol.Objective, pcVar: j, value: floorV, pcFrac: frac, pcParentBound: sol.Objective})
 	heap.Push(open, &node{parent: n, bound: sol.Objective, pcVar: j, pcUp: true, value: floorV + 1, pcFrac: frac, pcParentBound: sol.Objective})
 }

@@ -11,16 +11,17 @@ import (
 // iteration counters, stop-cause counts, and per-phase latency
 // histograms.
 type SolveCollector struct {
-	pivots     *Counter
-	warmPivots *Counter
-	coldPivots *Counter
-	nodes      *Counter
-	incumbents *Counter
-	columns    *Counter
-	rounds     *Counter
-	stops      *CounterVec
-	phase      *HistogramVec
-	wall       *Histogram
+	pivots      *Counter
+	warmPivots  *Counter
+	coldPivots  *Counter
+	basisPivots *Counter
+	nodes       *Counter
+	incumbents  *Counter
+	columns     *Counter
+	rounds      *Counter
+	stops       *CounterVec
+	phase       *HistogramVec
+	wall        *Histogram
 }
 
 // NewSolveCollector registers the solver metric families under the
@@ -31,16 +32,17 @@ func NewSolveCollector(r *Registry, prefix string) *SolveCollector {
 		p += "_"
 	}
 	return &SolveCollector{
-		pivots:     r.Counter(p+"solver_simplex_pivots_total", "Simplex pivots across all LP solves."),
-		warmPivots: r.Counter(p+"solver_warm_pivots_total", "Simplex pivots on warm-started (basis-reuse) solves."),
-		coldPivots: r.Counter(p+"solver_cold_pivots_total", "Simplex pivots on cold two-phase solves."),
-		nodes:      r.Counter(p+"solver_bb_nodes_total", "Branch-and-bound nodes explored."),
-		incumbents: r.Counter(p+"solver_incumbents_total", "Integer-feasible incumbents accepted."),
-		columns:    r.Counter(p+"solver_columns_total", "Column-generation patterns generated."),
-		rounds:     r.Counter(p+"solver_pricing_rounds_total", "CG master/pricing iterations."),
-		stops:      r.CounterVec(p+"solve_stop_total", "Solves by stop cause.", "cause"),
-		phase:      r.HistogramVec(p+"solve_phase_seconds", "Per-phase solve wall time.", nil, "phase"),
-		wall:       r.Histogram(p+"solve_wall_seconds", "Total solve wall time.", nil),
+		pivots:      r.Counter(p+"solver_simplex_pivots_total", "Simplex pivots across all LP solves."),
+		warmPivots:  r.Counter(p+"solver_warm_pivots_total", "Simplex pivots on warm-started (basis-reuse) solves."),
+		coldPivots:  r.Counter(p+"solver_cold_pivots_total", "Simplex pivots on cold two-phase solves."),
+		basisPivots: r.Counter(p+"solver_basis_pivots_total", "Pivots re-deriving a captured basis before a warm solve (not simplex iterations)."),
+		nodes:       r.Counter(p+"solver_bb_nodes_total", "Branch-and-bound nodes explored."),
+		incumbents:  r.Counter(p+"solver_incumbents_total", "Integer-feasible incumbents accepted."),
+		columns:     r.Counter(p+"solver_columns_total", "Column-generation patterns generated."),
+		rounds:      r.Counter(p+"solver_pricing_rounds_total", "CG master/pricing iterations."),
+		stops:       r.CounterVec(p+"solve_stop_total", "Solves by stop cause.", "cause"),
+		phase:       r.HistogramVec(p+"solve_phase_seconds", "Per-phase solve wall time.", nil, "phase"),
+		wall:        r.Histogram(p+"solve_wall_seconds", "Total solve wall time.", nil),
 	}
 }
 
@@ -51,6 +53,7 @@ func (c *SolveCollector) Observe(st solve.Stats) {
 	c.pivots.Add(float64(st.SimplexIters))
 	c.warmPivots.Add(float64(st.WarmPivots))
 	c.coldPivots.Add(float64(st.ColdPivots))
+	c.basisPivots.Add(float64(st.BasisPivots))
 	c.nodes.Add(float64(st.Nodes))
 	c.incumbents.Add(float64(st.Incumbents))
 	c.columns.Add(float64(st.Columns))

@@ -5,9 +5,10 @@ import (
 	"runtime"
 	"sync"
 	"time"
-)
 
-import "github.com/cloudsched/rasa/internal/cluster"
+	"github.com/cloudsched/rasa/internal/cluster"
+	"github.com/cloudsched/rasa/internal/solve"
+)
 
 // SolveAll solves every subproblem concurrently, dispatching each to the
 // algorithm algFor(i), under one shared wall-clock budget. Subproblems
@@ -32,18 +33,25 @@ func SolveAllWarm(parent context.Context, subs []*cluster.Subproblem, algFor fun
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	deadline := time.Now().Add(budget)
+	return solveAll(parent, subs, algFor, warmFor, time.Now().Add(budget), solve.NewSlots(parallelism))
+}
+
+// solveAll runs SolveAllWarm's batch on slots: every subproblem
+// goroutine holds one while it solves, and the solves may run helpers
+// on the spare ones (CG prices a round's machine groups side by side),
+// so the number of slots caps the solver goroutines running at once.
+func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i int) Algorithm, warmFor func(i int) *WarmStart, deadline time.Time, slots *solve.Slots) []Result {
 	ctx, cancel := context.WithDeadline(parent, deadline)
 	defer cancel()
+	ctx = solve.WithSlots(ctx, slots)
 	results := make([]Result, len(subs))
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, parallelism)
 	for i := range subs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
+			slots.Acquire()
+			defer slots.Release()
 			alg := algFor(i)
 			var (
 				res Result

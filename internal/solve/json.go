@@ -41,6 +41,7 @@ type statsJSON struct {
 	SimplexIters  int       `json:"simplexIters,omitempty"`
 	WarmPivots    int       `json:"warmPivots,omitempty"`
 	ColdPivots    int       `json:"coldPivots,omitempty"`
+	BasisPivots   int       `json:"basisPivots,omitempty"`
 	Nodes         int       `json:"nodes,omitempty"`
 	Incumbents    int       `json:"incumbents,omitempty"`
 	Columns       int       `json:"columns,omitempty"`
@@ -73,6 +74,7 @@ func (s Stats) MarshalJSON() ([]byte, error) {
 		SimplexIters:  s.SimplexIters,
 		WarmPivots:    s.WarmPivots,
 		ColdPivots:    s.ColdPivots,
+		BasisPivots:   s.BasisPivots,
 		Nodes:         s.Nodes,
 		Incumbents:    s.Incumbents,
 		Columns:       s.Columns,
@@ -95,6 +97,7 @@ func (s *Stats) UnmarshalJSON(b []byte) error {
 		SimplexIters:  j.SimplexIters,
 		WarmPivots:    j.WarmPivots,
 		ColdPivots:    j.ColdPivots,
+		BasisPivots:   j.BasisPivots,
 		Nodes:         j.Nodes,
 		Incumbents:    j.Incumbents,
 		Columns:       j.Columns,

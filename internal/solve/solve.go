@@ -72,6 +72,11 @@ type Stats struct {
 	// of full two-phase solves. WarmPivots+ColdPivots == SimplexIters.
 	WarmPivots int
 	ColdPivots int
+	// BasisPivots counts the pivots that re-derive a known basis before
+	// a warm solve starts (Gauss-Jordan onto a captured basis, or the
+	// rebase of a branch-and-bound node onto its parent's basis). They
+	// are not simplex iterations and are not in SimplexIters.
+	BasisPivots int
 	// Nodes counts branch-and-bound nodes explored.
 	Nodes int
 	// Incumbents counts integer-feasible incumbents accepted.
@@ -97,6 +102,7 @@ func (s *Stats) Merge(o Stats) {
 	s.SimplexIters += o.SimplexIters
 	s.WarmPivots += o.WarmPivots
 	s.ColdPivots += o.ColdPivots
+	s.BasisPivots += o.BasisPivots
 	s.Nodes += o.Nodes
 	s.Incumbents += o.Incumbents
 	s.Columns += o.Columns
