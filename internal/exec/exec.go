@@ -82,7 +82,8 @@ type Options struct {
 	// run aborts (default 3; negative means none allowed).
 	MaxReplans int
 	// Parallelism bounds concurrent fabric commands within one plan
-	// step (default 4).
+	// step (default 4) on this executor's fabric; a sharded session
+	// runs one executor and fabric per block, so the cap is per block.
 	Parallelism int
 	// Seed drives the backoff jitter (0 means 1).
 	Seed int64
@@ -214,6 +215,8 @@ type Report struct {
 	AppliedSeq  uint64
 	// Final is the believed final assignment (matches the fabric's
 	// state up to machine deaths the fabric has not yet reported).
+	// Elapsed is the actuation's wall time (a sharded execution's blocks
+	// actuate concurrently, so it is not their sum).
 	Final   *cluster.Assignment
 	Elapsed time.Duration
 }
@@ -247,16 +250,22 @@ func New(eng *incr.Engine, fab Fabric, opts Options, reg *obs.Registry) *Executo
 // Run is the complete plan→execute loop: it asks the engine for a
 // proposal over its current state (the state stays put; the plan is
 // committed to the log as Applied=false), then executes the resulting
-// plan, converging the log on the target exactly as far as the fabric
-// actually gets. A noop proposal (nothing dirty, nothing to move)
-// completes immediately.
+// plan with RunProposal, converging the log on the target exactly as
+// far as the fabric actually gets.
 func (e *Executor) Run(ctx context.Context) (*Report, error) {
-	st := e.eng.State()
-	from := st.Assignment().Clone()
+	from := e.eng.State().Assignment().Clone()
 	res, err := e.eng.Propose(ctx)
 	if err != nil {
 		return nil, err
 	}
+	return e.RunProposal(ctx, from, res)
+}
+
+// RunProposal executes a proposal the caller already holds: res must
+// come from the engine's Propose over the state `from`, with no event
+// appended since. A noop proposal (nothing dirty, nothing to move)
+// completes immediately.
+func (e *Executor) RunProposal(ctx context.Context, from *cluster.Assignment, res *incr.Result) (*Report, error) {
 	if res.Plan == nil {
 		if res.Moves > 0 {
 			return nil, fmt.Errorf("exec: engine proposed %d moves without a plan (SkipMigration engine, or planning was cut off)", res.Moves)

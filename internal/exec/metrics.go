@@ -39,7 +39,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Checkpoint-and-re-plan escalations, by first divergence kind.",
 			"reason"),
 		runs: reg.CounterVec("rasa_exec_runs_total",
-			"Execution runs, by terminal outcome.",
+			"Execution runs, by terminal outcome (a sharded execution counts one run per compatibility block).",
 			"outcome"),
 		headroomG: reg.Gauge("rasa_exec_min_sla_headroom",
 			"Tightest alive-minus-floor slack observed at any delete admission in the last run (-1: no deletes)."),

@@ -17,6 +17,7 @@ type metrics struct {
 	shards     *obs.Gauge      // rasa_fed_shards
 	blocks     *obs.Gauge      // rasa_fed_blocks
 	mapVersion *obs.Gauge      // rasa_fed_map_version
+	headroom   *obs.Gauge      // rasa_exec_min_sla_headroom, set last from the aggregate
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -39,6 +40,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Compatibility blocks owned by the pool."),
 		mapVersion: reg.Gauge("rasa_fed_map_version",
 			"Version of the block-to-shard assignment map."),
+		headroom: reg.Gauge("rasa_exec_min_sla_headroom",
+			"Tightest alive-minus-floor slack observed at any delete admission in the last run (-1: no deletes)."),
 	}
 }
 
@@ -79,4 +82,11 @@ func (m *metrics) topology(shards, blocks, version int) {
 	m.shards.Set(float64(shards))
 	m.blocks.Set(float64(blocks))
 	m.mapVersion.Set(float64(version))
+}
+
+func (m *metrics) execHeadroom(h int) {
+	if m == nil {
+		return
+	}
+	m.headroom.Set(float64(h))
 }

@@ -84,6 +84,7 @@ func rendezvousOwner(blockID, shards int) int {
 type Pool struct {
 	opts Options
 	m    *metrics
+	reg  *obs.Registry // handed to every block executor
 
 	// mu guards the routing tables, the block list, the shard map, and
 	// the cross-edge ledger.
@@ -129,6 +130,7 @@ func New(p *cluster.Problem, a *cluster.Assignment, opts Options, reg *obs.Regis
 	pl := &Pool{
 		opts:       opts,
 		m:          newMetrics(reg),
+		reg:        reg,
 		blocks:     bs,
 		shardMap:   newShardMap(1, opts.Shards, len(bs)),
 		svcOwner:   make([]int, p.N()),
@@ -498,56 +500,9 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	defer pl.solveMu.Unlock()
 	start := time.Now()
 
-	pl.mu.RLock()
-	blocks := append([]*block(nil), pl.blocks...)
-	shardOf := append([]int(nil), pl.shardMap.owner...)
-	shards := pl.shardMap.shards
-	crossTotal := pl.crossTotal
-	pl.mu.RUnlock()
-
-	// Scatter: each shard worker walks its blocks in id order. Block
-	// locks are acquired here and released only after the commit phase.
-	byShard := make([][]*block, shards)
-	for _, b := range blocks {
-		byShard[shardOf[b.id]] = append(byShard[shardOf[b.id]], b)
-	}
-	passes := make([]*pass, len(blocks))
-	locked := make([]bool, len(blocks))
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	for s, list := range byShard {
-		if len(list) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(shard int, list []*block) {
-			defer wg.Done()
-			for _, b := range list {
-				b.mu.Lock()
-				locked[b.id] = true
-				res, err := b.eng.Propose(ctx)
-				if err != nil {
-					errs[shard] = fmt.Errorf("fed: block %d propose: %w", b.id, err)
-					return
-				}
-				passes[b.id] = &pass{b: b, shard: shard, res: res}
-				pl.m.reoptimize(shard, res.Mode.String())
-			}
-		}(s, list)
-	}
-	wg.Wait()
-	unlockAll := func() {
-		for i, b := range blocks {
-			if locked[i] {
-				b.mu.Unlock()
-			}
-		}
-	}
-	for _, err := range errs {
-		if err != nil {
-			unlockAll()
-			return nil, err
-		}
+	passes, crossTotal, unlockAll, err := pl.proposeAll(ctx)
+	if err != nil {
+		return nil, err
 	}
 
 	// Gather: merge plans and run the global floor check, then commit
@@ -563,9 +518,7 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	var mergedSteps []migrate.Step
 	var relocations int
 	for _, pa := range passes {
-		if pa == nil {
-			continue
-		}
+		pl.m.reoptimize(pa.shard, pa.res.Mode.String())
 		switch pa.res.Mode {
 		case incr.ModeNoop:
 			res.Noops++
@@ -615,9 +568,6 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	// Tally gains from the live (post-commit) block states.
 	var gained, total float64
 	for _, pa := range passes {
-		if pa == nil {
-			continue
-		}
 		st := pa.b.eng.State()
 		bp := st.Problem()
 		gained += st.Assignment().GainedAffinity(bp)
@@ -643,6 +593,63 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	})
 	pl.jmu.Unlock()
 	return res, nil
+}
+
+// proposeAll is the scatter phase of Reoptimize and Execute: each shard
+// worker locks and proposes its blocks in id order, so at most Shards
+// proposals (CPU work under a wall-clock budget) run at once. On success
+// passes[i] is block i's proposal and every block stays locked until
+// unlockAll; on error no lock is held.
+func (pl *Pool) proposeAll(ctx context.Context) (passes []*pass, crossTotal float64, unlockAll func(), err error) {
+	pl.mu.RLock()
+	blocks := append([]*block(nil), pl.blocks...)
+	shardOf := append([]int(nil), pl.shardMap.owner...)
+	shards := pl.shardMap.shards
+	crossTotal = pl.crossTotal
+	pl.mu.RUnlock()
+
+	byShard := make([][]*block, shards)
+	for _, b := range blocks {
+		byShard[shardOf[b.id]] = append(byShard[shardOf[b.id]], b)
+	}
+	passes = make([]*pass, len(blocks))
+	locked := make([]bool, len(blocks))
+	errs := make([]error, shards)
+	var wg sync.WaitGroup
+	for s, list := range byShard {
+		if len(list) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(shard int, list []*block) {
+			defer wg.Done()
+			for _, b := range list {
+				b.mu.Lock()
+				locked[b.id] = true
+				res, err := b.eng.Propose(ctx)
+				if err != nil {
+					errs[shard] = fmt.Errorf("fed: block %d propose: %w", b.id, err)
+					return
+				}
+				passes[b.id] = &pass{b: b, shard: shard, res: res}
+			}
+		}(s, list)
+	}
+	wg.Wait()
+	unlockAll = func() {
+		for i, b := range blocks {
+			if locked[i] {
+				b.mu.Unlock()
+			}
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			unlockAll()
+			return nil, 0, nil, err
+		}
+	}
+	return passes, crossTotal, unlockAll, nil
 }
 
 // floorCheck is the thin global invariant between local autonomy and

@@ -30,7 +30,10 @@ type executeRequest struct {
 	LatencyJitter float64     `json:"latencyJitter,omitempty"`
 	Deaths        []deathJSON `json:"deaths,omitempty"`
 	Seed          int64       `json:"seed,omitempty"`
-	// Executor tuning (exec.Options); zero means default.
+	// Executor tuning (exec.Options); zero means default. Parallelism
+	// caps concurrent commands on one fabric: a sharded session runs
+	// one executor and one fabric per compatibility block, all blocks
+	// at once, so the cap applies per block.
 	MinAlive       float64  `json:"minAlive,omitempty"`
 	MaxAttempts    int      `json:"maxAttempts,omitempty"`
 	CommandTimeout duration `json:"commandTimeout,omitempty"`
@@ -282,10 +285,12 @@ func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeReque
 	defer cancel()
 
 	if sess.pool != nil {
-		// Sharded session: one executor per block. Machine-scoped fault
-		// schedules are translated into each block's local index space;
-		// per-block seeds are derived from the request seed so runs stay
-		// reproducible without every block replaying the same fault tape.
+		// Sharded session: one executor per block, on its own fabric,
+		// with every block's actuation running at the same time.
+		// Machine-scoped fault schedules are translated into each block's
+		// local index space; per-block seeds are derived from the request
+		// seed so runs stay reproducible without every block replaying
+		// the same fault tape.
 		rep, err := sess.pool.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
 			var deaths []exec.MachineDeath
 			for _, d := range req.Deaths {

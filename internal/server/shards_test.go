@@ -1,12 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"github.com/cloudsched/rasa/internal/partition"
 	"github.com/cloudsched/rasa/internal/snapshot"
 	"github.com/cloudsched/rasa/internal/workload"
 )
@@ -273,5 +277,100 @@ func TestLogParamValidation(t *testing.T) {
 	// Unsharded sessions do not expose shard topology.
 	if rec := getPath(t, s, "/v1/shards"); rec.Code != http.StatusNotFound {
 		t.Fatalf("shards on unsharded session: %d", rec.Code)
+	}
+}
+
+// metricValue reads one series from the server's exposition; a series
+// not yet exposed reads 0.
+func metricValue(t *testing.T, s *Server, series string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := s.Registry().WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	return 0
+}
+
+// TestShardedExecuteMetrics checks that a sharded execution publishes
+// its block executors into the server registry: a redeploy of one
+// service per block executes exactly one create per block, and the
+// command counter grows by exactly the executed creates.
+func TestShardedExecuteMetrics(t *testing.T) {
+	s := New(Config{Workers: 1, Shards: 2})
+	defer s.Shutdown(t.Context())
+	c, err := workload.Generate(workload.Preset{
+		Name: "shardexec", Services: 24, Containers: 160, Machines: 8,
+		Beta: 1.7, AffinityFraction: 0.6, Zones: 2, CommunitySize: 6,
+		Utilization: 0.5, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := postObj(t, s, "/v1/cluster", map[string]any{
+		"snapshot": snapshot.FromCluster(c.Problem, c.Original),
+		"options":  map[string]any{"budget": "3s"},
+	})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("install: %d %s", rec.Code, rec.Body)
+	}
+	if rec = postObj(t, s, "/v1/cluster/reoptimize", nil); rec.Code != http.StatusOK {
+		t.Fatalf("bootstrap: %d %s", rec.Code, rec.Body)
+	}
+
+	// Per block, redeploy one fully placed service outside the affinity
+	// graph: scale it down by one and back.
+	p := c.Problem
+	var events []map[string]any
+	blocks := partition.Blocks(p)
+	for _, b := range blocks {
+		for _, sv := range b.Services {
+			r := p.Services[sv].Replicas
+			if p.Affinity.Degree(sv) == 0 && r > 1 && c.Original.Placed(sv) == r {
+				events = append(events,
+					map[string]any{"type": "scaleService", "service": sv, "replicas": r - 1},
+					map[string]any{"type": "scaleService", "service": sv, "replicas": r})
+				break
+			}
+		}
+	}
+	creates := len(events) / 2
+	if creates < 2 {
+		t.Fatalf("only %d blocks have a service to redeploy", creates)
+	}
+	if rec = postObj(t, s, "/v1/cluster/events", map[string]any{"events": events}); rec.Code != http.StatusOK {
+		t.Fatalf("events: %d %s", rec.Code, rec.Body)
+	}
+
+	const createOK = `rasa_exec_commands_total{op="create",outcome="ok"}`
+	const deleteOK = `rasa_exec_commands_total{op="delete",outcome="ok"}`
+	const runs = `rasa_exec_runs_total{outcome="completed"}`
+	createsBefore, deletesBefore, runsBefore := metricValue(t, s, createOK), metricValue(t, s, deleteOK), metricValue(t, s, runs)
+	code, v := getExec(t, s, submitExec(t, s, map[string]any{"latency": "1ms"}), "?wait=60s")
+	if code != http.StatusOK || v.Status != StatusCompleted || v.Report == nil || v.Report.Outcome != "completed" {
+		t.Fatalf("execution: %d %+v", code, v)
+	}
+	if v.Report.Commands != creates || v.Report.Executed != creates {
+		t.Fatalf("executed %d of %d commands, want %d creates", v.Report.Executed, v.Report.Commands, creates)
+	}
+	if got := metricValue(t, s, createOK) - createsBefore; got != float64(creates) {
+		t.Fatalf("%s grew by %v, want %d", createOK, got, creates)
+	}
+	if got := metricValue(t, s, deleteOK) - deletesBefore; got != 0 {
+		t.Fatalf("%s grew by %v, want 0", deleteOK, got)
+	}
+	if got := metricValue(t, s, runs) - runsBefore; got != float64(len(blocks)) {
+		t.Fatalf("%s grew by %v, want one run per block (%d)", runs, got, len(blocks))
+	}
+	if got := metricValue(t, s, "rasa_exec_min_sla_headroom"); got != float64(v.Report.MinHeadroom) {
+		t.Fatalf("rasa_exec_min_sla_headroom %v, report %d", got, v.Report.MinHeadroom)
 	}
 }
