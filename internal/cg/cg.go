@@ -276,7 +276,8 @@ func (st *state) buildEdges() {
 	for _, e := range st.sp.P.Affinity.Edges() {
 		i, okI := local[e.U]
 		j, okJ := local[e.V]
-		if !okI || !okJ {
+		// An edge zeroed in place (graph.SetEdge) carries no affinity.
+		if !okI || !okJ || e.Weight <= 0 {
 			continue
 		}
 		if i > j {
@@ -524,21 +525,34 @@ func (st *state) priceGroup(gi int, lambda []float64) priced {
 	return r
 }
 
-// pricingModel is one machine group's pattern-pricing MIP:
+// pricingModel is one machine group's pattern-pricing MIP, which
+// maximizes sum_s (bonus - lambda_s) p_s + sum_e w_e min(p_i/d_i, p_j/d_j)
+// over the patterns p the group can host. The paper's linearization
+// takes a_e <= p_i/d_i and a_e <= p_j/d_j, two rows per edge e = (i, j).
+// Substituting a_e = p_i/d_i - s_e turns the first row into s_e's lower
+// bound and leaves one row per edge:
 //
-//	maximize    sum_s (bonus - lambda_s) p_s + sum_e w_e a_e
-//	subject to  a_e <= p_i/d_i,  a_e <= p_j/d_j   for each edge e = (i, j)
+//	maximize    sum_s (bonus - lambda_s + sum_{e=(s,j)} w_e/d_s) p_s - sum_e w_e s_e
+//	subject to  p_i/d_i - p_j/d_j - s_e <= 0      for each edge e = (i, j)
 //	            resource and anti-affinity capacity of the group
-//	            0 <= p_s <= d_s integer,  a_e >= 0
+//	            0 <= p_s <= d_s integer,  s_e >= 0
 //
-// over the services the group can host. It is built once per Solve;
-// only the objective's lambda terms change between rounds.
+// The only constraint dropped is a_e >= 0, and it is implied: with
+// w_e > 0 every optimum sets s_e = max(0, p_i/d_i - p_j/d_j), so
+// a_e = min(p_i/d_i, p_j/d_j) >= 0. For any fixed p both forms reach
+// the same value, so every branch-and-bound node LP, and the MIP, has
+// the same optimum on a tableau with half the edge rows; only the
+// choice among tied optimal vertices may differ.
+//
+// The model is built once per Solve; solvePricing writes the p
+// variables' objective, base plus the round's bonus - lambda_s.
 type pricingModel struct {
 	prob mip.Problem
-	pIdx []int // local service -> p variable (also its objective entry), -1 if not hostable
+	pIdx []int     // local service -> p variable (also its objective entry), -1 if not hostable
+	base []float64 // p variable -> its lambda-free edge objective, sum of w_e/d_i
 }
 
-// buildPricing builds group gi's pricing model with a zero dual vector.
+// buildPricing builds group gi's pricing model.
 func (st *state) buildPricing(gi int) *pricingModel {
 	g := &st.groups[gi]
 	p := st.sp.P
@@ -558,6 +572,7 @@ func (st *state) buildPricing(gi int) *pricingModel {
 			evs = append(evs, ei)
 		}
 	}
+	pm.base = make([]float64, nv)
 	nv += len(evs)
 	lpp := &pm.prob.LP
 	*lpp = lp.Problem{NumVars: nv, Upper: make([]float64, nv)}
@@ -568,18 +583,19 @@ func (st *state) buildPricing(gi int) *pricingModel {
 	for si := 0; si < nS; si++ {
 		if v := pm.pIdx[si]; v >= 0 {
 			pm.prob.Integer[v] = true
-			lpp.Objective = append(lpp.Objective, lp.Coef{Var: v, Val: st.bonus})
+			lpp.Objective = append(lpp.Objective, lp.Coef{Var: v})
 			lpp.Upper[v] = float64(p.Services[st.sp.Services[si]].Replicas)
 		}
 	}
 	for k, ei := range evs {
-		av := nv - len(evs) + k
+		sv := nv - len(evs) + k
 		e := st.edges[ei]
-		lpp.Objective = append(lpp.Objective, lp.Coef{Var: av, Val: e.w})
+		vi, vj := pm.pIdx[e.i], pm.pIdx[e.j]
 		di := float64(p.Services[st.sp.Services[e.i]].Replicas)
 		dj := float64(p.Services[st.sp.Services[e.j]].Replicas)
-		lpp.AddRow([]lp.Coef{{Var: av, Val: 1}, {Var: pm.pIdx[e.i], Val: -1 / di}}, lp.LE, 0)
-		lpp.AddRow([]lp.Coef{{Var: av, Val: 1}, {Var: pm.pIdx[e.j], Val: -1 / dj}}, lp.LE, 0)
+		pm.base[vi] += e.w / di
+		lpp.Objective = append(lpp.Objective, lp.Coef{Var: sv, Val: -e.w})
+		lpp.AddRow([]lp.Coef{{Var: vi, Val: 1 / di}, {Var: vj, Val: -1 / dj}, {Var: sv, Val: -1}}, lp.LE, 0)
 	}
 	for r := range p.ResourceNames {
 		var row []lp.Coef
@@ -610,19 +626,24 @@ func (st *state) buildPricing(gi int) *pricingModel {
 	return pm
 }
 
-// solvePricing solves group gi's pricing model under the duals lambda,
-// building the model on the group's first round.
+// solvePricing solves group gi's pricing model under the duals lambda.
 func (st *state) solvePricing(gi int, lambda []float64) (mip.Solution, error) {
+	return mip.Solve(st.ctx, st.pricingProblem(gi, lambda), mip.Options{Deadline: st.loopDeadline, MaxNodes: 2000})
+}
+
+// pricingProblem returns group gi's pricing model priced at the duals
+// lambda, building the model on the group's first round.
+func (st *state) pricingProblem(gi int, lambda []float64) *mip.Problem {
 	if st.pricing[gi] == nil {
 		st.pricing[gi] = st.buildPricing(gi)
 	}
 	pm := st.pricing[gi]
 	for si, v := range pm.pIdx {
 		if v >= 0 {
-			pm.prob.LP.Objective[v].Val = st.bonus - lambda[si]
+			pm.prob.LP.Objective[v].Val = pm.base[v] + st.bonus - lambda[si]
 		}
 	}
-	return mip.Solve(st.ctx, &pm.prob, mip.Options{Deadline: st.loopDeadline, MaxNodes: 2000})
+	return &pm.prob
 }
 
 // priceGroupMIP solves the pattern-generation subproblem for a group

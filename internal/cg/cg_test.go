@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
@@ -204,6 +205,70 @@ func BenchmarkCGSolve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(context.Background(), sp, Options{MaxIters: 10}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// zeroEdgeProblems returns one random cluster twice: once with an edge
+// (0, 1) zeroed in place by graph.SetEdge, as UpdateAffinity with weight
+// 0 leaves it, and once built without that edge.
+func zeroEdgeProblems() (zeroed, without *cluster.Problem) {
+	build := func(zero bool) *cluster.Problem {
+		rng := rand.New(rand.NewSource(3))
+		const nS = 8
+		g := graph.New(nS)
+		if zero {
+			g.AddEdge(0, 1, 0.7)
+		}
+		for k := 0; k < 14; k++ {
+			u, v, w := rng.Intn(nS), rng.Intn(nS), 0.1+rng.Float64()
+			if u+v != 1 { // every pair but (0, 1)
+				g.AddEdge(u, v, w)
+			}
+		}
+		if zero {
+			g.SetEdge(0, 1, 0)
+		}
+		p := &cluster.Problem{ResourceNames: []string{"cpu"}, Affinity: g}
+		for s := 0; s < nS; s++ {
+			p.Services = append(p.Services, cluster.Service{Name: "s", Replicas: 1 + rng.Intn(3), Request: cluster.Resources{1}})
+		}
+		for m := 0; m < 3; m++ {
+			p.Machines = append(p.Machines, cluster.Machine{Name: "m", Capacity: cluster.Resources{float64(3 + m)}})
+		}
+		return p
+	}
+	return build(true), build(false)
+}
+
+// TestZeroWeightEdgeIsAbsent: an edge zeroed in place carries no
+// affinity, so CG builds the same pricing models and returns the same
+// solve, effort included, as on a problem that never had the edge.
+func TestZeroWeightEdgeIsAbsent(t *testing.T) {
+	zeroed, without := zeroEdgeProblems()
+	var res [2]Result
+	for k, p := range []*cluster.Problem{zeroed, without} {
+		sp := cluster.FullSubproblem(p)
+		r, err := Solve(context.Background(), sp, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Stats.Wall, r.Stats.MasterTime, r.Stats.PricingTime, r.Stats.RoundingTime = 0, 0, 0, 0
+		res[k] = r
+	}
+	if !reflect.DeepEqual(res[0], res[1]) {
+		t.Fatalf("zeroed edge: %+v\nwithout it: %+v", res[0], res[1])
+	}
+	sts := [2]*state{}
+	for k, p := range []*cluster.Problem{zeroed, without} {
+		sp := cluster.FullSubproblem(p)
+		sts[k] = &state{sp: sp, groups: model.GroupMachines(sp)}
+		sts[k].buildEdges()
+	}
+	for gi := range sts[0].groups {
+		a, b := sts[0].buildPricing(gi).prob.LP, sts[1].buildPricing(gi).prob.LP
+		if len(a.Rows) != len(b.Rows) || a.NumVars != b.NumVars {
+			t.Fatalf("group %d: pricing model %d x %d with the zeroed edge, %d x %d without", gi, len(a.Rows), a.NumVars, len(b.Rows), b.NumVars)
 		}
 	}
 }

@@ -97,7 +97,8 @@ func BuildMIP(sp *cluster.Subproblem) (*MIPModel, error) {
 	for _, e := range p.Affinity.Edges() {
 		i, okI := local[e.U]
 		j, okJ := local[e.V]
-		if !okI || !okJ {
+		// An edge zeroed in place (graph.SetEdge) carries no affinity.
+		if !okI || !okJ || e.Weight <= 0 {
 			continue
 		}
 		if i > j {

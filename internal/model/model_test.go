@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -350,5 +351,39 @@ func BenchmarkSolveSubproblemMIP(b *testing.B) {
 		if _, err := mip.Solve(context.Background(), &m.Prob, mip.Options{Rounder: m.Rounder()}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestZeroWeightEdgeIsAbsent: an edge zeroed in place by graph.SetEdge,
+// as UpdateAffinity with weight 0 leaves it, carries no affinity, so the
+// direct MIP is the same model, and solves the same way, as on a problem
+// that never had the edge.
+func TestZeroWeightEdgeIsAbsent(t *testing.T) {
+	build := func(zero bool) *MIPModel {
+		p := pairProblem(3)
+		p.Services = append(p.Services, cluster.Service{Name: "C", Replicas: 3, Request: cluster.Resources{1}})
+		p.Affinity = graph.New(3)
+		if zero {
+			p.Affinity.AddEdge(0, 1, 0.7)
+		}
+		p.Affinity.AddEdge(0, 2, 0.5)
+		p.Affinity.AddEdge(1, 2, 0.9)
+		if zero {
+			p.Affinity.SetEdge(0, 1, 0)
+		}
+		m, err := BuildMIP(cluster.FullSubproblem(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	zeroed, without := build(true), build(false)
+	if zeroed.NumRows() != without.NumRows() || zeroed.NumVars() != without.NumVars() {
+		t.Fatalf("model %d x %d with the zeroed edge, %d x %d without", zeroed.NumRows(), zeroed.NumVars(), without.NumRows(), without.NumVars())
+	}
+	a, b := solveModel(t, zeroed), solveModel(t, without)
+	a.Stats.Wall, b.Stats.Wall = 0, 0
+	if a.Objective != b.Objective || a.Stats != b.Stats || !reflect.DeepEqual(zeroed.Extract(a.X), without.Extract(b.X)) {
+		t.Fatalf("zeroed edge: %v %+v %v\nwithout it: %v %+v %v", a.Objective, a.Stats, zeroed.Extract(a.X), b.Objective, b.Stats, without.Extract(b.X))
 	}
 }
