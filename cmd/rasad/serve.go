@@ -34,13 +34,8 @@ func runServe(ctx context.Context, addr string, workers, queueDepth, shards int,
 	hs := &http.Server{Addr: addr, Handler: srv}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.ListenAndServe() }()
-	if shards >= 2 {
-		fmt.Printf("rasad: serving optimization API on %s (%d workers, queue depth %d, default budget %s, policy %s, %d cluster shards)\n",
-			addr, workers, queueDepth, budget, policy, shards)
-	} else {
-		fmt.Printf("rasad: serving optimization API on %s (%d workers, queue depth %d, default budget %s, policy %s)\n",
-			addr, workers, queueDepth, budget, policy)
-	}
+	fmt.Printf("rasad: serving optimization API on %s (%d workers, queue depth %d, default budget %s, policy %s, %d cluster shards)\n",
+		addr, workers, queueDepth, budget, policy, shards)
 
 	select {
 	case err := <-errCh:

@@ -154,36 +154,38 @@ type Checkpoint struct {
 	Placements   []snapshot.PlacementJSON `json:"placements"`
 }
 
-// Report is the final account of an execution run.
+// Report is the final account of an execution run. The JSON tags give
+// its wire form; the durations, Err and the log cursors are left to the
+// caller.
 type Report struct {
-	Outcome Outcome
+	Outcome Outcome `json:"outcome"`
 	// Err describes why an aborted run gave up.
-	Err string
+	Err string `json:"-"`
 	// PlannedMoves is the original plan's move count; Steps counts plan
 	// steps fully executed across the original plan and every re-plan.
-	PlannedMoves int
-	Steps        int
+	PlannedMoves int `json:"plannedMoves"`
+	Steps        int `json:"steps"`
 	// Commands counts commands the executor processed (executed +
 	// failed + skipped); Executed succeeded on the fabric; Failed
 	// exhausted their attempts or hit a dead machine; Skipped were
 	// refused at admission (absent container, dead machine, capacity,
 	// or the SLA floor).
-	Commands int
-	Executed int
-	Failed   int
-	Skipped  int
+	Commands int `json:"commands"`
+	Executed int `json:"executed"`
+	Failed   int `json:"failed"`
+	Skipped  int `json:"skipped"`
 	// Retries counts re-attempts after transient failures;
 	// BackoffTotal is the summed backoff sleep.
-	Retries      int
-	BackoffTotal time.Duration
+	Retries      int           `json:"retries"`
+	BackoffTotal time.Duration `json:"-"`
 	// Replans counts checkpoint-and-re-plan escalations;
 	// ReplanReasons has one entry per escalation (first divergence of
 	// the diverged step); Checkpoints snapshots each.
-	Replans       int
-	ReplanReasons []string
-	Checkpoints   []Checkpoint
+	Replans       int          `json:"replans"`
+	ReplanReasons []string     `json:"replanReasons,omitempty"`
+	Checkpoints   []Checkpoint `json:"checkpoints,omitempty"`
 	// DeadMachines lists machines that died during the run.
-	DeadMachines []int
+	DeadMachines []int `json:"deadMachines,omitempty"`
 	// FloorViolations counts executor-issued deletes that landed below
 	// the SLA floor — zero by construction; exported so tests and CI
 	// can assert the invariant. EnvFloorDips counts services pushed
@@ -191,34 +193,34 @@ type Report struct {
 	// the executor's). MinHeadroom is the tightest believed alive−floor
 	// slack observed at any delete admission, or -1 when the run issued
 	// no deletes.
-	FloorViolations int
-	EnvFloorDips    int
-	MinHeadroom     int
+	FloorViolations int `json:"floorViolations"`
+	EnvFloorDips    int `json:"envFloorDips"`
+	MinHeadroom     int `json:"minHeadroom"`
 	// WastedMoves is Executed minus the minimal command count that
 	// transitions the entry state to the final one — work spent on
 	// moves that faults then undid or re-routed.
-	WastedMoves int
+	WastedMoves int `json:"wastedMoves"`
 	// PlannedGain is the gained affinity of the original plan's target;
 	// AchievedGain is that of the final believed state. NormPlanned and
 	// NormAchieved divide by the affinity graph's total weight.
-	PlannedGain  float64
-	AchievedGain float64
-	NormPlanned  float64
-	NormAchieved float64
+	PlannedGain  float64 `json:"plannedGain"`
+	AchievedGain float64 `json:"achievedGain"`
+	NormPlanned  float64 `json:"normPlanned"`
+	NormAchieved float64 `json:"normAchieved"`
 	// ReservedSeq and AppliedSeq are the executor's two cursors into the
 	// lifetime event log: the newest MoveStarted it appended (the
 	// reservation frontier) and the newest state-bearing actuation
 	// (MoveApplied or MachineDied — the applied frontier). At every
 	// settle boundary the log's folded assignment equals the believed
 	// state.
-	ReservedSeq uint64
-	AppliedSeq  uint64
+	ReservedSeq uint64 `json:"-"`
+	AppliedSeq  uint64 `json:"-"`
 	// Final is the believed final assignment (matches the fabric's
 	// state up to machine deaths the fabric has not yet reported).
 	// Elapsed is the actuation's wall time (a sharded execution's blocks
 	// actuate concurrently, so it is not their sum).
-	Final   *cluster.Assignment
-	Elapsed time.Duration
+	Final   *cluster.Assignment `json:"-"`
+	Elapsed time.Duration       `json:"-"`
 }
 
 // Executor drives migration plans against a Fabric, escalating

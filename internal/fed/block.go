@@ -22,6 +22,7 @@ import (
 	"github.com/cloudsched/rasa/internal/graph"
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
+	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/partition"
 	"github.com/cloudsched/rasa/internal/snapshot"
 )
@@ -55,7 +56,7 @@ func (b *block) log() *lifetime.Log { return b.eng.State().Log() }
 // gained (their endpoints never share a machine) and are excluded from
 // every block graph; their total weight is returned so the pool can
 // report normalized gain against the true global denominator.
-func sliceBlocks(p *cluster.Problem, a *cluster.Assignment, blocks []partition.Block, opts incr.Options) ([]*block, float64, error) {
+func sliceBlocks(p *cluster.Problem, a *cluster.Assignment, blocks []partition.Block, opts incr.Options, reg *obs.Registry) ([]*block, float64, error) {
 	n, m := p.N(), p.M()
 	svcOwner := make([]int, n)
 	svcLocal := make([]int, n)
@@ -175,7 +176,7 @@ func sliceBlocks(p *cluster.Problem, a *cluster.Assignment, blocks []partition.B
 			id:    id,
 			gSvc:  append([]int(nil), blocks[id].Services...),
 			gMach: append([]int(nil), blocks[id].Machines...),
-			eng:   incr.New(st, opts, nil),
+			eng:   incr.New(st, opts, reg),
 			init:  init,
 		}
 	}

@@ -14,26 +14,29 @@ import (
 	"github.com/cloudsched/rasa/internal/migrate"
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/partition"
+	"github.com/cloudsched/rasa/internal/solve"
 )
 
 // Options tune the shard pool.
 type Options struct {
 	// Shards is the number of shard workers blocks are hashed onto;
-	// default 2 (a pool with one shard is valid but the single-engine
-	// session is the better fit — the server only builds a pool for
-	// -shards >= 2).
+	// default DefaultShards. One shard is valid: its worker proposes
+	// every block in turn.
 	Shards int
 	// Engine configures every block's incremental engine. A single
 	// Engine.Policy value is shared by all blocks, so a learned policy
 	// (selector.Observer) aggregates race outcomes from every shard into
-	// one trainer — the federated session feeds the same learning loop
-	// as a single-engine one.
+	// one trainer, the same learning loop one engine over the whole
+	// cluster would feed.
 	Engine incr.Options
 }
 
+// DefaultShards is the shard count of a pool whose Options leave it 0.
+const DefaultShards = 2
+
 func (o Options) withDefaults() Options {
 	if o.Shards < 1 {
-		o.Shards = 2
+		o.Shards = DefaultShards
 	}
 	return o
 }
@@ -84,7 +87,7 @@ func rendezvousOwner(blockID, shards int) int {
 type Pool struct {
 	opts Options
 	m    *metrics
-	reg  *obs.Registry // handed to every block executor
+	reg  *obs.Registry // handed to every block engine and executor
 
 	// mu guards the routing tables, the block list, the shard map, and
 	// the cross-edge ledger.
@@ -123,7 +126,7 @@ func New(p *cluster.Problem, a *cluster.Assignment, opts Options, reg *obs.Regis
 		return nil, err
 	}
 	blks := partition.Blocks(p)
-	bs, crossTotal, err := sliceBlocks(p, a, blks, opts.Engine)
+	bs, crossTotal, err := sliceBlocks(p, a, blks, opts.Engine, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -178,6 +181,21 @@ func (pl *Pool) Blocks() int {
 	pl.mu.RLock()
 	defer pl.mu.RUnlock()
 	return len(pl.blocks)
+}
+
+// MaxShardBlocks returns the most blocks any one shard owns. A shard
+// worker proposes its blocks one after another, each under the full
+// engine budget, so a pass can take this many budgets of wall time.
+func (pl *Pool) MaxShardBlocks() int {
+	pl.mu.RLock()
+	defer pl.mu.RUnlock()
+	owned := make([]int, pl.shardMap.shards)
+	most := 0
+	for _, s := range pl.shardMap.owner {
+		owned[s]++
+		most = max(most, owned[s])
+	}
+	return most
 }
 
 // Version returns the shard map version.
@@ -459,8 +477,15 @@ type pass struct {
 }
 
 // Result aggregates one scatter-gather re-optimization across every
-// block.
+// block, in the shape incr.Result reports for one engine.
 type Result struct {
+	// Mode is the highest path any block took (full > delta > noop);
+	// EscalationReason is the first escalating block's reason.
+	Mode             incr.Mode
+	EscalationReason string
+	// DirtySubproblems and TotalSubproblems sum the blocks' counts.
+	DirtySubproblems int
+	TotalSubproblems int
 	// Noops/Deltas/Fulls count per-block passes by path taken.
 	Noops, Deltas, Fulls int
 	// EventsApplied sums the blocks' cumulative event counts.
@@ -470,6 +495,9 @@ type Result struct {
 	// weight).
 	GainedAffinity float64
 	NormalizedGain float64
+	// BaselineGain weights each block's last full-solve gain by its
+	// affinity, over the same global denominator.
+	BaselineGain float64
 	// Moves and Changed are the merged global diff; Plan is the merged
 	// global migration plan (step i is the union of every accepted
 	// block plan's step i — valid because blocks share no machines).
@@ -483,6 +511,8 @@ type Result struct {
 	RejectedBlocks   []int
 	PartialMigration bool
 	OutOfTime        bool
+	// Stats combines every block's solver effort with solve.Stats.Merge.
+	Stats solve.Stats
 	// MergeElapsed is the gather+merge+floor-check portion of Elapsed.
 	MergeElapsed time.Duration
 	Elapsed      time.Duration
@@ -519,6 +549,13 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	var relocations int
 	for _, pa := range passes {
 		pl.m.reoptimize(pa.shard, pa.res.Mode.String())
+		res.Mode = max(res.Mode, pa.res.Mode)
+		if res.EscalationReason == "" {
+			res.EscalationReason = pa.res.EscalationReason
+		}
+		res.DirtySubproblems += pa.res.DirtySubproblems
+		res.TotalSubproblems += pa.res.TotalSubproblems
+		res.Stats.Merge(pa.res.Stats)
 		switch pa.res.Mode {
 		case incr.ModeNoop:
 			res.Noops++
@@ -566,12 +603,14 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	}
 
 	// Tally gains from the live (post-commit) block states.
-	var gained, total float64
+	var gained, total, baseWeighted float64
 	for _, pa := range passes {
 		st := pa.b.eng.State()
 		bp := st.Problem()
 		gained += st.Assignment().GainedAffinity(bp)
-		total += bp.Affinity.TotalWeight()
+		w := bp.Affinity.TotalWeight()
+		total += w
+		baseWeighted += pa.res.BaselineGain * w
 		res.EventsApplied += pa.res.EventsApplied
 	}
 	unlockAll()
@@ -579,6 +618,7 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 	res.GainedAffinity = gained
 	if denom := total + crossTotal; denom > 0 {
 		res.NormalizedGain = gained / denom
+		res.BaselineGain = baseWeighted / denom
 	}
 	res.MergeElapsed = time.Since(mergeStart)
 	res.Elapsed = time.Since(start)

@@ -76,7 +76,7 @@ func (pl *Pool) Resize(shards int) (*Rebalance, error) {
 		}
 		rep.MovedBlocks = append(rep.MovedBlocks, id)
 		rep.ReplayedEvents += len(tr.Events)
-		swaps = append(swaps, swap{b: b, eng: incr.New(incr.FromLog(nl), pl.opts.Engine, nil)})
+		swaps = append(swaps, swap{b: b, eng: incr.New(incr.FromLog(nl), pl.opts.Engine, pl.reg)})
 	}
 	// Every moved block replayed cleanly: install the new engines and
 	// the new map atomically with respect to event routing.

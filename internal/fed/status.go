@@ -71,8 +71,8 @@ func (pl *Pool) Status() *Status {
 	return st
 }
 
-// Stats aggregates the per-block engine states into the same shape the
-// single-engine session reports from GET /v1/cluster: sums where the
+// Stats aggregates the per-block engine states into the incr.Stats
+// shape GET /v1/cluster reports: sums where the
 // fields are counts, the global denominator for normalized gain, and a
 // combined fingerprint (order-independent FNV-1a over the sorted block
 // fingerprints — it differs from a single engine's fingerprint of the

@@ -19,28 +19,27 @@ import (
 	"github.com/cloudsched/rasa/internal/solve"
 )
 
-// clusterSession is the server's single live cluster: the incremental
-// engine (or, with Config.Shards >= 2, the federated shard pool) plus
-// the budgets needed to derive request deadlines. One session exists at
-// a time; POST /v1/cluster replaces it. Exactly one of eng/pool is set.
+// clusterSession is the server's single live cluster: the federated
+// block pool (one incremental engine per compatibility block, hashed
+// onto Config.Shards shard workers) plus the budget needed to derive
+// request deadlines. One session exists at a time; POST /v1/cluster
+// replaces it.
 //
-// The session mutex serializes Reoptimize calls (the engine's own state
-// lock would too, but queueing callers at this level keeps request
+// The session mutex serializes Reoptimize calls (the pool's own lock
+// would too, but queueing callers at this level keeps request
 // deadlines honest: each caller's clock starts when its solve starts).
 type clusterSession struct {
 	mu     sync.Mutex
-	eng    *incr.Engine
 	pool   *fed.Pool
-	budget time.Duration // full-pipeline budget (per-solve deadline input)
+	budget time.Duration // full-pipeline budget of one block pass
 }
 
-// stats returns the session's incr.Stats-shaped summary regardless of
-// which backend serves it.
-func (sess *clusterSession) stats() incr.Stats {
-	if sess.pool != nil {
-		return sess.pool.Stats()
-	}
-	return sess.eng.State().Snapshot()
+// allowance is the deadline of one pass over every block. A block pass
+// may run a delta solve and then escalate to a full one (2×budget, plus
+// grace), and a shard worker proposes its blocks one after another, so
+// the most blocks any shard owns multiplies it.
+func (sess *clusterSession) allowance() time.Duration {
+	return time.Duration(sess.pool.MaxShardBlocks()) * (2*sess.budget + budgetGrace)
 }
 
 func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -94,39 +93,26 @@ func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.Partition.Seed = ro.seed
 
-	sess := &clusterSession{budget: budget}
-	if s.cfg.Shards >= 2 {
-		pool, err := fed.New(p, current, fed.Options{Shards: s.cfg.Shards, Engine: opts}, s.cfg.Registry)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
-			return
-		}
-		sess.pool = pool
-	} else {
-		st, err := incr.NewState(p, current)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
-			return
-		}
-		sess.eng = incr.New(st, opts, s.cfg.Registry)
+	pool, err := fed.New(p, current, fed.Options{Shards: s.cfg.Shards, Engine: opts}, s.cfg.Registry)
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
+		return
 	}
+	sess := &clusterSession{pool: pool, budget: budget}
 
 	s.mu.Lock()
 	s.cluster = sess
 	s.mu.Unlock()
 
-	stats := sess.stats()
-	resp := map[string]any{
+	stats := pool.Stats()
+	writeJSON(w, http.StatusOK, map[string]any{
 		"services":  stats.Services,
 		"machines":  stats.Machines,
 		"bootstrap": bootstrap,
 		"stats":     stats,
-	}
-	if sess.pool != nil {
-		resp["shards"] = sess.pool.Shards()
-		resp["blocks"] = sess.pool.Blocks()
-	}
-	writeJSON(w, http.StatusOK, resp)
+		"shards":    pool.Shards(),
+		"blocks":    pool.Blocks(),
+	})
 }
 
 func (s *Server) session() *clusterSession {
@@ -168,31 +154,26 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeInvalidRequest, err.Error())
 		return
 	}
-	var applied int
-	if sess.pool != nil {
-		applied, err = sess.pool.Apply(events...)
-	} else {
-		applied, err = sess.eng.Apply(events...)
-	}
+	applied, err := sess.pool.Apply(events...)
 	if err != nil {
 		// Events before the invalid one are already part of the state —
 		// report how far the batch got alongside the error.
 		writeJSON(w, http.StatusBadRequest, map[string]any{
 			"error":   errorBody{Code: codeInvalidRequest, Message: err.Error()},
 			"applied": applied,
-			"stats":   sess.stats(),
+			"stats":   sess.pool.Stats(),
 		})
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"applied": applied,
-		"stats":   sess.stats(),
+		"stats":   sess.pool.Stats(),
 	})
 }
 
-// reoptimizeResponse is the POST /v1/cluster/reoptimize body: the delta
-// outcome, the changed placements only, and the migration plan for
-// exactly the moved containers.
+// reoptimizeResponse is the POST /v1/cluster/reoptimize body: the
+// outcome aggregated over every block, the changed placements only, and
+// the migration plan for exactly the moved containers.
 type reoptimizeResponse struct {
 	Mode             string                `json:"mode"`
 	Escalated        bool                  `json:"escalated,omitempty"`
@@ -210,8 +191,7 @@ type reoptimizeResponse struct {
 	Stats            solve.Stats           `json:"stats"`
 	Elapsed          string                `json:"elapsed"`
 
-	// Federation extras, present only when the session runs sharded
-	// (mode "merge"): per-block pass counts, global floor-check
+	// Per-block detail: pass counts by path, global floor-check
 	// rejections, and the merge-phase latency.
 	Shards          int    `json:"shards,omitempty"`
 	Noops           int    `json:"noops,omitempty"`
@@ -232,47 +212,19 @@ func (s *Server) handleClusterReoptimize(w http.ResponseWriter, r *http.Request)
 		writeErr(w, http.StatusConflict, codeNoCluster, "no cluster installed (POST /v1/cluster first)")
 		return
 	}
-	// Serialize solves; a delta pass may legitimately run the full
-	// pipeline after its scoped solve (drift escalation), so the
-	// deadline covers both plus grace.
+	// Serialize solves; see clusterSession.allowance for the deadline.
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
-	ctx, cancel := context.WithTimeout(s.baseCtx, 2*sess.budget+budgetGrace)
+	ctx, cancel := context.WithTimeout(s.baseCtx, sess.allowance())
 	defer cancel()
-	if sess.pool != nil {
-		res, err := sess.pool.Reoptimize(ctx)
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, codeInternal, err.Error())
-			return
-		}
-		writeJSON(w, http.StatusOK, reoptimizeResponse{
-			Mode:             "merge",
-			GainedAffinity:   res.GainedAffinity,
-			NormalizedGain:   res.NormalizedGain,
-			Moves:            res.Moves,
-			Changed:          res.Changed,
-			Plan:             planJSON(res.Plan),
-			PartialMigration: res.PartialMigration,
-			OutOfTime:        res.OutOfTime,
-			Elapsed:          res.Elapsed.Round(time.Microsecond).String(),
-			Shards:           sess.pool.Shards(),
-			Noops:            res.Noops,
-			Deltas:           res.Deltas,
-			Fulls:            res.Fulls,
-			FloorRejections:  res.FloorRejections,
-			RejectedBlocks:   res.RejectedBlocks,
-			MergeElapsed:     res.MergeElapsed.Round(time.Microsecond).String(),
-		})
-		return
-	}
-	res, err := sess.eng.Reoptimize(ctx)
+	res, err := sess.pool.Reoptimize(ctx)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, reoptimizeResponse{
 		Mode:             res.Mode.String(),
-		Escalated:        res.Escalated,
+		Escalated:        res.EscalationReason != "",
 		EscalationReason: res.EscalationReason,
 		DirtySubproblems: res.DirtySubproblems,
 		TotalSubproblems: res.TotalSubproblems,
@@ -286,6 +238,13 @@ func (s *Server) handleClusterReoptimize(w http.ResponseWriter, r *http.Request)
 		OutOfTime:        res.OutOfTime,
 		Stats:            res.Stats,
 		Elapsed:          res.Elapsed.Round(time.Microsecond).String(),
+		Shards:           sess.pool.Shards(),
+		Noops:            res.Noops,
+		Deltas:           res.Deltas,
+		Fulls:            res.Fulls,
+		FloorRejections:  res.FloorRejections,
+		RejectedBlocks:   res.RejectedBlocks,
+		MergeElapsed:     res.MergeElapsed.Round(time.Microsecond).String(),
 	})
 }
 
@@ -332,19 +291,9 @@ func (s *Server) handleClusterLog(w http.ResponseWriter, r *http.Request) {
 	if limit > maxLogPageSize {
 		limit = maxLogPageSize
 	}
-	var head uint64
-	var fingerprint string
-	var entries []lifetime.EntryJSON
-	if sess.pool != nil {
-		head = sess.pool.Head()
-		fingerprint = sess.pool.Stats().Fingerprint
-		entries = sess.pool.Entries(from)
-	} else {
-		log := sess.eng.State().Log()
-		head = log.Head()
-		fingerprint = log.Fingerprint()
-		entries = lifetime.EntriesJSON(log.Entries(from))
-	}
+	head := sess.pool.Head()
+	fingerprint := sess.pool.Stats().Fingerprint
+	entries := sess.pool.Entries(from)
 	if len(entries) > limit {
 		entries = entries[:limit]
 	}
@@ -363,19 +312,15 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no cluster installed")
 		return
 	}
-	writeJSON(w, http.StatusOK, sess.stats())
+	writeJSON(w, http.StatusOK, sess.pool.Stats())
 }
 
-// handleShards serves GET /v1/shards: the federated session's versioned
+// handleShards serves GET /v1/shards: the session's versioned
 // block-to-shard map, per-shard ownership, and per-block log positions.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	sess := s.session()
 	if sess == nil {
 		writeErr(w, http.StatusNotFound, codeNotFound, "no cluster installed")
-		return
-	}
-	if sess.pool == nil {
-		writeErr(w, http.StatusNotFound, codeNotFound, "cluster session is unsharded (start the server with shards >= 2)")
 		return
 	}
 	writeJSON(w, http.StatusOK, sess.pool.Status())

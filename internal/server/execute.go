@@ -31,9 +31,9 @@ type executeRequest struct {
 	Deaths        []deathJSON `json:"deaths,omitempty"`
 	Seed          int64       `json:"seed,omitempty"`
 	// Executor tuning (exec.Options); zero means default. Parallelism
-	// caps concurrent commands on one fabric: a sharded session runs
-	// one executor and one fabric per compatibility block, all blocks
-	// at once, so the cap applies per block.
+	// caps concurrent commands on one fabric: the session runs one
+	// executor and one fabric per compatibility block, all blocks at
+	// once, so the cap applies per block.
 	MinAlive       float64  `json:"minAlive,omitempty"`
 	MaxAttempts    int      `json:"maxAttempts,omitempty"`
 	CommandTimeout duration `json:"commandTimeout,omitempty"`
@@ -59,59 +59,17 @@ type execJob struct {
 	done   chan struct{}
 }
 
-// execReportJSON is the wire form of exec.Report.
+// execReportJSON is the wire form of exec.Report: its tagged fields,
+// plus the error and the durations as strings.
 type execReportJSON struct {
-	Outcome         string            `json:"outcome"`
-	Error           string            `json:"error,omitempty"`
-	PlannedMoves    int               `json:"plannedMoves"`
-	Steps           int               `json:"steps"`
-	Commands        int               `json:"commands"`
-	Executed        int               `json:"executed"`
-	Failed          int               `json:"failed"`
-	Skipped         int               `json:"skipped"`
-	Retries         int               `json:"retries"`
-	BackoffTotal    string            `json:"backoffTotal"`
-	Replans         int               `json:"replans"`
-	ReplanReasons   []string          `json:"replanReasons,omitempty"`
-	Checkpoints     []exec.Checkpoint `json:"checkpoints,omitempty"`
-	DeadMachines    []int             `json:"deadMachines,omitempty"`
-	FloorViolations int               `json:"floorViolations"`
-	EnvFloorDips    int               `json:"envFloorDips"`
-	MinHeadroom     int               `json:"minHeadroom"`
-	WastedMoves     int               `json:"wastedMoves"`
-	PlannedGain     float64           `json:"plannedGain"`
-	AchievedGain    float64           `json:"achievedGain"`
-	NormPlanned     float64           `json:"normPlanned"`
-	NormAchieved    float64           `json:"normAchieved"`
-	Elapsed         string            `json:"elapsed"`
+	*exec.Report
+	Error        string `json:"error,omitempty"`
+	BackoffTotal string `json:"backoffTotal"`
+	Elapsed      string `json:"elapsed"`
 }
 
 func execReportView(rep *exec.Report) *execReportJSON {
-	return &execReportJSON{
-		Outcome:         string(rep.Outcome),
-		Error:           rep.Err,
-		PlannedMoves:    rep.PlannedMoves,
-		Steps:           rep.Steps,
-		Commands:        rep.Commands,
-		Executed:        rep.Executed,
-		Failed:          rep.Failed,
-		Skipped:         rep.Skipped,
-		Retries:         rep.Retries,
-		BackoffTotal:    rep.BackoffTotal.String(),
-		Replans:         rep.Replans,
-		ReplanReasons:   rep.ReplanReasons,
-		Checkpoints:     rep.Checkpoints,
-		DeadMachines:    rep.DeadMachines,
-		FloorViolations: rep.FloorViolations,
-		EnvFloorDips:    rep.EnvFloorDips,
-		MinHeadroom:     rep.MinHeadroom,
-		WastedMoves:     rep.WastedMoves,
-		PlannedGain:     rep.PlannedGain,
-		AchievedGain:    rep.AchievedGain,
-		NormPlanned:     rep.NormPlanned,
-		NormAchieved:    rep.NormAchieved,
-		Elapsed:         rep.Elapsed.String(),
-	}
+	return &execReportJSON{Report: rep, Error: rep.Err, BackoffTotal: rep.BackoffTotal.String(), Elapsed: rep.Elapsed.String()}
 }
 
 // execView is the GET /v1/cluster/execute/{id} body.
@@ -122,6 +80,10 @@ type execView struct {
 	Error     string          `json:"error,omitempty"`
 	Report    *execReportJSON `json:"report,omitempty"`
 }
+
+func execID(seq int) string { return fmt.Sprintf("exec-%d", seq) }
+
+func (j *execJob) terminal() bool { return isClosed(j.done) }
 
 func (j *execJob) view() execView {
 	j.mu.Lock()
@@ -136,16 +98,12 @@ func (j *execJob) view() execView {
 func (j *execJob) finish(rep *exec.Report, err error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	switch {
-	case err != nil:
+	// Aborted and cancelled runs completed their lifecycle too; the
+	// outcome distinction lives in the report.
+	j.status = StatusCompleted
+	if err != nil {
 		j.status = StatusFailed
 		j.errMsg = err.Error()
-	case rep.Outcome == exec.OutcomeCompleted:
-		j.status = StatusCompleted
-	default:
-		// Aborted / cancelled runs completed their lifecycle; the
-		// outcome distinction lives in the report.
-		j.status = StatusCompleted
 	}
 	j.report = rep
 	close(j.done)
@@ -209,13 +167,10 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.execSeq++
 	job := &execJob{
-		id:        fmt.Sprintf("exec-%d", s.execSeq),
+		id:        execID(s.execSeq),
 		submitted: time.Now(),
 		status:    StatusQueued,
 		done:      make(chan struct{}),
-	}
-	if s.execJobs == nil {
-		s.execJobs = make(map[string]*execJob)
 	}
 	s.execJobs[job.id] = job
 	s.execOrder = append(s.execOrder, job.id)
@@ -227,10 +182,11 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 // runExecute performs one execution run. Runs serialize on sess.mu with
-// each other and with /v1/cluster/reoptimize — the engine's state is
-// one cluster, and only one actor may drive it at a time.
+// each other and with /v1/cluster/reoptimize — the pool is one cluster,
+// and only one actor may drive it at a time.
 func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeRequest) {
 	defer s.wg.Done()
+	defer s.retain()
 	sess.mu.Lock()
 	defer sess.mu.Unlock()
 
@@ -238,12 +194,7 @@ func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeReque
 	job.status = StatusRunning
 	job.mu.Unlock()
 
-	machines := 0
-	if sess.pool != nil {
-		machines = sess.pool.Stats().Machines
-	} else {
-		machines = sess.eng.State().Problem().M()
-	}
+	machines := sess.pool.Stats().Machines
 	for _, d := range req.Deaths {
 		if d.Machine >= machines {
 			job.finish(nil, fmt.Errorf("death schedule references machine %d of %d", d.Machine, machines))
@@ -251,96 +202,64 @@ func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeReque
 		}
 	}
 
-	execOpts := exec.Options{
+	// Deadline: each plan or re-plan gets the session's reoptimize
+	// allowance, and retried/latent command work is bounded by the
+	// executor's own per-command timeouts.
+	replans := req.MaxReplans
+	if replans <= 0 {
+		replans = 3
+	}
+	ctx, cancel := context.WithTimeout(s.baseCtx, time.Duration(replans+1)*sess.allowance())
+	defer cancel()
+
+	// One executor per block, on its own fabric, with every block's
+	// actuation running at the same time. Machine-scoped fault schedules
+	// are translated into each block's local index space; per-block
+	// seeds are derived from the request seed so runs stay reproducible
+	// without every block replaying the same fault tape.
+	rep, err := sess.pool.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
+		var deaths []exec.MachineDeath
+		for _, d := range req.Deaths {
+			for lm, gm := range gMach {
+				if gm == d.Machine {
+					deaths = append(deaths, exec.MachineDeath{Machine: lm, AfterCommands: d.AfterCommands})
+				}
+			}
+		}
+		if req.FailureProb == 0 && req.Latency == 0 && len(deaths) == 0 {
+			return exec.NewInstantFabric(start)
+		}
+		return exec.NewFaultFabric(start, exec.FaultConfig{
+			FailureProb:   req.FailureProb,
+			Latency:       time.Duration(req.Latency),
+			LatencyJitter: req.LatencyJitter,
+			Deaths:        deaths,
+			Seed:          req.Seed + int64(blockID),
+		})
+	}, exec.Options{
 		MinAlive:       req.MinAlive,
 		MaxAttempts:    req.MaxAttempts,
 		CommandTimeout: time.Duration(req.CommandTimeout),
 		MaxReplans:     req.MaxReplans,
 		Parallelism:    req.Parallelism,
 		Seed:           req.Seed,
-	}
-	fabFor := func(req executeRequest) func(start *cluster.Assignment, deaths []exec.MachineDeath, seed int64) exec.Fabric {
-		return func(start *cluster.Assignment, deaths []exec.MachineDeath, seed int64) exec.Fabric {
-			if req.FailureProb == 0 && req.Latency == 0 && len(deaths) == 0 {
-				return exec.NewInstantFabric(start)
-			}
-			return exec.NewFaultFabric(start, exec.FaultConfig{
-				FailureProb:   req.FailureProb,
-				Latency:       time.Duration(req.Latency),
-				LatencyJitter: req.LatencyJitter,
-				Deaths:        deaths,
-				Seed:          seed,
-			})
-		}
-	}(req)
-
-	// Deadline: each plan or re-plan gets the session's reoptimize
-	// allowance (2×budget + grace), and retried/latent command work is
-	// bounded by the executor's own per-command timeouts.
-	replans := req.MaxReplans
-	if replans <= 0 {
-		replans = 3
-	}
-	ctx, cancel := context.WithTimeout(s.baseCtx, time.Duration(replans+1)*(2*sess.budget+budgetGrace))
-	defer cancel()
-
-	if sess.pool != nil {
-		// Sharded session: one executor per block, on its own fabric,
-		// with every block's actuation running at the same time.
-		// Machine-scoped fault schedules are translated into each block's
-		// local index space; per-block seeds are derived from the request
-		// seed so runs stay reproducible without every block replaying
-		// the same fault tape.
-		rep, err := sess.pool.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
-			var deaths []exec.MachineDeath
-			for _, d := range req.Deaths {
-				for lm, gm := range gMach {
-					if gm == d.Machine {
-						deaths = append(deaths, exec.MachineDeath{Machine: lm, AfterCommands: d.AfterCommands})
-					}
-				}
-			}
-			return fabFor(start, deaths, req.Seed+int64(blockID))
-		}, execOpts)
-		job.finish(rep, err)
-		return
-	}
-
-	st := sess.eng.State()
-	start := st.Assignment().Clone()
-	deaths := make([]exec.MachineDeath, 0, len(req.Deaths))
-	for _, d := range req.Deaths {
-		deaths = append(deaths, exec.MachineDeath{Machine: d.Machine, AfterCommands: d.AfterCommands})
-	}
-	ex := exec.New(sess.eng, fabFor(start, deaths, req.Seed), execOpts, s.cfg.Registry)
-	job.finish(ex.Run(ctx))
+	})
+	job.finish(rep, err)
 }
 
 func (s *Server) handleExecuteGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	job, ok := s.execJobs[id]
+	gone := !ok && issued(id, "exec-", s.execSeq, execID)
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("no such execution %q", id))
+		missing(w, gone, "execution", id)
 		return
 	}
-	if d, present, ok := s.parseWait(w, r); !ok {
-		return
-	} else if present {
-		// Same stopped-timer discipline as the jobs long-poll: a
-		// disconnected client must not pin a live timer.
-		timer := time.NewTimer(d)
-		select {
-		case <-job.done:
-			timer.Stop()
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			return
-		}
+	if s.await(w, r, job.done) {
+		writeJSON(w, http.StatusOK, job.view())
 	}
-	writeJSON(w, http.StatusOK, job.view())
 }
 
 func (s *Server) handleExecuteList(w http.ResponseWriter, r *http.Request) {

@@ -1,10 +1,10 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
+	"strconv"
 	"sync"
 	"time"
 
@@ -49,13 +49,25 @@ type Job struct {
 	done chan struct{}
 }
 
-func newJobID(seq int) string {
-	var b [4]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Fall back to the sequence alone; IDs stay unique per process.
-		return fmt.Sprintf("job-%06d", seq)
+// jobID mints the id of job number seq: the number plus a hash of it
+// keyed per server, so ids do not repeat across restarts and the server
+// can recompute every id it issued.
+func (s *Server) jobID(seq int) string {
+	h := fnv.New32a()
+	h.Write(s.idKey[:])
+	h.Write([]byte(strconv.Itoa(seq)))
+	return fmt.Sprintf("job-%06d-%08x", seq, h.Sum32())
+}
+
+func (j *Job) terminal() bool { return isClosed(j.done) }
+
+func isClosed(ch chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
 	}
-	return fmt.Sprintf("job-%06d-%s", seq, hex.EncodeToString(b[:]))
 }
 
 func (j *Job) setRunning() {

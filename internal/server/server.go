@@ -26,7 +26,7 @@
 //	POST /v1/cluster/events      apply a typed event batch to the live cluster
 //	POST /v1/cluster/reoptimize  delta re-solve; returns moved containers + plan
 //	GET  /v1/cluster/log         lifetime event log (paged; ?from=&limit=)
-//	GET  /v1/shards              shard topology of a federated session (-shards >= 2)
+//	GET  /v1/shards              block-to-shard topology of the cluster session
 //	GET  /v1/policy              selection-policy state + model export
 //	PUT  /v1/policy              install (import) a trained selection model
 //	GET  /metrics                Prometheus text exposition
@@ -35,9 +35,12 @@ package server
 
 import (
 	"context"
+	"crypto/rand"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -70,11 +73,11 @@ type Config struct {
 	// asking for longer waits are served with this cap instead; negative
 	// waits are rejected.
 	MaxWait time.Duration
-	// Shards >= 2 serves the live cluster session through the federated
-	// shard pool (internal/fed): compatibility blocks hashed onto that
-	// many shard workers, scatter-gather reoptimization, and the
-	// GET /v1/shards topology endpoint. 0 or 1 keeps the single-engine
-	// session.
+	// Shards is the number of shard workers the live cluster session
+	// (internal/fed: one incremental engine per compatibility block)
+	// hashes its blocks onto; 0 means fed.DefaultShards. A worker
+	// proposes its blocks one after another, each under the session
+	// budget.
 	Shards int
 	// Policy is the default algorithm-selection policy kind for requests
 	// that don't pick one: heuristic (default), cg, mip, race, or gcn
@@ -119,6 +122,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// retainFinished is how many finished entries each of the jobs and
+// execJobs tables keeps. A finished entry holds a whole result (a job's
+// assignment and plan, an execution's final global assignment), so a
+// long-running daemon forgets the oldest ones; queued and running
+// entries are never evicted. A GET for an evicted id answers 410.
+const retainFinished = 1000
+
 // budgetGrace pads a job's context deadline past its optimization
 // budget, so the in-band anytime machinery (which returns a merged,
 // SLA-reconciled result) finishes before the hard context cut.
@@ -137,6 +147,7 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string
 	seq      int
+	idKey    [8]byte // keys the hash in job ids (see jobID)
 	// cluster is the live incremental session (POST /v1/cluster); nil
 	// until one is installed.
 	cluster *clusterSession
@@ -177,10 +188,12 @@ func New(cfg Config) *Server {
 		baseCtx:  ctx,
 		cancel:   cancel,
 		jobs:     make(map[string]*Job),
+		execJobs: make(map[string]*execJob),
 		queue:    make(chan *Job, cfg.QueueDepth),
 		drainCh:  make(chan struct{}),
 		optimize: core.Optimize,
 	}
+	rand.Read(s.idKey[:])
 	reg := cfg.Registry
 	s.jobsTotal = reg.CounterVec("rasa_jobs_total", "Jobs by terminal outcome.", "status")
 	s.inflight = reg.Gauge("rasa_jobs_inflight", "Jobs currently being optimized.")
@@ -298,6 +311,7 @@ func (s *Server) worker() {
 }
 
 func (s *Server) runJob(job *Job) {
+	defer s.retain()
 	s.queueSecs.Observe(time.Since(job.submitted).Seconds())
 	s.inflight.Inc()
 	defer s.inflight.Dec()
@@ -378,7 +392,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	job.id = newJobID(s.seq)
+	job.id = s.jobID(s.seq)
 	job.status = StatusQueued
 	select {
 	case s.queue <- job:
@@ -431,29 +445,93 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	job, ok := s.jobs[id]
+	gone := !ok && issued(id, "job-", s.seq, s.jobID)
 	s.mu.Unlock()
 	if !ok {
-		writeErr(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("no such job %q", id))
+		missing(w, gone, "job", id)
 		return
 	}
-	if d, present, ok := s.parseWait(w, r); !ok {
-		return
-	} else if present {
-		// A stopped timer releases its runtime resources immediately;
-		// time.After would pin them for the full wait duration even after
-		// the client disconnected, so a burst of abandoned long-polls with
-		// generous waits would accumulate live timers for minutes.
-		timer := time.NewTimer(d)
-		select {
-		case <-job.done:
-			timer.Stop()
-		case <-timer.C:
-		case <-r.Context().Done():
-			timer.Stop()
-			return
+	if s.await(w, r, job.done) {
+		writeJSON(w, http.StatusOK, job.view())
+	}
+}
+
+// await serves the ?wait= long-poll of a GET on an entry whose done
+// channel closes when it finishes. It returns false when the response
+// is already written (a bad wait) or the client went away.
+func (s *Server) await(w http.ResponseWriter, r *http.Request, done chan struct{}) bool {
+	d, present, ok := s.parseWait(w, r)
+	if !ok || !present {
+		return ok
+	}
+	// A stopped timer releases its runtime resources immediately;
+	// time.After would pin them for the full wait duration even after
+	// the client disconnected, so a burst of abandoned long-polls with
+	// generous waits would accumulate live timers for minutes.
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-done:
+	case <-timer.C:
+	case <-r.Context().Done():
+		return false
+	}
+	return true
+}
+
+// retain evicts the oldest finished jobs and executions beyond
+// retainFinished from their tables; it runs whenever an entry finishes.
+func (s *Server) retain() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.order = evictFinished(s.jobs, s.order)
+	s.execOrder = evictFinished(s.execJobs, s.execOrder)
+}
+
+// evictFinished deletes the oldest finished entries of table, oldest
+// first in submission order, until at most retainFinished remain, and
+// returns order without them. Queued and running entries stay.
+func evictFinished[E interface{ terminal() bool }](table map[string]E, order []string) []string {
+	excess := -retainFinished
+	for _, id := range order {
+		if table[id].terminal() {
+			excess++
 		}
 	}
-	writeJSON(w, http.StatusOK, job.view())
+	if excess <= 0 {
+		return order
+	}
+	kept := order[:0]
+	for _, id := range order {
+		if excess > 0 && table[id].terminal() {
+			delete(table, id)
+			excess--
+			continue
+		}
+		kept = append(kept, id)
+	}
+	return kept
+}
+
+// issued reports whether id is the id mint gave one of the sequence
+// numbers 1..last. An id is prefix, the number, then an optional
+// "-suffix".
+func issued(id, prefix string, last int, mint func(int) string) bool {
+	num, ok := strings.CutPrefix(id, prefix)
+	num, _, _ = strings.Cut(num, "-")
+	seq, err := strconv.Atoi(num)
+	return ok && err == nil && seq >= 1 && seq <= last && mint(seq) == id
+}
+
+// missing answers a GET for an id its table does not hold: 410 when the
+// server issued the id and has since evicted the finished entry, 404
+// when it never issued it.
+func missing(w http.ResponseWriter, gone bool, kind, id string) {
+	if gone {
+		writeErr(w, http.StatusGone, codeGone, fmt.Sprintf("%s %q finished and was evicted (the server keeps the latest %d)", kind, id, retainFinished))
+		return
+	}
+	writeErr(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("no such %s %q", kind, id))
 }
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
@@ -509,6 +587,7 @@ const (
 	codeDraining       = "draining"        // server is shutting down
 	codeQueueFull      = "queue_full"      // job queue at capacity, retry later
 	codeNotFound       = "not_found"       // unknown job / execution / no cluster yet
+	codeGone           = "gone"            // finished job / execution since evicted
 	codeNoCluster      = "no_cluster"      // cluster endpoint used before install
 	codeConflict       = "conflict"        // resource state rejects the operation
 	codeInternal       = "internal"        // unexpected server-side failure

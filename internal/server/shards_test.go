@@ -132,7 +132,7 @@ func TestShardedSessionLifecycle(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &reResp); err != nil {
 		t.Fatal(err)
 	}
-	if reResp.Mode != "merge" || reResp.Shards != 2 {
+	if reResp.Mode != "full" || reResp.Shards != 2 {
 		t.Fatalf("reoptimize response %s", rec.Body)
 	}
 	if reResp.Fulls != blocks {
@@ -272,11 +272,6 @@ func TestLogParamValidation(t *testing.T) {
 	rec := getPath(t, s, "/v1/cluster/log?limit=999999999")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("huge limit: %d %s", rec.Code, rec.Body)
-	}
-
-	// Unsharded sessions do not expose shard topology.
-	if rec := getPath(t, s, "/v1/shards"); rec.Code != http.StatusNotFound {
-		t.Fatalf("shards on unsharded session: %d", rec.Code)
 	}
 }
 
