@@ -239,6 +239,7 @@ func (e *Engine) CommitProposal(res *Result) error {
 	}
 	st.dirty = make(map[int]bool)
 	st.dirtyTrivial = false
+	e.m.adopted(res)
 	return nil
 }
 
@@ -421,8 +422,9 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 
 	res.Elapsed = time.Since(start)
 	e.m.reoptimize(res.Mode)
-	e.m.deltaSolve(res.Elapsed)
-	e.m.addMoves(res.Moves)
+	if adopt {
+		e.m.adopted(res)
+	}
 	return res, nil
 }
 
@@ -498,7 +500,9 @@ func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirty
 	}
 	e.m.reoptimize(res.Mode)
 	e.m.escalation(reason)
-	e.m.addMoves(res.Moves)
+	if adopt {
+		e.m.adopted(res)
+	}
 	return res, nil
 }
 

@@ -1,10 +1,6 @@
 package incr
 
-import (
-	"time"
-
-	"github.com/cloudsched/rasa/internal/obs"
-)
+import "github.com/cloudsched/rasa/internal/obs"
 
 // metrics instruments the incremental engine. A nil *metrics is valid
 // and drops every observation, so the engine works without a registry.
@@ -67,16 +63,15 @@ func (m *metrics) dirtyRatio(r float64) {
 	m.ratio.Observe(r)
 }
 
-func (m *metrics) deltaSolve(d time.Duration) {
+// adopted records a pass whose target became the live assignment: an
+// adopting Reoptimize, or a Propose later committed with
+// CommitProposal. A proposal that is never committed moves nothing.
+func (m *metrics) adopted(res *Result) {
 	if m == nil {
 		return
 	}
-	m.deltaSecs.Observe(d.Seconds())
-}
-
-func (m *metrics) addMoves(n int) {
-	if m == nil {
-		return
+	m.moves.Add(float64(res.Moves))
+	if res.Mode == ModeDelta {
+		m.deltaSecs.Observe(res.Elapsed.Seconds())
 	}
-	m.moves.Add(float64(n))
 }

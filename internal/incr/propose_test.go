@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/cloudsched/rasa/internal/lifetime"
+	"github.com/cloudsched/rasa/internal/obs"
 )
 
 // TestProposeCommitAdopt covers the two-phase path the federation layer
@@ -95,5 +96,81 @@ func TestCommitProposalStale(t *testing.T) {
 	}
 	if got := st.Assignment().Placed(0); got != r+1 {
 		t.Fatalf("service 0 placed %d, want %d", got, r+1)
+	}
+}
+
+// TestMovesCountedOnAdoption: rasa_incr_moves_total and the delta
+// wall-time histogram record adopted passes only. A proposal leaves
+// them unchanged until CommitProposal adopts it, which adds exactly its
+// Moves; a delta pass observes its wall time once, when adopted.
+func TestMovesCountedOnAdoption(t *testing.T) {
+	st := newTestState(t, t3())
+	reg := obs.NewRegistry()
+	eng := New(st, testOptions(), reg)
+	ctx := context.Background()
+	moves := reg.Counter("rasa_incr_moves_total", "Containers moved by adopted re-optimizations.")
+	deltas := reg.Histogram("rasa_incr_delta_solve_seconds", "Wall time of adopted delta passes.", nil)
+
+	// propose runs a pass without adopting it and checks it counted
+	// nothing, then commits it and checks it counted exactly once.
+	propose := func(want Mode) {
+		t.Helper()
+		m0, d0 := moves.Value(), deltas.Count()
+		res, err := eng.Propose(ctx)
+		if err != nil {
+			t.Fatalf("propose: %v", err)
+		}
+		if res.Mode != want {
+			t.Fatalf("proposal mode %v, want %v", res.Mode, want)
+		}
+		if got := moves.Value(); got != m0 {
+			t.Fatalf("moves counter %v after an uncommitted proposal, want %v", got, m0)
+		}
+		if got := deltas.Count(); got != d0 {
+			t.Fatalf("%d delta observations after an uncommitted proposal, want %d", got, d0)
+		}
+		if err := eng.CommitProposal(res); err != nil {
+			t.Fatalf("commit: %v", err)
+		}
+		if got := moves.Value(); got != m0+float64(res.Moves) {
+			t.Fatalf("moves counter %v after commit, want %v + %d", got, m0, res.Moves)
+		}
+		wantDeltas := d0
+		if want == ModeDelta {
+			wantDeltas++
+		}
+		if got := deltas.Count(); got != wantDeltas {
+			t.Fatalf("%d delta observations after commit, want %d", got, wantDeltas)
+		}
+	}
+	propose(ModeFull)
+	if moves.Value() == 0 {
+		t.Fatal("the bootstrap proposal moved nothing, so it cannot tell a proposal from an adoption")
+	}
+
+	// One scaled service dirties one subproblem: a delta proposal.
+	target := -1
+	for s, g := range st.subOf {
+		if g >= 0 {
+			target = s
+			break
+		}
+	}
+	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 2}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	propose(ModeDelta)
+
+	// An adopting Reoptimize counts its own moves.
+	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 1}); err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	m0 := moves.Value()
+	res, err := eng.Reoptimize(ctx)
+	if err != nil {
+		t.Fatalf("reoptimize: %v", err)
+	}
+	if got := moves.Value(); got != m0+float64(res.Moves) {
+		t.Fatalf("moves counter %v after Reoptimize, want %v + %d", got, m0, res.Moves)
 	}
 }

@@ -378,6 +378,41 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadTraceTrailingData: a trace file holds one trace. Whitespace
+// after it is fine; garbage or a second trace is an error that says so.
+func TestReadTraceTrailingData(t *testing.T) {
+	c, err := workload.Generate(workload.TrainingPresets()[2])
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	tr, err := NewTrace(snapshot.FromCluster(c.Problem, c.Original), 1, "T3", [][]Event{{ScaleService{Service: 0, Replicas: 3}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	body := buf.String() // WriteTrace ends the trace with a newline
+	for _, tc := range []struct {
+		name, data string
+		ok         bool
+	}{
+		{"trailing newline", body, true},
+		{"trailing whitespace", body + " \t\r\n", true},
+		{"garbage", body + "trailing-garbage", false},
+		{"second trace", body + body, false},
+	} {
+		_, err := ReadTrace(strings.NewReader(tc.data))
+		if tc.ok && err != nil {
+			t.Errorf("%s: rejected: %v", tc.name, err)
+		}
+		if !tc.ok && (err == nil || !strings.Contains(err.Error(), "trailing data")) {
+			t.Errorf("%s: error %v, want a trailing-data error", tc.name, err)
+		}
+	}
+}
+
 // TestStripSurplusMatchesOneAtATime checks the bulk scale-down strip
 // against its definition — evict one container at a time from the
 // machine hosting the most, ties to the lowest index — on random

@@ -1,6 +1,7 @@
 package lifetime
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -206,12 +207,21 @@ func WriteTrace(w io.Writer, t *Trace) error {
 	return enc.Encode(t)
 }
 
-// ReadTrace parses a lifetime trace and checks its schema version.
+// ReadTrace parses a lifetime trace and checks its schema version. The
+// input holds exactly one trace: anything but whitespace after it is an
+// error.
 func ReadTrace(r io.Reader) (*Trace, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("lifetime: read trace: %w", err)
+	}
 	var t Trace
-	dec := json.NewDecoder(r)
+	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("lifetime: parse trace: %w", err)
+	}
+	if end := dec.InputOffset(); len(bytes.TrimLeft(data[end:], " \t\r\n")) > 0 {
+		return nil, fmt.Errorf("lifetime: trailing data after the trace at byte %d", end)
 	}
 	if t.Version != TraceVersion {
 		return nil, fmt.Errorf("lifetime: unsupported trace version %q (want %q)", t.Version, TraceVersion)

@@ -22,6 +22,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/cloudsched/rasa/internal/cluster"
 )
@@ -92,6 +93,9 @@ var ErrStalled = errors.New("migrate: no progress possible under SLA and resourc
 // stops the planning loop between iterations; the partial plan built so
 // far is returned alongside the context's error (every prefix of a plan
 // is safe to execute, so callers may run or discard it).
+//
+// The cost follows the placements of the two assignments and the work
+// pending per machine, not the n·m cells of the mapping.
 func Compute(ctx context.Context, p *cluster.Problem, from, to *cluster.Assignment, opts Options) (*Plan, error) {
 	if opts.MinAlive <= 0 {
 		opts.MinAlive = 0.75
@@ -105,30 +109,26 @@ func Compute(ctx context.Context, p *cluster.Problem, from, to *cluster.Assignme
 	}
 
 	cur := from.Clone()
-	// Pending work per (machine, service).
-	toDelete := make([]map[int]int, m) // [machine][service] -> count
-	toCreate := make([]map[int]int, m)
+	// Pending work per (machine, service). Both walks visit services in
+	// ascending order, so every machine's list comes out sorted.
+	toDelete := make(work, m)
+	toCreate := make(work, m)
 	var totalMoves int
-	for mi := 0; mi < m; mi++ {
-		toDelete[mi] = make(map[int]int)
-		toCreate[mi] = make(map[int]int)
-	}
 	createTotal := make([]int, n)
 	deleteTotal := make([]int, n)
-	for s := 0; s < n; s++ {
-		for mi := 0; mi < m; mi++ {
-			f, t := from.Get(s, mi), to.Get(s, mi)
-			switch {
-			case f > t:
-				toDelete[mi][s] = f - t
-				totalMoves += f - t
-				deleteTotal[s] += f - t
-			case t > f:
-				toCreate[mi][s] = t - f
-				createTotal[s] += t - f
-			}
+	from.EachPlacement(func(s, mi, f int) {
+		if d := f - to.Get(s, mi); d > 0 {
+			toDelete[mi] = append(toDelete[mi], pending{s, d})
+			totalMoves += d
+			deleteTotal[s] += d
 		}
-	}
+	})
+	to.EachPlacement(func(s, mi, t int) {
+		if d := t - from.Get(s, mi); d > 0 {
+			toCreate[mi] = append(toCreate[mi], pending{s, d})
+			createTotal[s] += d
+		}
+	})
 
 	alive := make([]int, n) // currently running containers per service
 	minAlive := make([]int, n)
@@ -185,68 +185,62 @@ func Compute(ctx context.Context, p *cluster.Problem, from, to *cluster.Assignme
 		if err := ctx.Err(); err != nil {
 			return plan, err
 		}
-		// SelectDelete: one container per machine, lowest offline ratio,
+		// SelectDelete: one container per machine, lowest offline ratio
+		// (ties to the lowest service index: the list is in service
+		// order and only a strictly lower ratio replaces the pick),
 		// respecting the SLA floor. Selections apply to the working state
 		// immediately so that parallel deletions of the same service
 		// within the step cannot jointly breach the floor.
 		var delStep Step
 		for mi := 0; mi < m; mi++ {
 			best := -1
-			for s := range toDelete[mi] {
-				if toDelete[mi][s] <= 0 {
+			for k, w := range toDelete[mi] {
+				if alive[w.svc]-1 < minAlive[w.svc] {
 					continue
 				}
-				if alive[s]-1 < minAlive[s] {
-					continue
-				}
-				if best < 0 || offline(s) < offline(best) || (offline(s) == offline(best) && s < best) {
-					best = s
+				if best < 0 || offline(w.svc) < offline(toDelete[mi][best].svc) {
+					best = k
 				}
 			}
 			if best < 0 {
 				continue
 			}
-			delStep = append(delStep, Command{Op: Delete, Service: best, Machine: mi})
-			toDelete[mi][best]--
-			if toDelete[mi][best] == 0 {
-				delete(toDelete[mi], best)
-			}
-			cur.Add(best, mi, -1)
-			alive[best]--
-			deletedNotCreated[best]++
-			used[mi] = used[mi].Sub(p.Services[best].Request)
+			s := toDelete.take(mi, best)
+			delStep = append(delStep, Command{Op: Delete, Service: s, Machine: mi})
+			cur.Add(s, mi, -1)
+			alive[s]--
+			deletedNotCreated[s]++
+			used[mi] = used[mi].Sub(p.Services[s].Request)
 		}
 
 		// SelectCreate: one container per machine, highest offline ratio
-		// among deleted-but-not-recreated services that fit. Selections
-		// again apply immediately so the deleted-not-recreated budget is
-		// not over-committed across machines within the step.
+		// (ties again to the lowest service index) among
+		// deleted-but-not-recreated services that fit. Selections again
+		// apply immediately so the deleted-not-recreated budget is not
+		// over-committed across machines within the step.
 		var createStep Step
 		for mi := 0; mi < m; mi++ {
 			best := -1
-			for s := range toCreate[mi] {
-				if toCreate[mi][s] <= 0 || deletedNotCreated[s] <= 0 {
+			for k, w := range toCreate[mi] {
+				if deletedNotCreated[w.svc] <= 0 {
 					continue
 				}
-				if !used[mi].Add(p.Services[s].Request).Fits(p.Machines[mi].Capacity) {
+				if !used[mi].Add(p.Services[w.svc].Request).Fits(p.Machines[mi].Capacity) {
 					continue
 				}
-				if best < 0 || offline(s) > offline(best) || (offline(s) == offline(best) && s < best) {
-					best = s
+				if best < 0 || offline(w.svc) > offline(toCreate[mi][best].svc) {
+					best = k
 				}
 			}
 			if best < 0 {
 				continue
 			}
-			createStep = append(createStep, Command{Op: Create, Service: best, Machine: mi})
-			toCreate[mi][best]--
-			if toCreate[mi][best] == 0 {
-				delete(toCreate[mi], best)
-			}
-			cur.Add(best, mi, 1)
-			alive[best]++
-			deletedNotCreated[best]--
-			used[mi] = used[mi].Add(p.Services[best].Request)
+			s := toCreate.take(mi, best)
+			createStep = append(createStep, Command{Op: Create, Service: s, Machine: mi})
+			cur.Add(s, mi, 1)
+			alive[s]++
+			deletedNotCreated[s]--
+			used[mi] = used[mi].Add(p.Services[s].Request)
 		}
 
 		if len(delStep) > 0 {
@@ -256,7 +250,7 @@ func Compute(ctx context.Context, p *cluster.Problem, from, to *cluster.Assignme
 			plan.Steps = append(plan.Steps, createStep)
 		}
 		if len(delStep) == 0 && len(createStep) == 0 {
-			if donePending(toDelete) && donePending(toCreate) {
+			if toDelete.done() && toCreate.done() {
 				return plan, nil
 			}
 			// Resource-ordering deadlock: relocate a victim container
@@ -275,11 +269,45 @@ func Compute(ctx context.Context, p *cluster.Problem, from, to *cluster.Assignme
 			}
 			return plan, ErrStalled
 		}
-		if donePending(toDelete) && donePending(toCreate) {
+		if toDelete.done() && toCreate.done() {
 			return plan, nil
 		}
 	}
 	return plan, ErrStalled
+}
+
+// pending is the outstanding work of one service on one machine: n
+// containers still to delete there, or to create.
+type pending struct{ svc, n int }
+
+// work lists each machine's pending work in ascending service order,
+// holding only entries with n > 0.
+type work [][]pending
+
+// take uses up one container of machine mi's k-th entry and returns its
+// service.
+func (w work) take(mi, k int) int {
+	e := &w[mi][k]
+	s := e.svc
+	if e.n--; e.n == 0 {
+		w[mi] = slices.Delete(w[mi], k, k+1)
+	}
+	return s
+}
+
+// find returns the index of service s in machine mi's list, or where it
+// would go, and whether it is there.
+func (w work) find(mi, s int) (int, bool) {
+	return slices.BinarySearchFunc(w[mi], s, func(e pending, s int) int { return e.svc - s })
+}
+
+func (w work) done() bool {
+	for _, l := range w {
+		if len(l) > 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // relocateVictim breaks a capacity deadlock: it finds a machine whose
@@ -290,14 +318,14 @@ func relocateVictim(
 	p *cluster.Problem,
 	cur *cluster.Assignment,
 	used []cluster.Resources,
-	toDelete, toCreate []map[int]int,
+	toDelete, toCreate work,
 	alive, minAlive, deletedNotCreated []int,
 ) (Command, bool) {
 	m := p.M()
 	for mi := 0; mi < m; mi++ {
 		blocked := false
-		for s, cnt := range toCreate[mi] {
-			if cnt > 0 && deletedNotCreated[s] > 0 {
+		for _, w := range toCreate[mi] {
+			if deletedNotCreated[w.svc] > 0 {
 				blocked = true
 				break
 			}
@@ -329,15 +357,14 @@ func relocateVictim(
 				continue
 			}
 			// Execute the delete; queue the re-creation on the target.
-			if toDelete[mi][v] > 0 {
-				toDelete[mi][v]--
-				if toDelete[mi][v] == 0 {
-					delete(toDelete[mi], v)
-				}
-			} else {
+			if k, ok := toDelete.find(mi, v); ok {
+				toDelete.take(mi, k)
+			} else if k, ok := toCreate.find(target, v); ok {
 				// Not a planned migration: the victim will be recreated
 				// on the chosen machine instead of where `to` had it.
-				toCreate[target][v]++
+				toCreate[target][k].n++
+			} else {
+				toCreate[target] = slices.Insert(toCreate[target], k, pending{v, 1})
 			}
 			cur.Add(v, mi, -1)
 			alive[v]--
@@ -347,15 +374,6 @@ func relocateVictim(
 		}
 	}
 	return Command{}, false
-}
-
-func donePending(pending []map[int]int) bool {
-	for _, m := range pending {
-		if len(m) > 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // Simulate replays a plan from the given starting assignment, verifying

@@ -303,3 +303,42 @@ func TestListJobs(t *testing.T) {
 		t.Fatalf("listing: %+v", out.Jobs)
 	}
 }
+
+// TestResponsesAreCompact: every answer is one line of compact JSON —
+// a submit acknowledgement, a finished job's result and an error
+// envelope alike.
+func TestResponsesAreCompact(t *testing.T) {
+	_, ts := startServer(t, Config{Workers: 1, DefaultBudget: 200 * time.Millisecond})
+	call := func(method, path string, body []byte) []byte {
+		t.Helper()
+		req, err := http.NewRequest(method, ts.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, raw); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		if want := compact.String() + "\n"; string(raw) != want {
+			t.Fatalf("%s %s answered %q, want the compact %q", method, path, raw, want)
+		}
+		return raw
+	}
+	var ack struct{ ID string }
+	if err := json.Unmarshal(call("POST", "/v1/jobs", testSnapshot(t, 3)), &ack); err != nil || ack.ID == "" {
+		t.Fatalf("submit: id %q, %v", ack.ID, err)
+	}
+	if raw := call("GET", "/v1/jobs/"+ack.ID+"?wait=30s", nil); !bytes.Contains(raw, []byte(`"assignment":[{`)) {
+		t.Fatalf("finished job has no assignment: %s", raw)
+	}
+	call("GET", "/v1/jobs/nope", nil)
+}

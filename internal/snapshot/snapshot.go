@@ -3,9 +3,16 @@
 // the interchange format of the data-collector component (Section
 // III-A): cmd/rasagen writes snapshots, cmd/rasad and user tooling read
 // them.
+//
+// Decoding reads the canonical form json.Marshal gives a Snapshot in
+// one pass without reflection and leaves every other input to
+// encoding/json (see UnmarshalJSON), so any valid JSON snapshot decodes
+// exactly as before, and input encoding/json rejects is still rejected.
+// Read and Load take one snapshot per input and reject trailing data.
 package snapshot
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -288,7 +295,7 @@ func LoadLimited(r io.Reader, maxBytes int64) (*cluster.Problem, *cluster.Assign
 		maxBytes = DefaultMaxBytes
 	}
 	// One byte of slack distinguishes "exactly at the limit" from
-	// "truncated by it": if the decoder consumed past the cap, the
+	// "truncated by it": if Read consumed past the cap, the
 	// input was too large regardless of whether the prefix happened to
 	// parse.
 	lr := &io.LimitedReader{R: r, N: maxBytes + 1}
@@ -309,11 +316,24 @@ func Write(w io.Writer, s *Snapshot) error {
 	return enc.Encode(s)
 }
 
-// Read decodes a snapshot.
+// Read decodes a snapshot. The input holds exactly one: anything but
+// whitespace after it is an error.
 func Read(r io.Reader) (*Snapshot, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: read: %w", err)
+	}
+	var d decoder
+	if s, ok := d.whole(data); ok {
+		return &s, nil
+	}
 	var s Snapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("snapshot: decode: %w", err)
+	}
+	if end := dec.InputOffset(); len(bytes.TrimLeft(data[end:], " \t\r\n")) > 0 {
+		return nil, fmt.Errorf("snapshot: trailing data after the snapshot at byte %d", end)
 	}
 	return &s, nil
 }
