@@ -55,6 +55,14 @@ type Result struct {
 
 const rcEps = 1e-7
 
+// roundShare is the integer master's optimality gap as a share of the
+// cluster's total affinity: 0.01% per subproblem.
+const roundShare = 1e-4
+
+// solveIntegerMaster solves the rounding MIP; a test swaps it to watch
+// the options rounding runs under.
+var solveIntegerMaster = mip.Solve
+
 // pattern is a generated column.
 type pattern struct {
 	counts []int   // per local service
@@ -71,7 +79,15 @@ type state struct {
 	// loopDeadline bounds the master/pricing loop; the gap to
 	// opts.Deadline is reserved for the final rounding step so a
 	// non-converging pricing loop cannot starve Round of budget.
-	loopDeadline time.Time
+	// roundReserve is that gap, and roundDeadline caps the rounding MIP
+	// at the reserve past its start: rounding gets the reserve, and no
+	// more, so a subproblem that converged early hands the rest of the
+	// budget back to its batch. All three are zero without a deadline.
+	loopDeadline  time.Time
+	roundReserve  time.Duration
+	roundDeadline time.Time
+	// roundGap is the integer master's mip.Options.Gap (see Solve).
+	roundGap float64
 
 	edges []edge // local affinity edges
 	bonus float64
@@ -164,9 +180,21 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, e
 	}
 	st.seedPatterns()
 
+	// The integer master stops within roundShare of the cluster's total
+	// affinity. mip's slack is Gap·max(1, |obj|), and no mix of patterns
+	// is worth more than the local weight plus the placement bonus, so
+	// this Gap never allows more than that slack, and allows exactly it
+	// when that bound is at most 1, as on a normalized cluster. Scaling
+	// the objective instead would move the simplex's ties and with them
+	// the schedule. Zero (no affinity) keeps mip's default.
+	st.roundGap = roundShare * sp.P.Affinity.TotalWeight() / math.Max(1, totalW+st.bonus*float64(sp.TotalContainers()))
+
 	// Reserve ~30% of the remaining budget for the rounding step.
 	if !opts.Deadline.IsZero() {
-		st.loopDeadline = time.Now().Add(time.Until(opts.Deadline) * 7 / 10)
+		now := time.Now()
+		remaining := opts.Deadline.Sub(now)
+		st.loopDeadline = now.Add(remaining * 7 / 10)
+		st.roundReserve = remaining - remaining*7/10
 	}
 
 	// Degenerate master duals can price "new" patterns forever without
@@ -216,6 +244,12 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, opts Options) (Result, e
 		stop = cause
 	}
 	roundStart := time.Now()
+	if !opts.Deadline.IsZero() {
+		st.roundDeadline = opts.Deadline
+		if capped := roundStart.Add(st.roundReserve); capped.Before(st.roundDeadline) {
+			st.roundDeadline = capped
+		}
+	}
 	placements := st.round()
 	st.stats.RoundingTime += time.Since(roundStart)
 	obj := evaluate(sp, placements)
@@ -457,7 +491,7 @@ func (st *state) solveMaster(integral bool) (lp.Solution, bool) {
 	for i := range ip.Integer {
 		ip.Integer[i] = true
 	}
-	msol, err := mip.Solve(st.ctx, &ip, mip.Options{Deadline: st.opts.Deadline, MaxNodes: 4096})
+	msol, err := solveIntegerMaster(st.ctx, &ip, mip.Options{Deadline: st.roundDeadline, Gap: st.roundGap, MaxNodes: 4096})
 	st.stats.Merge(msol.Stats)
 	if err != nil || msol.X == nil {
 		return lp.Solution{}, false

@@ -78,8 +78,14 @@ func (a *Assignment) MachinesOf(s int) []int {
 // EachPlacement calls fn(s, m, count) for every non-zero entry, in
 // deterministic (service, machine) order.
 func (a *Assignment) EachPlacement(fn func(s, m, count int)) {
+	var ms []int // one buffer for every service's sorted machines
 	for s := 0; s < a.N; s++ {
-		for _, m := range a.MachinesOf(s) {
+		ms = ms[:0]
+		for m := range a.counts[s] {
+			ms = append(ms, m)
+		}
+		sort.Ints(ms)
+		for _, m := range ms {
 			fn(s, m, a.counts[s][m])
 		}
 	}
@@ -310,15 +316,11 @@ func MoveCount(a, b *Assignment) int {
 	}
 	var moves int
 	for s := 0; s < a.N; s++ {
-		seen := make(map[int]bool)
 		for m, v := range a.counts[s] {
-			nv := b.Get(s, m)
-			if v > nv {
+			if nv := b.Get(s, m); v > nv {
 				moves += v - nv
 			}
-			seen[m] = true
 		}
-		_ = seen
 	}
 	return moves
 }

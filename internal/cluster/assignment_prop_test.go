@@ -144,3 +144,46 @@ func TestCheckCatchesAntiAffinityAdd(t *testing.T) {
 		t.Fatal("anti-affinity breach from a single Add went unflagged")
 	}
 }
+
+// TestEachPlacementOrder: EachPlacement visits exactly the non-zero
+// cells, in (service, machine) order, with their counts, and after the
+// first services grow its buffer it allocates nothing per service.
+func TestEachPlacementOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 50; trial++ {
+		n, m := 1+rng.Intn(12), 1+rng.Intn(30)
+		totals := make([]int, n)
+		for s := range totals {
+			totals[s] = rng.Intn(40)
+		}
+		a := randomAssignment(rng, totals, m)
+		var want, got [][3]int
+		for s := 0; s < n; s++ {
+			for mi := 0; mi < m; mi++ {
+				if c := a.Get(s, mi); c > 0 {
+					want = append(want, [3]int{s, mi, c})
+				}
+			}
+		}
+		a.EachPlacement(func(s, mi, c int) { got = append(got, [3]int{s, mi, c}) })
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d visits, want %d", trial, len(got), len(want))
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("trial %d: visit %d is %v, want %v", trial, k, got[k], want[k])
+			}
+		}
+	}
+	allocs := func(n int) float64 {
+		totals := make([]int, n)
+		for s := range totals {
+			totals[s] = 30
+		}
+		a := randomAssignment(rng, totals, 40)
+		return testing.AllocsPerRun(20, func() { a.EachPlacement(func(int, int, int) {}) })
+	}
+	if few, many := allocs(8), allocs(64); many > few {
+		t.Fatalf("EachPlacement allocated %.0f times over 8 services, %.0f over 64", few, many)
+	}
+}

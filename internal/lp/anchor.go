@@ -79,9 +79,13 @@ func (w *Workspace) Anchor() bool {
 //
 // ok=false means the caller must use SolveFrom: there is no anchor, or
 // from does not fit it (another shape, singular on the anchor, or not
-// dual feasible there). No pivot is counted when ok=false.
+// dual feasible there), and no pivot is counted. Or the dual repair ran
+// into its stall backstop (dualRepairLimit): the returned Stats hold the
+// pivots it spent, and a SolveFrom from the same basis that follows
+// solves the node cold rather than repeat the repair.
 func (w *Workspace) SolveNode(ctx context.Context, opts Options, lo, up []float64, from *Basis) (Solution, bool) {
 	start := time.Now()
+	w.stalled = nil
 	an := &w.anc
 	if !an.ok || len(lo) != an.nStruc || len(up) != an.nStruc {
 		return w.decline()
@@ -112,7 +116,11 @@ func (w *Workspace) SolveNode(ctx context.Context, opts Options, lo, up []float6
 	w.setBounds(lo, up, from.upper)
 	sol, ok := w.reoptimize(ctx, opts, &stats, true)
 	if !ok {
-		return w.decline()
+		if stats.SimplexIters == 0 {
+			return w.decline()
+		}
+		w.live, w.stalled = false, from
+		return Solution{Status: IterLimit, Stats: stats}, false
 	}
 	return w.finishNode(sol, stats, start)
 }

@@ -114,9 +114,10 @@ func rowForm(root *Problem, lo, up []float64) *Problem {
 // chainStats counts what one anchored root's chains exercised. solves
 // and anchored cover every parent basis whose layout is the anchor's;
 // relaid counts SolveFrom captures whose layout is not. live counts the
-// anchored solves that rebased from the live tableau.
+// anchored solves that rebased from the live tableau, stalled the node
+// solves whose dual repair gave up at its backstop.
 type chainStats struct {
-	solves, anchored, live, infeasible, crossed, relaid int
+	solves, anchored, live, infeasible, crossed, relaid, stalled int
 }
 
 func (cs *chainStats) add(o chainStats) {
@@ -126,6 +127,7 @@ func (cs *chainStats) add(o chainStats) {
 	cs.infeasible += o.infeasible
 	cs.crossed += o.crossed
 	cs.relaid += o.relaid
+	cs.stalled += o.stalled
 }
 
 // senseFlipped reports whether some row of p changes its normalized
@@ -260,8 +262,23 @@ func checkAnchoredChain(t *testing.T, rng *rand.Rand) chainStats {
 				// X and Duals are the workspace's buffers until its next
 				// solve.
 				sol.X, sol.Duals = slices.Clone(sol.X), slices.Clone(sol.Duals)
-			} else if sol, err = wn.SolveFrom(ctx, child, Options{}, from); err != nil {
-				t.Fatal(err)
+			} else {
+				spent := sol.Stats.SimplexIters
+				if sol, err = wn.SolveFrom(ctx, child, Options{}, from); err != nil {
+					t.Fatal(err)
+				}
+				if spent > 0 {
+					// The dual repair gave up at its backstop, and the
+					// SolveFrom that followed solved cold rather than
+					// repeat it from the same basis.
+					if limit := dualRepairLimit(wn.anc.m, wn.anc.n); spent > limit {
+						t.Fatalf("depth %d: declined after %d repair pivots, backstop %d", c.depth, spent, limit)
+					}
+					if sol.Stats.WarmPivots != 0 || sol.Stats.BasisPivots != 0 {
+						t.Fatalf("depth %d: SolveFrom repeated a stalled warm start (%d warm, %d basis pivots)", c.depth, sol.Stats.WarmPivots, sol.Stats.BasisPivots)
+					}
+					cs.stalled++
+				}
 			}
 			runs = append(runs, run{"node", sol, wn.CaptureBasis(nil)})
 			sol, err = wf.SolveFrom(ctx, child, Options{}, from)
@@ -328,6 +345,44 @@ func TestAnchoredNodeMatchesRebuild(t *testing.T) {
 // `go test` runs the seed corpus, `go test -fuzz=FuzzAnchoredNode`
 // explores.
 func FuzzAnchoredNode(f *testing.F) {
+	for _, s := range []int64{1, 7, 20, 42, 1234, -9} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		checkAnchoredChain(t, rand.New(rand.NewSource(seed)))
+	})
+}
+
+// forceDualRepairLimit sets the dual repair's stall backstop to k
+// pivots until the returned function restores it.
+func forceDualRepairLimit(k int) (restore func()) {
+	old := dualRepairLimit
+	dualRepairLimit = func(int, int) int { return k }
+	return func() { dualRepairLimit = old }
+}
+
+// TestAnchoredNodeBackstop runs the anchored-node property with the
+// dual repair's backstop at one pivot, so every node whose repair needs
+// more gives the warm start up: SolveNode declines with the pivots it
+// spent, and the node solved cold, as well as SolveFrom's own cold
+// fallback from the same basis, must match the cold solves.
+func TestAnchoredNodeBackstop(t *testing.T) {
+	defer forceDualRepairLimit(1)()
+	rng := rand.New(rand.NewSource(29))
+	var total chainStats
+	for trial := 0; trial < 200; trial++ {
+		total.add(checkAnchoredChain(t, rng))
+	}
+	t.Logf("%d node solves, %d anchored, %d stalled", total.solves, total.anchored, total.stalled)
+	if total.stalled < total.solves/20 {
+		t.Fatalf("only %d of %d node solves reached the backstop", total.stalled, total.solves)
+	}
+}
+
+// FuzzAnchoredNodeBackstop is TestAnchoredNodeBackstop as a fuzz
+// target.
+func FuzzAnchoredNodeBackstop(f *testing.F) {
+	defer forceDualRepairLimit(1)()
 	for _, s := range []int64{1, 7, 20, 42, 1234, -9} {
 		f.Add(s)
 	}

@@ -85,6 +85,11 @@ type Workspace struct {
 	live, fromLive bool
 	// xOut and dualOut back the X and Duals of SolveNode's solutions.
 	xOut, dualOut []float64
+	// stalled is the basis the last SolveNode's dual repair gave up on
+	// at its backstop, nil if it did not; the solve that follows clears
+	// it, and a SolveFrom from that basis solves cold instead of
+	// repeating the repair.
+	stalled *Basis
 }
 
 // Basis is a snapshot of the simplex basis of a solved tableau, the
@@ -124,7 +129,7 @@ func (w *Workspace) Release() {
 	if w.retainedFloats() > maxPooledFloats {
 		*w = Workspace{}
 	}
-	w.anc.ok, w.live = false, false
+	w.anc.ok, w.live, w.stalled = false, false, nil
 	wsPool.Put(w)
 }
 
@@ -219,7 +224,9 @@ func (w *Workspace) Solve(ctx context.Context, p *Problem, opts Options) (Soluti
 // cold solve, so SolveFrom never returns worse answers than Solve —
 // warm starts are purely an optimization. Pivots performed on the warm
 // path are counted in Stats.WarmPivots (cold-path pivots, including
-// fallbacks, in Stats.ColdPivots).
+// fallbacks, in Stats.ColdPivots). Right after a SolveNode whose dual
+// repair gave up on from at its stall backstop, SolveFrom from the same
+// basis solves cold.
 func (w *Workspace) SolveFrom(ctx context.Context, p *Problem, opts Options, from *Basis) (Solution, error) {
 	return w.solveImpl(ctx, p, opts, from)
 }
@@ -227,6 +234,10 @@ func (w *Workspace) SolveFrom(ctx context.Context, p *Problem, opts Options, fro
 func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, from *Basis) (Solution, error) {
 	start := time.Now()
 	w.live = false // whatever follows, the tableau is not the anchored problem's
+	if from == w.stalled {
+		from = nil // the repair from it just stalled: do not repeat it
+	}
+	w.stalled = nil
 	if err := validate(p); err != nil {
 		return Solution{}, err
 	}
@@ -255,8 +266,9 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 		if sol, ok := w.solveWarm(ctx, p, opts, from, &stats); ok {
 			return finish(sol)
 		}
-		// Basis unusable (layout drift, singular, or infeasible start):
-		// fall through to the cold path below.
+		// Basis unusable (layout drift, singular, or infeasible start),
+		// or its dual repair stalled: fall through to the cold path
+		// below, on the pivot budget the repair left.
 	}
 
 	w.trackPhase1 = true
@@ -504,12 +516,25 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 	return w.reoptimize(ctx, opts, stats, false)
 }
 
+var (
+	// dualRepairLimit is the stall backstop of a warm dual repair on an
+	// m×n tableau. A parent's basis sits a few pivots from its child's
+	// optimum; a repair that runs past this many is cycling through
+	// degenerate ties, so the warm start gives up and the caller solves
+	// cold. A test shrinks it to drive every repair into the fallback.
+	dualRepairLimit = func(m, n int) int { return 2 * (m + n) }
+	// dualRepaired, when set, sees the pivots and the limit of every
+	// dual repair; tests watch the backstop with it.
+	dualRepaired func(pivots, limit int)
+)
+
 // reoptimize finishes a warm solve from a canonical tableau whose
 // basis came from a related problem: dual simplex repair when the basis
 // is primal infeasible (a tightened bound), then primal polish.
-// ok=false means the basis is not dual feasible either (or keeps an
-// artificial away from 0), so neither simplex applies and the caller
-// must take a colder path; no pivot has been spent in that case. buf
+// ok=false means the caller must take a colder path: the basis is not
+// dual feasible either (or keeps an artificial away from 0), so neither
+// simplex applies and no pivot has been spent; or the dual repair ran
+// into dualRepairLimit, and stats holds the pivots it spent. buf
 // selects extract's output buffers.
 func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats, buf bool) (Solution, bool) {
 	// MaxIter is a total budget: the dual repair and the primal polish
@@ -546,11 +571,20 @@ func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.S
 				return Solution{}, false
 			}
 		}
-		st, cause := w.dualIterate(ctx, maxIter-stats.SimplexIters, opts.Deadline, stats)
+		budget := maxIter - stats.SimplexIters
+		limit := dualRepairLimit(w.m, w.n)
+		before := stats.SimplexIters
+		st, cause := w.dualIterate(ctx, min(limit, budget), opts.Deadline, stats)
+		if dualRepaired != nil {
+			dualRepaired(stats.SimplexIters-before, limit)
+		}
 		switch st {
 		case Infeasible:
 			return Solution{Status: Infeasible}, true
 		case IterLimit:
+			if cause == solve.NodeLimit && limit < budget {
+				return Solution{}, false // stalled: give up the warm start
+			}
 			// Interrupted before regaining feasibility: no basic feasible
 			// point to report.
 			stats.Stop = cause

@@ -186,8 +186,12 @@ type solver struct {
 	incumbent    []float64
 	incumbentObj float64
 	haveInc      bool
-	nodes        int
-	stats        solve.Stats
+	// unsolved is the highest bound of a node whose LP stopped short of
+	// its optimum (pivot limit or interruption): its subtree was never
+	// searched, so the final bound keeps it. -inf when there is none.
+	unsolved float64
+	nodes    int
+	stats    solve.Stats
 	// rootBasis is the root relaxation's optimal basis, surfaced on the
 	// Solution for cross-solve warm starting.
 	rootBasis *lp.Basis
@@ -285,6 +289,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		opts:         opts,
 		ws:           lp.AcquireWorkspace(),
 		incumbentObj: math.Inf(-1),
+		unsolved:     math.Inf(-1),
 	}
 	s.nodeLP = lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: s.lo, Upper: s.up}
 	for j := 0; j < n; j++ {
@@ -309,7 +314,8 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 // later node is re-optimized from it (lp.Workspace.SolveNode), rebased
 // onto the parent's captured basis: the node's problem is the parent's
 // with one bound tightened, the dual-simplex sweet spot. A node the
-// anchored path declines is solved by a warm SolveFrom. On an optimal
+// anchored path declines is solved by a warm SolveFrom, which goes
+// cold when the decline was a stalled dual repair. On an optimal
 // solve the node's own basis is captured for its future children
 // before the shared workspace moves on to the next node. A node's X and
 // Duals are the workspace's buffers, valid until the next solve.
@@ -327,6 +333,7 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 		// n.parent.basis is nil when the parent's LP didn't reach
 		// optimality: SolveNode declines and SolveFrom solves cold.
 		if sol, ok = s.ws.SolveNode(s.ctx, opts, s.lo, s.up, n.parent.basis); !ok {
+			s.stats.Merge(sol.Stats) // a stalled dual repair's pivots
 			sol, err = s.ws.SolveFrom(s.ctx, &s.nodeLP, opts, n.parent.basis)
 		}
 	}
@@ -601,7 +608,13 @@ func (s *solver) run() (Solution, error) {
 		if sol.Status == lp.Infeasible || sol.Status == lp.Unbounded {
 			continue
 		}
-		if sol.Status == lp.IterLimit && sol.X == nil {
+		if sol.Status == lp.IterLimit {
+			// Not solved: the node keeps its parent's bound. A point the
+			// LP reached is still a candidate incumbent.
+			s.unsolved = math.Max(s.unsolved, n.bound)
+			if sol.X != nil && s.isIntegral(sol.X) {
+				s.tryIncumbent(sol.X, sol.Objective)
+			}
 			continue
 		}
 		n.bound = sol.Objective
@@ -611,9 +624,9 @@ func (s *solver) run() (Solution, error) {
 		s.processLP(n, sol, open)
 	}
 
-	bound := math.Inf(-1)
+	bound := s.unsolved
 	if s.haveInc {
-		bound = s.incumbentObj
+		bound = math.Max(bound, s.incumbentObj)
 	}
 	for _, n := range *open {
 		if n.bound > bound {
@@ -623,7 +636,7 @@ func (s *solver) run() (Solution, error) {
 	out := Solution{Nodes: s.nodes, Bound: bound}
 	s.stats.Stop = stop
 	switch {
-	case s.haveInc && (open.Len() == 0 || bound <= s.incumbentObj+s.gapSlack()):
+	case s.haveInc && bound <= s.incumbentObj+s.gapSlack():
 		out.Status = Optimal
 		out.X = s.incumbent
 		out.Objective = s.incumbentObj
@@ -633,7 +646,7 @@ func (s *solver) run() (Solution, error) {
 		out.Status = Feasible
 		out.X = s.incumbent
 		out.Objective = s.incumbentObj
-	case open.Len() == 0:
+	case open.Len() == 0 && math.IsInf(s.unsolved, -1):
 		out.Status = Infeasible
 		out.Bound = math.Inf(-1)
 		s.stats.Stop = solve.None

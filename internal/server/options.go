@@ -116,8 +116,12 @@ func (s *Server) readSnapshotRequest(w http.ResponseWriter, r *http.Request) (*s
 // key than "options", so a field the API no longer reads fails loudly
 // instead of silently taking its default. Any other body is read as a
 // bare snapshot (rasagen output piped straight in), with every option
-// at its default.
+// at its default. The bodies clients send take decodeCommon; the rest,
+// errors included, go through encoding/json below.
 func decodeSnapshotRequest(raw []byte) (*snapshot.Snapshot, *optionsJSON, error) {
+	if snap, o, ok := decodeCommon(raw); ok {
+		return snap, o, nil
+	}
 	var req struct {
 		Snapshot *snapshot.Snapshot `json:"snapshot"`
 		Options  *optionsJSON       `json:"options"`
@@ -139,6 +143,154 @@ func decodeSnapshotRequest(raw []byte) (*snapshot.Snapshot, *optionsJSON, error)
 		return nil, nil, fmt.Errorf(`unknown top-level field %q: a wrapped request carries only "snapshot" and "options"`, key)
 	}
 	return req.Snapshot, req.Options, nil
+}
+
+// decodeCommon reads the bodies clients send: a wrapped object with a
+// non-null "snapshot" and at most an "options" beside it, or a bare
+// snapshot with neither key. The snapshot's bytes go straight to
+// Snapshot.UnmarshalJSON, so encoding/json's validity scan never walks
+// the multi-megabyte body first, and a bare snapshot is decoded once.
+// ok=false, for any other body and on any decode error, leaves the
+// body to decodeSnapshotRequest's encoding/json path, whose values and
+// error texts this path matches wherever it succeeds.
+func decodeCommon(raw []byte) (*snapshot.Snapshot, *optionsJSON, bool) {
+	snapVal, optVal, other, ok := topLevel(raw)
+	if !ok {
+		return nil, nil, false
+	}
+	var snap snapshot.Snapshot
+	if snapVal == nil {
+		if optVal != nil || snap.UnmarshalJSON(raw) != nil || (snap.Version == 0 && len(snap.Services) == 0) {
+			return nil, nil, false
+		}
+		return &snap, nil, true
+	}
+	if other || string(snapVal) == "null" || snap.UnmarshalJSON(snapVal) != nil {
+		return nil, nil, false
+	}
+	var o *optionsJSON
+	if optVal != nil && json.Unmarshal(optVal, &o) != nil {
+		return nil, nil, false
+	}
+	return &snap, o, true
+}
+
+// topLevel splits the object raw holds into the values of its
+// "snapshot" and "options" keys and reports whether it has another
+// key. It checks the object's own punctuation only; each value's
+// decoder checks the value. ok=false when raw is not one object, or a
+// key is repeated, escaped, not printable ASCII, or a spelling of
+// "snapshot" or "options" that encoding/json would fold onto them.
+func topLevel(raw []byte) (snapVal, optVal []byte, other, ok bool) {
+	i := skipSpace(raw, 0)
+	if i == len(raw) || raw[i] != '{' {
+		return nil, nil, false, false
+	}
+	if i = skipSpace(raw, i+1); i < len(raw) && raw[i] == '}' {
+		return nil, nil, false, skipSpace(raw, i+1) == len(raw)
+	}
+	for {
+		if i == len(raw) || raw[i] != '"' {
+			return nil, nil, false, false
+		}
+		end := i + 1
+		for ; end < len(raw) && raw[end] != '"'; end++ {
+			if c := raw[end]; c == '\\' || c < 0x20 || c > 0x7e {
+				return nil, nil, false, false
+			}
+		}
+		if end == len(raw) {
+			return nil, nil, false, false
+		}
+		key := string(raw[i+1 : end])
+		if i = skipSpace(raw, end+1); i == len(raw) || raw[i] != ':' {
+			return nil, nil, false, false
+		}
+		start := skipSpace(raw, i+1)
+		if i = skipValue(raw, start); i < 0 {
+			return nil, nil, false, false
+		}
+		switch val := raw[start:i]; {
+		case key == "snapshot" && snapVal == nil:
+			snapVal = val
+		case key == "options" && optVal == nil:
+			optVal = val
+		case strings.EqualFold(key, "snapshot") || strings.EqualFold(key, "options"):
+			return nil, nil, false, false
+		default:
+			other = true
+		}
+		i = skipSpace(raw, i)
+		switch {
+		case i < len(raw) && raw[i] == ',':
+			i = skipSpace(raw, i+1)
+		case i < len(raw) && raw[i] == '}':
+			return snapVal, optVal, other, skipSpace(raw, i+1) == len(raw)
+		default:
+			return nil, nil, false, false
+		}
+	}
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(raw []byte, i int) int {
+	for i < len(raw) && strings.IndexByte(" \t\r\n", raw[i]) >= 0 {
+		i++
+	}
+	return i
+}
+
+// skipValue returns the end of the value that starts at raw[i], -1 if
+// none does. It follows strings and nesting only: a literal or number
+// runs to the next delimiter, and the value's decoder judges it.
+func skipValue(raw []byte, i int) int {
+	if i == len(raw) {
+		return -1
+	}
+	switch raw[i] {
+	case '"':
+		return skipString(raw, i)
+	case '{', '[':
+		depth := 0
+		for ; i < len(raw); i++ {
+			switch raw[i] {
+			case '"':
+				if i = skipString(raw, i) - 1; i < 0 {
+					return -1
+				}
+			case '{', '[':
+				depth++
+			case '}', ']':
+				if depth--; depth == 0 {
+					return i + 1
+				}
+			}
+		}
+		return -1
+	}
+	start := i
+	for i < len(raw) && strings.IndexByte(",}] \t\r\n", raw[i]) < 0 {
+		i++
+	}
+	if i == start {
+		return -1
+	}
+	return i
+}
+
+// skipString returns the end of the string that starts at raw[i], -1
+// if it does not end.
+func skipString(raw []byte, i int) int {
+	for i++; i < len(raw); i++ {
+		switch raw[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
 }
 
 // strayKey returns the first key of the top-level object in raw other
