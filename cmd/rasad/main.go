@@ -50,7 +50,7 @@ func main() {
 	workers := flag.Int("workers", 2, "concurrent optimization jobs with -serve")
 	queueDepth := flag.Int("queue", 64, "bounded job queue depth with -serve (overload returns 429)")
 	maxBudget := flag.Duration("max-budget", 60*time.Second, "upper clamp on per-job budgets with -serve")
-	shards := flag.Int("shards", fed.DefaultShards, "with -serve, the number of shard workers the /v1/cluster session hashes compatibility blocks onto (each proposes its blocks in turn)")
+	shards := flag.Int("shards", fed.DefaultShards, "with -serve, the number of shard workers the /v1/cluster session deals compatibility blocks onto round-robin, i.e. how many block proposals run at once (each worker proposes its blocks in turn)")
 	maxWait := flag.Duration("max-wait", 5*time.Minute, "upper clamp on ?wait= long-poll durations with -serve")
 	policy := flag.String("policy", "heuristic", "with -serve, default algorithm-selection policy (heuristic, cg, mip, race, or gcn — the online-trained selector)")
 	minConfidence := flag.Float64("min-confidence", 0.8, "with -serve -policy gcn, race CG-vs-MIP when the model's confidence falls below this (the race outcome retrains it)")

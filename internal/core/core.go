@@ -160,8 +160,7 @@ type Result struct {
 // tolerates failed deployments, but a target that places fewer
 // containers than currently run would force the migration to scale a
 // service down; keeping those containers in place is strictly better.
-// Exported for the incremental engine, whose delta solves merge through
-// the same pipeline outside Optimize.
+// Settle runs it on every merged target.
 func ReconcileSLA(p *cluster.Problem, current, next *cluster.Assignment) {
 	used := next.UsedResources(p)
 	antiUsed := make([][]int, len(p.AntiAffinity))
@@ -218,8 +217,7 @@ func ReconcileSLA(p *cluster.Problem, current, next *cluster.Assignment) {
 // services by evicting containers of unrestricted services (which can
 // run anywhere) from the restricted services' compatible machines.
 // Returns true if any eviction happened; callers must re-run the default
-// scheduler to re-place the evicted containers. Exported alongside
-// ReconcileSLA for the incremental engine's merge path.
+// scheduler to re-place the evicted containers, as Settle does.
 func EvictForSLA(p *cluster.Problem, next *cluster.Assignment) bool {
 	if p.Schedulable == nil {
 		return false
@@ -271,6 +269,69 @@ func EvictForSLA(p *cluster.Problem, next *cluster.Assignment) bool {
 		}
 	}
 	return evicted
+}
+
+// Settle merges the subproblem results over current and reconciles the
+// merged target with the current deployment: ReconcileSLA keeps surplus
+// containers in place, and when EvictForSLA had to make room for an
+// under-placed restricted service, the default scheduler re-places the
+// evicted containers and ReconcileSLA runs again so nothing regresses
+// below the current deployment. Optimize and the incremental engine's
+// delta pass both merge through it.
+func Settle(p *cluster.Problem, current *cluster.Assignment, pres *partition.Result, results []pool.Result) *cluster.Assignment {
+	next := sched.Merge(p, current, pres, results)
+	ReconcileSLA(p, current, next)
+	if EvictForSLA(p, next) {
+		next = sched.Complete(p, next)
+		ReconcileSLA(p, current, next)
+	}
+	return next
+}
+
+// PlanMigration computes the migration plan from current to next, the
+// tail Optimize and the incremental engine's delta pass share, and the
+// target the plan transitions to exactly: next itself unless the
+// planner had to deviate. Deadlock-breaking relocations steer some
+// containers to other machines than planned, so the replayed state
+// becomes the target. A resource-ordering deadlock (migrate.ErrStalled)
+// keeps part of next out of reach: the plan is still valid up to the
+// stall point, the still-offline containers are re-placed by the
+// default scheduler, their creations are appended as a final step, and
+// partial reports it. A context that ends mid-planning returns no plan
+// and the context's error.
+func PlanMigration(ctx context.Context, p *cluster.Problem, current, next *cluster.Assignment, minAlive float64) (plan *migrate.Plan, target *cluster.Assignment, partial bool, err error) {
+	plan, err = migrate.Compute(ctx, p, current, next, migrate.Options{MinAlive: minAlive})
+	switch {
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		return nil, nil, false, err
+	case err == nil:
+		if plan.Relocations == 0 {
+			return plan, next, false, nil
+		}
+		reached, simErr := migrate.Simulate(p, current, plan, minAlive)
+		if simErr != nil {
+			return nil, nil, false, fmt.Errorf("core: migration replay: %w", simErr)
+		}
+		return plan, reached, false, nil
+	case errors.Is(err, migrate.ErrStalled):
+		reached, simErr := migrate.Simulate(p, current, plan, minAlive)
+		if simErr != nil {
+			return nil, nil, false, fmt.Errorf("core: partial migration replay: %w", simErr)
+		}
+		completed := sched.Complete(p, reached)
+		var finalStep migrate.Step
+		completed.EachPlacement(func(s, m, count int) {
+			for extra := count - reached.Get(s, m); extra > 0; extra-- {
+				finalStep = append(finalStep, migrate.Command{Op: migrate.Create, Service: s, Machine: m})
+			}
+		})
+		if len(finalStep) > 0 {
+			plan.Steps = append(plan.Steps, finalStep)
+		}
+		return plan, completed, true, nil
+	default:
+		return nil, nil, false, fmt.Errorf("core: migration planning: %w", err)
+	}
 }
 
 // ImprovementRatio returns (new - old) / old gained affinity; +Inf when
@@ -370,14 +431,7 @@ func Optimize(ctx context.Context, p *cluster.Problem, current *cluster.Assignme
 	}
 
 	// Phase 3: merge and migration path.
-	newAssign := sched.Merge(p, current, pres, results)
-	ReconcileSLA(p, current, newAssign)
-	if EvictForSLA(p, newAssign) {
-		// Evicted containers need re-placing; reconcile again so nothing
-		// regresses below the current deployment.
-		newAssign = sched.Complete(p, newAssign)
-		ReconcileSLA(p, current, newAssign)
-	}
+	newAssign := Settle(p, current, pres, results)
 	res := &Result{
 		Assignment:       newAssign,
 		GainedAffinity:   newAssign.GainedAffinity(p),
@@ -408,54 +462,21 @@ func Optimize(ctx context.Context, p *cluster.Problem, current *cluster.Assignme
 		res.Stats.Stop = solve.Optimal
 	}
 	if !opts.SkipMigration && ctx.Err() == nil {
-		plan, err := migrate.Compute(ctx, p, current, newAssign, migrate.Options{MinAlive: opts.MinAlive})
+		plan, target, partial, err := PlanMigration(ctx, p, current, newAssign, opts.MinAlive)
 		switch {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			// Cancelled mid-planning: drop the partial plan and report the
-			// optimized assignment without a migration path, like
-			// SkipMigration — the caller asked the whole pass to stop.
+			// Cancelled mid-planning: report the optimized assignment
+			// without a migration path, like SkipMigration — the caller
+			// asked the whole pass to stop.
 			res.Stats.Stop = solve.Cause(err)
-		case err == nil:
-			res.Plan = plan
-			if plan.Relocations > 0 {
-				// Deadlock-breaking bounces steered some containers to
-				// different machines than planned; the replayed state is
-				// the authoritative new mapping.
-				reached, simErr := migrate.Simulate(p, current, plan, opts.MinAlive)
-				if simErr != nil {
-					return nil, fmt.Errorf("core: migration replay: %w", simErr)
-				}
-				res.Assignment = reached
-				res.GainedAffinity = reached.GainedAffinity(p)
-			}
-		case errors.Is(err, migrate.ErrStalled):
-			// A resource-ordering deadlock keeps part of the target out of
-			// reach (rare, but possible when the cluster is tight). The
-			// returned plan is still valid up to the stall point: adopt
-			// the reachable state as the result instead of failing.
-			reached, simErr := migrate.Simulate(p, current, plan, opts.MinAlive)
-			if simErr != nil {
-				return nil, fmt.Errorf("core: partial migration replay: %w", simErr)
-			}
-			// Re-place still-offline containers with the default
-			// scheduler and append those creations as a final step, so
-			// the plan still transitions exactly to the result.
-			completed := sched.Complete(p, reached)
-			var finalStep migrate.Step
-			completed.EachPlacement(func(s, m, count int) {
-				for extra := count - reached.Get(s, m); extra > 0; extra-- {
-					finalStep = append(finalStep, migrate.Command{Op: migrate.Create, Service: s, Machine: m})
-				}
-			})
-			if len(finalStep) > 0 {
-				plan.Steps = append(plan.Steps, finalStep)
-			}
-			res.Plan = plan
-			res.PartialMigration = true
-			res.Assignment = completed
-			res.GainedAffinity = completed.GainedAffinity(p)
+		case err != nil:
+			return nil, err
 		default:
-			return nil, fmt.Errorf("core: migration planning: %w", err)
+			res.Plan, res.PartialMigration = plan, partial
+			if target != newAssign {
+				res.Assignment = target
+				res.GainedAffinity = target.GainedAffinity(p)
+			}
 		}
 	}
 	res.Elapsed = time.Since(start)

@@ -8,6 +8,8 @@ import (
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/obs"
+	"github.com/cloudsched/rasa/internal/partition"
+	"github.com/cloudsched/rasa/internal/workload"
 )
 
 // TestResultAggregatesBlocks checks the engine-shaped fields of Result:
@@ -64,31 +66,65 @@ func TestResultAggregatesBlocks(t *testing.T) {
 // TestMaxShardBlocks checks the shard load the server scales its
 // deadlines by against the topology Status reports.
 func TestMaxShardBlocks(t *testing.T) {
-	pl := newTestPool(t, 2)
 	for _, shards := range []int{1, 2, 3, 4} {
-		if _, err := pl.Resize(shards); err != nil {
-			t.Fatalf("resize to %d: %v", shards, err)
-		}
+		pl := newTestPool(t, shards)
 		want := 0
 		for _, sh := range pl.Status().Shards {
 			want = max(want, len(sh.Blocks))
 		}
-		if got := pl.MaxShardBlocks(); got != want {
+		if got := pl.MaxShardBlocks(); got != want || got < 1 {
 			t.Fatalf("shards=%d: MaxShardBlocks %d, Status says %d", shards, got, want)
 		}
 	}
-	if got := pl.MaxShardBlocks(); got < 1 {
-		t.Fatalf("MaxShardBlocks %d", got)
+}
+
+// TestRoundRobinOwners checks that blocks are dealt round-robin: block
+// id goes to shard id mod Shards, so the most any shard owns is
+// ceil(blocks/shards), and with at least as many shards as blocks every
+// shard owns at most one.
+func TestRoundRobinOwners(t *testing.T) {
+	preset := workload.Preset{
+		Name: "fivezone", Services: 40, Containers: 200, Machines: 10,
+		Beta: 1.7, AffinityFraction: 0.6, Zones: 5, CommunitySize: 4,
+		Utilization: 0.5, Seed: 3,
 	}
-	// Rendezvous hashing puts blocks 0, 1 and 2 of three on shard 2.
-	if sm := newShardMap(1, 3, 3); sm.owner[0] != 2 || sm.owner[1] != 2 || sm.owner[2] != 2 {
-		t.Fatalf("owners %v", sm.owner)
+	c, err := workload.Generate(preset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := len(partition.Blocks(c.Problem))
+	if blocks < 3 {
+		t.Fatalf("preset produced %d blocks, want at least 3", blocks)
+	}
+	t.Logf("%d blocks", blocks)
+	for shards := 1; shards <= blocks+1; shards++ {
+		c, err := workload.Generate(preset) // the pool takes ownership
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := New(c.Problem, c.Original, Options{Shards: shards, Engine: testEngineOpts()}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := (blocks + shards - 1) / shards; pl.MaxShardBlocks() != want {
+			t.Fatalf("shards=%d blocks=%d: MaxShardBlocks %d, want %d", shards, blocks, pl.MaxShardBlocks(), want)
+		}
+		st := pl.Status()
+		for _, b := range st.Blocks {
+			if b.Shard != b.ID%shards {
+				t.Fatalf("shards=%d: block %d on shard %d, want %d", shards, b.ID, b.Shard, b.ID%shards)
+			}
+		}
+		for _, sh := range st.Shards {
+			if shards >= blocks && len(sh.Blocks) > 1 {
+				t.Fatalf("shards=%d >= blocks=%d: shard %d owns %v", shards, blocks, sh.ID, sh.Blocks)
+			}
+		}
 	}
 }
 
 // TestBlockEnginesShareRegistry checks that block engines publish the
-// incr series into the pool's registry, also after a resize rebuilt a
-// moved block's engine.
+// incr series into the pool's registry.
 func TestBlockEnginesShareRegistry(t *testing.T) {
 	p, a := twoBlockProblem()
 	reg := obs.NewRegistry()
@@ -103,13 +139,6 @@ func TestBlockEnginesShareRegistry(t *testing.T) {
 	}
 	if got := fulls.Value(); got != 2 {
 		t.Fatalf("bootstrap counted %v full passes, want 2", got)
-	}
-	rep, err := pl.Resize(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.MovedBlocks) == 0 {
-		t.Fatal("resize moved no block")
 	}
 	for s := 0; s < 4; s++ {
 		if _, err := pl.Apply(lifetime.ScaleService{Service: s, Replicas: 3}); err != nil {

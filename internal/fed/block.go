@@ -1,9 +1,11 @@
-// Package fed is the federation layer: a shard router that
-// consistent-hashes compatibility blocks onto N shard workers, each
-// owning its own incremental engine and lifetime log segment, with
-// scatter-gather delta re-optimization and a merge step that recombines
-// per-shard migration plans under one global SLA-floor check before
-// commit.
+// Package fed is the federation layer: a block pool that deals
+// compatibility blocks round-robin onto N shard workers (block id mod
+// N), each block owning its own incremental engine and lifetime log
+// segment, with scatter-gather delta re-optimization and a merge step
+// that recombines per-block migration plans under one global SLA-floor
+// check before commit. A shard worker is only a unit of concurrency:
+// it proposes its blocks one after another, so Shards bounds how many
+// block proposals run at once.
 //
 // The load-bearing invariant is the paper's stage-3 decomposition
 // (Section IV-B3): no service of one compatibility block can ever be
@@ -24,7 +26,6 @@ import (
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/partition"
-	"github.com/cloudsched/rasa/internal/snapshot"
 )
 
 // block is one compatibility block hosted by the pool: a self-contained
@@ -36,14 +37,9 @@ type block struct {
 	mu sync.Mutex
 	// gSvc / gMach map local indices back to global ones. The pool's
 	// svcOwner/svcLocal (and machine twins) are the inverse maps.
-	gSvc  []int
-	gMach []int
-	eng   *incr.Engine
-	// init is the block's initial snapshot, captured before the first
-	// event: Export(init) + Replay reconstructs the block state from its
-	// log segment alone, which is how rebalancing hands a block to a new
-	// owner.
-	init   *snapshot.Snapshot
+	gSvc   []int
+	gMach  []int
+	eng    *incr.Engine
 	events uint64 // events routed to this block
 }
 
@@ -167,7 +163,6 @@ func sliceBlocks(p *cluster.Problem, a *cluster.Assignment, blocks []partition.B
 
 	out := make([]*block, len(blocks))
 	for id := range blocks {
-		init := snapshot.FromCluster(probs[id], assigns[id])
 		st, err := incr.NewState(probs[id], assigns[id])
 		if err != nil {
 			return nil, 0, fmt.Errorf("fed: block %d: %w", id, err)
@@ -177,7 +172,6 @@ func sliceBlocks(p *cluster.Problem, a *cluster.Assignment, blocks []partition.B
 			gSvc:  append([]int(nil), blocks[id].Services...),
 			gMach: append([]int(nil), blocks[id].Machines...),
 			eng:   incr.New(st, opts, reg),
-			init:  init,
 		}
 	}
 	return out, crossTotal, nil

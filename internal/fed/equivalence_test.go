@@ -42,6 +42,16 @@ func equivalenceOpts(n int) incr.Options {
 	}
 }
 
+// adopt runs one single-engine pass and adopts its target, as the pool
+// does per block: Propose, then CommitProposal.
+func adopt(ctx context.Context, eng *incr.Engine) (*incr.Result, error) {
+	res, err := eng.Propose(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res, eng.CommitProposal(res)
+}
+
 // TestBlockIsolationEquivalence is the federation's correctness
 // property: re-optimizing each compatibility block in isolation and
 // merging the results yields the same assignment and the same gained
@@ -105,7 +115,7 @@ func TestBlockIsolationEquivalence(t *testing.T) {
 
 	reoptBoth := func(stage string) {
 		t.Helper()
-		if _, err := single.Reoptimize(ctx); err != nil {
+		if _, err := adopt(ctx, single); err != nil {
 			t.Fatalf("%s: single reoptimize: %v", stage, err)
 		}
 		if _, err := pl.Reoptimize(ctx); err != nil {
@@ -207,7 +217,7 @@ func TestEquivalenceWithMigration(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	sres, err := single.Reoptimize(ctx)
+	sres, err := adopt(ctx, single)
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}

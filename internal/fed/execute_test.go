@@ -40,9 +40,9 @@ func newExecPool(t *testing.T) *Pool {
 	return pl
 }
 
-// rendezvous holds every fabric command until each of n blocks has a
+// barrier holds every fabric command until each of n blocks has a
 // command in flight, or until its deadline passes.
-type rendezvous struct {
+type barrier struct {
 	n        int
 	deadline context.Context
 	mu       sync.Mutex
@@ -50,7 +50,7 @@ type rendezvous struct {
 	all      chan struct{}
 }
 
-func (r *rendezvous) arrive(block int) bool {
+func (r *barrier) arrive(block int) bool {
 	r.mu.Lock()
 	if r.deadline.Err() == nil && !r.seen[block] {
 		r.seen[block] = true
@@ -67,13 +67,13 @@ func (r *rendezvous) arrive(block int) bool {
 	}
 }
 
-type rendezvousFabric struct {
+type barrierFabric struct {
 	exec.Fabric
 	block int
-	r     *rendezvous
+	r     *barrier
 }
 
-func (f rendezvousFabric) Apply(ctx context.Context, cmd migrate.Command) error {
+func (f barrierFabric) Apply(ctx context.Context, cmd migrate.Command) error {
 	if !f.r.arrive(f.block) {
 		return errors.New("blocks did not actuate concurrently")
 	}
@@ -88,9 +88,9 @@ func TestExecuteActuatesBlocksConcurrently(t *testing.T) {
 	pl := newExecPool(t)
 	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	r := &rendezvous{n: pl.Blocks(), deadline: deadline, seen: make(map[int]bool), all: make(chan struct{})}
+	r := &barrier{n: pl.Blocks(), deadline: deadline, seen: make(map[int]bool), all: make(chan struct{})}
 	rep, err := pl.Execute(context.Background(), func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
-		return rendezvousFabric{Fabric: exec.NewInstantFabric(start), block: blockID, r: r}
+		return barrierFabric{Fabric: exec.NewInstantFabric(start), block: blockID, r: r}
 	}, exec.Options{MaxAttempts: 1, MaxReplans: -1})
 	if err != nil {
 		t.Fatalf("execute: %v", err)

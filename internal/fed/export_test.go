@@ -16,14 +16,13 @@ func (pl *Pool) executeSequential(ctx context.Context, fabFor func(blockID int, 
 	defer pl.solveMu.Unlock()
 
 	pl.mu.RLock()
-	blocks := append([]*block(nil), pl.blocks...)
 	crossTotal := pl.crossTotal
 	pl.mu.RUnlock()
 
 	agg := &exec.Report{Outcome: exec.OutcomeCompleted, MinHeadroom: -1}
 	var reps []*exec.Report
 	var totalAffinity float64
-	for _, b := range blocks {
+	for _, b := range pl.blocks {
 		b.mu.Lock()
 		start := b.eng.State().Assignment().Clone()
 		rep, err := exec.New(b.eng, fabFor(b.id, append([]int(nil), b.gMach...), start), opts, nil).Run(ctx)

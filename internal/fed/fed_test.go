@@ -78,8 +78,8 @@ func TestPoolTopology(t *testing.T) {
 	if pl.Blocks() != 2 {
 		t.Fatalf("blocks = %d, want 2", pl.Blocks())
 	}
-	if pl.Shards() != 2 || pl.Version() != 1 {
-		t.Fatalf("shards=%d version=%d, want 2/1", pl.Shards(), pl.Version())
+	if pl.Shards() != 2 {
+		t.Fatalf("shards=%d, want 2", pl.Shards())
 	}
 	if pl.crossTotal != 2 {
 		t.Fatalf("crossTotal = %v, want 2", pl.crossTotal)
@@ -94,7 +94,7 @@ func TestPoolTopology(t *testing.T) {
 	}
 
 	status := pl.Status()
-	if status.Version != 1 || len(status.Blocks) != 2 || len(status.Shards) != 2 {
+	if len(status.Blocks) != 2 || len(status.Shards) != 2 {
 		t.Fatalf("status %+v", status)
 	}
 	blockSeen := 0
@@ -422,69 +422,6 @@ func TestFloorCheckRejectsBadPlan(t *testing.T) {
 	}
 }
 
-func TestResizePreservesFingerprints(t *testing.T) {
-	pl := newTestPool(t, 1)
-	ctx := context.Background()
-	if _, err := pl.Reoptimize(ctx); err != nil {
-		t.Fatalf("bootstrap: %v", err)
-	}
-	// Put history in both block logs so the replay is non-trivial.
-	if _, err := pl.Apply(
-		lifetime.ScaleService{Service: 0, Replicas: 3},
-		lifetime.ScaleService{Service: 2, Replicas: 3},
-		lifetime.DrainMachine{Machine: 1},
-	); err != nil {
-		t.Fatalf("events: %v", err)
-	}
-	if _, err := pl.Reoptimize(ctx); err != nil {
-		t.Fatalf("pass: %v", err)
-	}
-
-	before := make(map[int]string)
-	for _, b := range pl.blocks {
-		before[b.id] = b.log().Fingerprint()
-	}
-	beforeAssign := pl.Assignment()
-
-	rep, err := pl.Resize(4)
-	if err != nil {
-		t.Fatalf("resize: %v", err)
-	}
-	if rep.Version != 2 || rep.FromShards != 1 || rep.ToShards != 4 || !rep.FingerprintsPreserved {
-		t.Fatalf("rebalance report %+v", rep)
-	}
-	if pl.Shards() != 4 || pl.Version() != 2 {
-		t.Fatalf("pool shards=%d version=%d", pl.Shards(), pl.Version())
-	}
-	// Growing 1 -> 4 must move at least one block off shard 0.
-	if len(rep.MovedBlocks) == 0 {
-		t.Fatal("no blocks moved on 1 -> 4 resize")
-	}
-	for _, id := range rep.MovedBlocks {
-		if got := pl.blocks[id].log().Fingerprint(); got != before[id] {
-			t.Fatalf("block %d fingerprint %s != %s after rebalance", id, got, before[id])
-		}
-	}
-	// The replayed engines carry the same placements.
-	afterAssign := pl.Assignment()
-	for s := 0; s < 4; s++ {
-		for m := 0; m < 4; m++ {
-			if beforeAssign.Get(s, m) != afterAssign.Get(s, m) {
-				t.Fatalf("assignment changed at (%d,%d) across rebalance", s, m)
-			}
-		}
-	}
-	// Moved blocks bootstrap again (no partition survives the replay)
-	// and the pool keeps optimizing.
-	if _, err := pl.Reoptimize(ctx); err != nil {
-		t.Fatalf("post-resize pass: %v", err)
-	}
-
-	if _, err := pl.Resize(0); err == nil {
-		t.Fatal("resize to 0 shards accepted")
-	}
-}
-
 func TestExecuteAggregatesBlocks(t *testing.T) {
 	p, a := twoBlockProblem()
 	opts := testEngineOpts()
@@ -544,22 +481,5 @@ func TestBlocksPartitionCoversCluster(t *testing.T) {
 	}
 	if len(seenS) != p.N() || len(seenM) != p.M() {
 		t.Fatalf("coverage %d/%d services, %d/%d machines", len(seenS), p.N(), len(seenM), p.M())
-	}
-}
-
-func TestRendezvousStability(t *testing.T) {
-	// Growing the shard count must never move a block between two shards
-	// that both survive: the argmax over a superset either keeps the old
-	// winner or picks a new shard.
-	for blocks := 1; blocks <= 64; blocks *= 4 {
-		for s := 1; s < 8; s++ {
-			for b := 0; b < blocks; b++ {
-				old := rendezvousOwner(b, s)
-				next := rendezvousOwner(b, s+1)
-				if next != old && next != s {
-					t.Fatalf("block %d moved %d -> %d when adding shard %d", b, old, next, s)
-				}
-			}
-		}
 	}
 }

@@ -16,7 +16,6 @@ type metrics struct {
 	rejections *obs.Counter    // rasa_fed_floor_rejections_total
 	shards     *obs.Gauge      // rasa_fed_shards
 	blocks     *obs.Gauge      // rasa_fed_blocks
-	mapVersion *obs.Gauge      // rasa_fed_map_version
 	headroom   *obs.Gauge      // rasa_exec_min_sla_headroom, set last from the aggregate
 }
 
@@ -38,8 +37,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Shard workers in the pool."),
 		blocks: reg.Gauge("rasa_fed_blocks",
 			"Compatibility blocks owned by the pool."),
-		mapVersion: reg.Gauge("rasa_fed_map_version",
-			"Version of the block-to-shard assignment map."),
 		headroom: reg.Gauge("rasa_exec_min_sla_headroom",
 			"Tightest alive-minus-floor slack observed at any delete admission in the last run (-1: no deletes)."),
 	}
@@ -75,13 +72,12 @@ func (m *metrics) rejection(n int) {
 	m.rejections.Add(float64(n))
 }
 
-func (m *metrics) topology(shards, blocks, version int) {
+func (m *metrics) topology(shards, blocks int) {
 	if m == nil {
 		return
 	}
 	m.shards.Set(float64(shards))
 	m.blocks.Set(float64(blocks))
-	m.mapVersion.Set(float64(version))
 }
 
 func (m *metrics) execHeadroom(h int) {

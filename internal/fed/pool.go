@@ -3,7 +3,6 @@ package fed
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"time"
@@ -19,8 +18,9 @@ import (
 
 // Options tune the shard pool.
 type Options struct {
-	// Shards is the number of shard workers blocks are hashed onto;
-	// default DefaultShards. One shard is valid: its worker proposes
+	// Shards is the number of shard workers, and so the most block
+	// proposals that run at once; block id goes to shard id mod Shards.
+	// Default DefaultShards. One shard is valid: its worker proposes
 	// every block in turn.
 	Shards int
 	// Engine configures every block's incremental engine. A single
@@ -41,44 +41,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// shardMap is the versioned block-to-shard assignment: rendezvous
-// hashing picks, per block, the live shard with the highest keyed hash,
-// so resizing moves only the blocks whose argmax changed.
-type shardMap struct {
-	version int
-	shards  int
-	owner   []int // block id -> shard
-}
-
-func newShardMap(version, shards, blocks int) *shardMap {
-	sm := &shardMap{version: version, shards: shards, owner: make([]int, blocks)}
-	for b := range sm.owner {
-		sm.owner[b] = rendezvousOwner(b, shards)
-	}
-	return sm
-}
-
-// rendezvousOwner returns argmax over shards of FNV-1a(block, shard).
-func rendezvousOwner(blockID, shards int) int {
-	best, bestH := 0, uint64(0)
-	for s := 0; s < shards; s++ {
-		h := fnv.New64a()
-		var buf [16]byte
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(uint64(blockID) >> (8 * i))
-			buf[8+i] = byte(uint64(s) >> (8 * i))
-		}
-		h.Write(buf[:])
-		if v := h.Sum64(); s == 0 || v > bestH {
-			best, bestH = s, v
-		}
-	}
-	return best
-}
-
 // Pool is the embedded shard federation: compatibility blocks sliced
-// into self-contained sub-clusters, hashed onto shard workers, with
-// global-index routing of churn events and a scatter-gather Reoptimize.
+// into self-contained sub-clusters, dealt round-robin onto shard
+// workers, with global-index routing of churn events and a
+// scatter-gather Reoptimize.
 //
 // Lock order: mu (tables) before any block.mu; journal's own lock is
 // leaf-only. The scatter-gather pass holds solveMu for its duration and
@@ -89,11 +55,12 @@ type Pool struct {
 	m    *metrics
 	reg  *obs.Registry // handed to every block engine and executor
 
-	// mu guards the routing tables, the block list, the shard map, and
-	// the cross-edge ledger.
-	mu       sync.RWMutex
-	blocks   []*block
-	shardMap *shardMap
+	// blocks is fixed at New: events change what a block holds, never
+	// how many blocks there are.
+	blocks []*block
+
+	// mu guards the routing tables and the cross-edge ledger.
+	mu sync.RWMutex
 	// svcOwner/svcLocal map a global service index to (block, local
 	// index); machOwner/machLocal are the machine twins.
 	svcOwner, svcLocal   []int
@@ -106,7 +73,7 @@ type Pool struct {
 	crossTotal float64
 	addRR      int // round-robin cursor for AddMachine placement
 
-	// solveMu serializes scatter-gather passes and rebalances.
+	// solveMu serializes scatter-gather passes.
 	solveMu sync.Mutex
 
 	// jmu guards the journal: the pool-level event history serving
@@ -118,8 +85,8 @@ type Pool struct {
 }
 
 // New slices the problem into compatibility blocks, builds one engine
-// per block, and hashes blocks onto opts.Shards shard workers. The pool
-// takes ownership of p and a.
+// per block, and deals the blocks onto opts.Shards shard workers. The
+// pool takes ownership of p and a.
 func New(p *cluster.Problem, a *cluster.Assignment, opts Options, reg *obs.Registry) (*Pool, error) {
 	opts = opts.withDefaults()
 	if err := p.Validate(); err != nil {
@@ -135,7 +102,6 @@ func New(p *cluster.Problem, a *cluster.Assignment, opts Options, reg *obs.Regis
 		m:          newMetrics(reg),
 		reg:        reg,
 		blocks:     bs,
-		shardMap:   newShardMap(1, opts.Shards, len(bs)),
 		svcOwner:   make([]int, p.N()),
 		svcLocal:   make([]int, p.N()),
 		machOwner:  make([]int, p.M()),
@@ -158,7 +124,7 @@ func New(p *cluster.Problem, a *cluster.Assignment, opts Options, reg *obs.Regis
 			pl.cross[edgeKey(e.U, e.V)] = e.Weight
 		}
 	}
-	pl.m.topology(opts.Shards, len(bs), 1)
+	pl.m.topology(opts.Shards, len(bs))
 	return pl, nil
 }
 
@@ -169,40 +135,23 @@ func edgeKey(a, b int) [2]int {
 	return [2]int{a, b}
 }
 
-// Shards returns the current shard count.
-func (pl *Pool) Shards() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.shardMap.shards
-}
+// Shards returns the shard count.
+func (pl *Pool) Shards() int { return pl.opts.Shards }
+
+// shardOf returns the shard worker that proposes block id: blocks are
+// dealt round-robin, so no shard owns more than one block beyond any
+// other.
+func (pl *Pool) shardOf(id int) int { return id % pl.opts.Shards }
 
 // Blocks returns the number of compatibility blocks.
-func (pl *Pool) Blocks() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return len(pl.blocks)
-}
+func (pl *Pool) Blocks() int { return len(pl.blocks) }
 
-// MaxShardBlocks returns the most blocks any one shard owns. A shard
-// worker proposes its blocks one after another, each under the full
-// engine budget, so a pass can take this many budgets of wall time.
+// MaxShardBlocks returns the most blocks any one shard owns,
+// ceil(blocks/shards). A shard worker proposes its blocks one after
+// another, each under the full engine budget, so a pass can take this
+// many budgets of wall time.
 func (pl *Pool) MaxShardBlocks() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	owned := make([]int, pl.shardMap.shards)
-	most := 0
-	for _, s := range pl.shardMap.owner {
-		owned[s]++
-		most = max(most, owned[s])
-	}
-	return most
-}
-
-// Version returns the shard map version.
-func (pl *Pool) Version() int {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	return pl.shardMap.version
+	return (len(pl.blocks) + pl.opts.Shards - 1) / pl.opts.Shards
 }
 
 // Apply routes events to their owning blocks in order, stopping at the
@@ -261,10 +210,7 @@ func (pl *Pool) apply(ev lifetime.Event) error {
 			return lifetime.MoveFailed{Op: e.Op, Service: ls, Machine: lm, Reason: e.Reason}
 		})
 	case lifetime.ReplanRequested:
-		pl.mu.RLock()
-		blocks := append([]*block(nil), pl.blocks...)
-		pl.mu.RUnlock()
-		for _, b := range blocks {
+		for _, b := range pl.blocks {
 			b.mu.Lock()
 			_, err := b.eng.Apply(lifetime.ReplanRequested{Reason: e.Reason})
 			b.mu.Unlock()
@@ -286,7 +232,7 @@ func (pl *Pool) toService(g int, mk func(b *block, ls int) lifetime.Event) error
 		return fmt.Errorf("fed: service %d out of range [0,%d)", g, len(pl.svcOwner))
 	}
 	b, ls := pl.blocks[pl.svcOwner[g]], pl.svcLocal[g]
-	shard := pl.shardMap.owner[b.id]
+	shard := pl.shardOf(b.id)
 	pl.mu.RUnlock()
 	return pl.applyTo(b, shard, mk(b, ls))
 }
@@ -299,7 +245,7 @@ func (pl *Pool) toMachine(g int, mk func(b *block, lm int) lifetime.Event) error
 		return fmt.Errorf("fed: machine %d out of range [0,%d)", g, len(pl.machOwner))
 	}
 	b, lm := pl.blocks[pl.machOwner[g]], pl.machLocal[g]
-	shard := pl.shardMap.owner[b.id]
+	shard := pl.shardOf(b.id)
 	pl.mu.RUnlock()
 	return pl.applyTo(b, shard, mk(b, lm))
 }
@@ -318,7 +264,7 @@ func (pl *Pool) toMove(gs, gm int, mk func(ls, lm int) lifetime.Event) error {
 			gs, gm, pl.svcOwner[gs], pl.machOwner[gm])
 	}
 	b, ls, lm := pl.blocks[pl.svcOwner[gs]], pl.svcLocal[gs], pl.machLocal[gm]
-	shard := pl.shardMap.owner[b.id]
+	shard := pl.shardOf(b.id)
 	pl.mu.RUnlock()
 	return pl.applyTo(b, shard, mk(ls, lm))
 }
@@ -358,7 +304,7 @@ func (pl *Pool) updateAffinity(e lifetime.UpdateAffinity) error {
 	}
 	if pl.svcOwner[e.A] == pl.svcOwner[e.B] {
 		b, la, lb := pl.blocks[pl.svcOwner[e.A]], pl.svcLocal[e.A], pl.svcLocal[e.B]
-		shard := pl.shardMap.owner[b.id]
+		shard := pl.shardOf(b.id)
 		pl.mu.Unlock()
 		return pl.applyTo(b, shard, lifetime.UpdateAffinity{A: la, B: lb, Weight: e.Weight})
 	}
@@ -369,7 +315,7 @@ func (pl *Pool) updateAffinity(e lifetime.UpdateAffinity) error {
 	} else {
 		pl.cross[k] = e.Weight
 	}
-	shard := pl.shardMap.owner[pl.svcOwner[e.A]]
+	shard := pl.shardOf(pl.svcOwner[e.A])
 	pl.mu.Unlock()
 	pl.m.event(shard)
 	return nil
@@ -382,7 +328,7 @@ func (pl *Pool) updateAffinity(e lifetime.UpdateAffinity) error {
 func (pl *Pool) addMachine(e lifetime.AddMachine) error {
 	pl.mu.Lock()
 	b := pl.blocks[pl.addRR%len(pl.blocks)]
-	shard := pl.shardMap.owner[b.id]
+	shard := pl.shardOf(b.id)
 	b.mu.Lock()
 	_, err := b.eng.Apply(lifetime.AddMachine{Name: e.Name, Capacity: e.Capacity.Clone(), Spec: e.Spec})
 	if err != nil {
@@ -414,7 +360,7 @@ func (pl *Pool) removeService(e lifetime.RemoveService) error {
 		return fmt.Errorf("fed: service %d out of range [0,%d)", g, len(pl.svcOwner))
 	}
 	b, ls := pl.blocks[pl.svcOwner[g]], pl.svcLocal[g]
-	shard := pl.shardMap.owner[b.id]
+	shard := pl.shardOf(b.id)
 	if len(b.gSvc) < 2 {
 		pl.mu.Unlock()
 		return fmt.Errorf("fed: cannot remove service %d: it is the last service of compatibility block %d", g, b.id)
@@ -642,19 +588,18 @@ func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
 // unlockAll; on error no lock is held.
 func (pl *Pool) proposeAll(ctx context.Context) (passes []*pass, crossTotal float64, unlockAll func(), err error) {
 	pl.mu.RLock()
-	blocks := append([]*block(nil), pl.blocks...)
-	shardOf := append([]int(nil), pl.shardMap.owner...)
-	shards := pl.shardMap.shards
 	crossTotal = pl.crossTotal
 	pl.mu.RUnlock()
 
-	byShard := make([][]*block, shards)
+	blocks := pl.blocks
+	byShard := make([][]*block, pl.opts.Shards)
 	for _, b := range blocks {
-		byShard[shardOf[b.id]] = append(byShard[shardOf[b.id]], b)
+		s := pl.shardOf(b.id)
+		byShard[s] = append(byShard[s], b)
 	}
 	passes = make([]*pass, len(blocks))
 	locked := make([]bool, len(blocks))
-	errs := make([]error, shards)
+	errs := make([]error, len(byShard))
 	var wg sync.WaitGroup
 	for s, list := range byShard {
 		if len(list) == 0 {

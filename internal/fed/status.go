@@ -30,18 +30,15 @@ type BlockInfo struct {
 
 // Status is the GET /v1/shards response body.
 type Status struct {
-	Version int         `json:"version"`
-	Shards  []ShardInfo `json:"shards"`
-	Blocks  []BlockInfo `json:"blocks"`
+	Shards []ShardInfo `json:"shards"`
+	Blocks []BlockInfo `json:"blocks"`
 }
 
-// Status reports the shard topology: the versioned block-to-shard map,
+// Status reports the shard topology: which shard owns each block,
 // per-shard ownership and routing volume, and per-block log positions.
 func (pl *Pool) Status() *Status {
-	pl.mu.RLock()
-	defer pl.mu.RUnlock()
-	st := &Status{Version: pl.shardMap.version}
-	shards := make([]ShardInfo, pl.shardMap.shards)
+	st := &Status{}
+	shards := make([]ShardInfo, pl.opts.Shards)
 	for i := range shards {
 		shards[i].ID = i
 	}
@@ -49,7 +46,7 @@ func (pl *Pool) Status() *Status {
 		b.mu.Lock()
 		info := BlockInfo{
 			ID:          b.id,
-			Shard:       pl.shardMap.owner[b.id],
+			Shard:       pl.shardOf(b.id),
 			Services:    len(b.gSvc),
 			Machines:    len(b.gMach),
 			LogHead:     b.log().Head(),
@@ -64,9 +61,6 @@ func (pl *Pool) Status() *Status {
 		sh.Machines += info.Machines
 		sh.EventsRouted += events
 	}
-	for i := range shards {
-		sort.Ints(shards[i].Blocks)
-	}
 	st.Shards = shards
 	return st
 }
@@ -80,7 +74,6 @@ func (pl *Pool) Status() *Status {
 // is the pool journal's head: the global event stream position.
 func (pl *Pool) Stats() incr.Stats {
 	pl.mu.RLock()
-	blocks := append([]*block(nil), pl.blocks...)
 	crossTotal := pl.crossTotal
 	pl.mu.RUnlock()
 
@@ -88,7 +81,7 @@ func (pl *Pool) Stats() incr.Stats {
 	var fps []string
 	havePartition := true
 	baseWeighted := 0.0
-	for _, b := range blocks {
+	for _, b := range pl.blocks {
 		b.mu.Lock()
 		s := b.eng.State().Snapshot()
 		b.mu.Unlock()

@@ -4,11 +4,15 @@
 // cluster truth, ingests a typed event stream (replica scale-ups,
 // machine drains, affinity drift, inventory changes, executor
 // actuation), tracks which partition subproblems each logged event
-// dirties via a cursor into the log, and answers Reoptimize with a
-// scoped delta solve — only the dirty subproblems go back through the
+// dirties via a cursor into the log, and answers Propose with a scoped
+// delta solve — only the dirty subproblems go back through the
 // selector/pool machinery, warm-started from cached root bases where
 // the formulation shape survived — escalating to the full pipeline when
-// the dirty set or the gained-affinity drift crosses a threshold.
+// the dirty set or the gained-affinity drift crosses a threshold. The
+// delta pass merges and plans its migration through the same core
+// functions as the full pipeline (core.Settle, core.PlanMigration).
+// A proposal leaves the live assignment alone: CommitProposal adopts it
+// wholesale, or an executor (package exec) actuates it move by move.
 //
 // The paper runs RASA as a periodic CronJob that re-solves everything
 // (Section III); region-wide deployments answer continuous deltas with

@@ -13,7 +13,6 @@ import (
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/partition"
 	"github.com/cloudsched/rasa/internal/pool"
-	"github.com/cloudsched/rasa/internal/sched"
 	"github.com/cloudsched/rasa/internal/selector"
 	"github.com/cloudsched/rasa/internal/solve"
 )
@@ -37,7 +36,7 @@ type Options struct {
 	// re-solves approach full-pipeline cost without its re-partitioning
 	// benefit; default 0.5.
 	MaxDirtyRatio float64
-	// ForceFull makes every Reoptimize run the full pipeline (the
+	// ForceFull makes every Propose run the full pipeline (the
 	// benchmark's baseline arm and an operational escape hatch).
 	ForceFull bool
 
@@ -79,10 +78,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Mode is the path a Reoptimize call took.
+// Mode is the path a Propose call took.
 type Mode int
 
-// Reoptimize paths.
+// Propose paths.
 const (
 	// ModeNoop: nothing dirty, nothing solved.
 	ModeNoop Mode = iota
@@ -118,7 +117,7 @@ const (
 // Before to After containers on machine m.
 type PlacementDelta = lifetime.PlacementDelta
 
-// Result is the outcome of one Reoptimize or Propose call.
+// Result is the outcome of one Propose call.
 type Result struct {
 	Mode Mode
 	// Escalated reports that a full pass ran for any reason;
@@ -130,10 +129,9 @@ type Result struct {
 	TotalSubproblems int
 	// EventsApplied is the state's cumulative event count.
 	EventsApplied int
-	// GainedAffinity is the absolute gain of the adopted (or, for
-	// Propose, the proposed) assignment; NormalizedGain divides by the
-	// affinity graph's total weight; BaselineGain is the normalized
-	// gain of the last full solve.
+	// GainedAffinity is the absolute gain of the proposed assignment;
+	// NormalizedGain divides by the affinity graph's total weight;
+	// BaselineGain is the normalized gain of the last full solve.
 	GainedAffinity float64
 	NormalizedGain float64
 	BaselineGain   float64
@@ -141,16 +139,15 @@ type Result struct {
 	// assignment at entry; Changed lists the differing cells.
 	Moves   int
 	Changed []PlacementDelta
-	// Plan transitions the entry assignment to the adopted (Reoptimize)
-	// or proposed (Propose) target (nil for noop, or when
-	// SkipMigration).
+	// Plan transitions the entry assignment to the proposed target (nil
+	// for noop, or when SkipMigration).
 	Plan             *migrate.Plan
 	PartialMigration bool
 	OutOfTime        bool
 	Stats            solve.Stats
 	Elapsed          time.Duration
 
-	// head is the log head right after this pass committed; a later
+	// head is the log head right after this pass was recorded; a later
 	// CommitProposal refuses to apply the result if the log advanced.
 	head uint64
 }
@@ -179,29 +176,6 @@ func (e *Engine) Apply(events ...lifetime.Event) (int, error) {
 	return applied, err
 }
 
-// Reoptimize brings the assignment back to optimized quality after a
-// batch of events. It decides between three paths: nothing dirty —
-// noop; a bounded dirty set — re-solve only the dirty subproblems
-// (warm-started where the formulation shape survived) and merge with
-// the untouched remainder; otherwise, or when the delta result drifted
-// too far below the last full solve's gained affinity, the full
-// pipeline. The chosen target is adopted: committed to the event log
-// as an applied plan, mutating the live assignment.
-func (e *Engine) Reoptimize(ctx context.Context) (*Result, error) {
-	return e.reoptimize(ctx, true)
-}
-
-// Propose runs the same decision pipeline as Reoptimize but does not
-// adopt the target: the live assignment stays at its entry value and
-// the pass is committed to the log as a proposal (Applied false). The
-// returned Plan transitions the entry assignment to the proposed
-// target; an executor actuates it move by move, each confirmed move
-// landing in the log as a MoveApplied event — so the state converges
-// on the target exactly as far as the fabric actually got.
-func (e *Engine) Propose(ctx context.Context) (*Result, error) {
-	return e.reoptimize(ctx, false)
-}
-
 // ErrStaleProposal is returned by CommitProposal when the log advanced
 // after the proposal: the proposal's placement deltas and the dirty-set
 // bookkeeping may no longer describe the live state.
@@ -216,8 +190,8 @@ var ErrStaleProposal = errors.New("incr: log advanced since proposal")
 //
 // The committed event carries Mode "" (the proposal already recorded
 // its own Mode, and a "full" proposal already counted toward the log's
-// full-run total), so the partition-seed exploration schedule matches a
-// Reoptimize-adopted run exactly. Noop proposals commit trivially.
+// full-run total), so committing does not advance the partition-seed
+// exploration schedule. Noop proposals commit trivially.
 func (e *Engine) CommitProposal(res *Result) error {
 	st := e.st
 	st.mu.Lock()
@@ -243,7 +217,22 @@ func (e *Engine) CommitProposal(res *Result) error {
 	return nil
 }
 
-func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
+// Propose computes a target that brings the assignment back to
+// optimized quality after a batch of events. It decides between three
+// paths: nothing dirty — noop; a bounded dirty set — re-solve only the
+// dirty subproblems (warm-started where the formulation shape survived)
+// and merge with the untouched remainder; otherwise, or when the delta
+// result drifted too far below the last full solve's gained affinity,
+// the full pipeline.
+//
+// The target is not adopted: the live assignment stays at its entry
+// value and the pass is recorded in the log as a proposal (Applied
+// false). The returned Plan transitions the entry assignment to the
+// proposed target. Either CommitProposal adopts it wholesale, or an
+// executor actuates it move by move, each confirmed move landing in the
+// log as a MoveApplied event — so the state converges on the target
+// exactly as far as the fabric actually got.
+func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	st := e.st
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -280,7 +269,7 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 		reason = ReasonDirtyRatio
 	}
 	if reason != "" {
-		return e.full(ctx, start, reason, dirtyCount, totalGroups, adopt)
+		return e.full(ctx, start, reason, dirtyCount, totalGroups)
 	}
 
 	ratio := 0.0
@@ -292,7 +281,6 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 	// Delta pass. Collect dirty groups in index order (determinism),
 	// build their subproblems against the untouched remainder's
 	// residual capacities, and re-solve only those.
-	old := cur.Clone()
 	var dirtyIdx []int
 	var dirtyGroups [][]int
 	inDirty := make([]bool, p.N())
@@ -317,7 +305,7 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 	if err != nil {
 		// Delta subproblem construction failed (should not happen on a
 		// valid state); the full pipeline re-partitions from scratch.
-		return e.full(ctx, start, ReasonPartition, dirtyCount, totalGroups, adopt)
+		return e.full(ctx, start, ReasonPartition, dirtyCount, totalGroups)
 	}
 	selected := make([]pool.Algorithm, len(subs))
 	for i, sp := range subs {
@@ -339,12 +327,7 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 		}
 	}
 
-	next := sched.Merge(p, cur, &partition.Result{Subproblems: subs}, results)
-	core.ReconcileSLA(p, cur, next)
-	if core.EvictForSLA(p, next) {
-		next = sched.Complete(p, next)
-		core.ReconcileSLA(p, cur, next)
-	}
+	next := core.Settle(p, cur, &partition.Result{Subproblems: subs}, results)
 
 	total := p.Affinity.TotalWeight()
 	gain := next.GainedAffinity(p)
@@ -356,9 +339,8 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 		// The scoped solve cannot recover enough of the affinity the
 		// events destroyed (typically cross-subproblem edges the current
 		// partition cannot collocate): re-partition with the full
-		// pipeline. The delta result is discarded; the live assignment
-		// is still the entry assignment.
-		return e.full(ctx, start, ReasonDrift, dirtyCount, totalGroups, adopt)
+		// pipeline. The delta result is discarded.
+		return e.full(ctx, start, ReasonDrift, dirtyCount, totalGroups)
 	}
 
 	res := &Result{
@@ -386,51 +368,37 @@ func (e *Engine) reoptimize(ctx context.Context, adopt bool) (*Result, error) {
 
 	target := next
 	if !e.opts.SkipMigration && ctx.Err() == nil {
-		plan, reached, partial, perr := planMigration(ctx, p, old, next, e.opts.MinAlive)
-		if perr != nil {
-			return nil, perr
-		}
-		res.Plan = plan
-		res.PartialMigration = partial
-		if reached != nil {
-			target = reached
-			res.GainedAffinity = target.GainedAffinity(p)
-			if total > 0 {
-				res.NormalizedGain = res.GainedAffinity / total
+		plan, reached, partial, err := core.PlanMigration(ctx, p, cur, next, e.opts.MinAlive)
+		switch {
+		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+			// Interrupted mid-planning: propose the target without a plan.
+		case err != nil:
+			return nil, fmt.Errorf("incr: %w", err)
+		default:
+			res.Plan, res.PartialMigration = plan, partial
+			if reached != next {
+				target = reached
+				res.GainedAffinity = target.GainedAffinity(p)
+				if total > 0 {
+					res.NormalizedGain = res.GainedAffinity / total
+				}
 			}
 		}
 	}
-	// Moves/Changed diff against the entry assignment — computed before
-	// the commit, which (when adopting) mutates the live assignment in
-	// place to the target.
-	res.Moves = cluster.MoveCount(old, target)
-	res.Changed = diffPlacements(old, target)
-	pc := lifetime.PlanCommitted{Origin: "propose", Mode: "delta", Moves: res.Moves}
-	if adopt {
-		pc.Origin = "reoptimize"
-		pc.Applied = true
-		pc.Changed = res.Changed
-	}
-	if err := st.commitLocked(pc); err != nil {
+	res.Moves = cluster.MoveCount(cur, target)
+	res.Changed = diffPlacements(cur, target)
+	if err := st.commitLocked(lifetime.PlanCommitted{Origin: "propose", Mode: "delta", Moves: res.Moves}); err != nil {
 		return nil, err
 	}
 	res.head = st.log.Head()
-	if adopt {
-		st.dirty = make(map[int]bool)
-		st.dirtyTrivial = false
-	}
-
 	res.Elapsed = time.Since(start)
 	e.m.reoptimize(res.Mode)
-	if adopt {
-		e.m.adopted(res)
-	}
 	return res, nil
 }
 
 // full runs the complete pipeline under the state lock and installs the
 // fresh partition as the new delta baseline.
-func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirtyCount, totalGroups int, adopt bool) (*Result, error) {
+func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirtyCount, totalGroups int) (*Result, error) {
 	st := e.st
 	p := st.log.Problem()
 	cur := st.log.Assignment()
@@ -456,13 +424,7 @@ func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirty
 
 	moves := cluster.MoveCount(cur, cres.Assignment)
 	changed := diffPlacements(cur, cres.Assignment)
-	pc := lifetime.PlanCommitted{Origin: "propose", Mode: "full", Reason: reason, Moves: moves}
-	if adopt {
-		pc.Origin = "reoptimize"
-		pc.Applied = true
-		pc.Changed = changed
-	}
-	if err := st.commitLocked(pc); err != nil {
+	if err := st.commitLocked(lifetime.PlanCommitted{Origin: "propose", Mode: "full", Reason: reason, Moves: moves}); err != nil {
 		return nil, err
 	}
 
@@ -500,51 +462,7 @@ func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirty
 	}
 	e.m.reoptimize(res.Mode)
 	e.m.escalation(reason)
-	if adopt {
-		e.m.adopted(res)
-	}
 	return res, nil
-}
-
-// planMigration computes the migration plan from old to next, handling
-// the same edge cases as core.Optimize: deadlock-breaking relocations
-// make the replayed state authoritative, and a stalled plan adopts the
-// reachable state completed by the default scheduler (with the plan
-// extended to transition exactly there). reached is nil when next is
-// already authoritative.
-func planMigration(ctx context.Context, p *cluster.Problem, old, next *cluster.Assignment, minAlive float64) (plan *migrate.Plan, reached *cluster.Assignment, partial bool, err error) {
-	plan, err = migrate.Compute(ctx, p, old, next, migrate.Options{MinAlive: minAlive})
-	switch {
-	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		return nil, nil, false, nil
-	case err == nil:
-		if plan.Relocations > 0 {
-			r, simErr := migrate.Simulate(p, old, plan, minAlive)
-			if simErr != nil {
-				return nil, nil, false, fmt.Errorf("incr: migration replay: %w", simErr)
-			}
-			return plan, r, false, nil
-		}
-		return plan, nil, false, nil
-	case errors.Is(err, migrate.ErrStalled):
-		r, simErr := migrate.Simulate(p, old, plan, minAlive)
-		if simErr != nil {
-			return nil, nil, false, fmt.Errorf("incr: partial migration replay: %w", simErr)
-		}
-		completed := sched.Complete(p, r)
-		var finalStep migrate.Step
-		completed.EachPlacement(func(s, m, count int) {
-			for extra := count - r.Get(s, m); extra > 0; extra-- {
-				finalStep = append(finalStep, migrate.Command{Op: migrate.Create, Service: s, Machine: m})
-			}
-		})
-		if len(finalStep) > 0 {
-			plan.Steps = append(plan.Steps, finalStep)
-		}
-		return plan, completed, true, nil
-	default:
-		return nil, nil, false, fmt.Errorf("incr: migration planning: %w", err)
-	}
 }
 
 // diffPlacements lists every (service, machine) cell where old and next

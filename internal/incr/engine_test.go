@@ -21,13 +21,23 @@ func testOptions() Options {
 	}
 }
 
+// adopt runs one pass and adopts its target: Propose, then
+// CommitProposal.
+func adopt(ctx context.Context, eng *Engine) (*Result, error) {
+	res, err := eng.Propose(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return res, eng.CommitProposal(res)
+}
+
 func TestBootstrapNoopDelta(t *testing.T) {
 	st := newTestState(t, t3())
 	eng := New(st, testOptions(), nil)
 	ctx := context.Background()
 
 	// First call has no partition to scope against: full pipeline.
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -42,7 +52,7 @@ func TestBootstrapNoopDelta(t *testing.T) {
 	}
 
 	// Nothing dirty: noop.
-	res, err = eng.Reoptimize(ctx)
+	res, err = adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("noop: %v", err)
 	}
@@ -62,7 +72,7 @@ func TestBootstrapNoopDelta(t *testing.T) {
 	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: d + 2}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	res, err = eng.Reoptimize(ctx)
+	res, err = adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
@@ -94,7 +104,7 @@ func TestDeltaQualityVsFull(t *testing.T) {
 	opts := testOptions()
 	eng := New(st, opts, nil)
 	ctx := context.Background()
-	if _, err := eng.Reoptimize(ctx); err != nil {
+	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 
@@ -120,7 +130,7 @@ func TestDeltaQualityVsFull(t *testing.T) {
 		t.Fatalf("reference full solve: %v", err)
 	}
 
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
@@ -150,7 +160,7 @@ func TestDriftEscalation(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := New(st, testOptions(), reg)
 	ctx := context.Background()
-	if _, err := eng.Reoptimize(ctx); err != nil {
+	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	if len(st.groups) < 2 {
@@ -165,7 +175,7 @@ func TestDriftEscalation(t *testing.T) {
 	if _, err := eng.Apply(lifetime.UpdateAffinity{A: u, B: v, Weight: w}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
@@ -189,7 +199,7 @@ func TestDirtyRatioEscalation(t *testing.T) {
 	st := newTestState(t, t3())
 	eng := New(st, testOptions(), nil)
 	ctx := context.Background()
-	if _, err := eng.Reoptimize(ctx); err != nil {
+	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 
@@ -203,7 +213,7 @@ func TestDirtyRatioEscalation(t *testing.T) {
 	if _, err := eng.Apply(events...); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
@@ -217,7 +227,7 @@ func TestForceFull(t *testing.T) {
 	opts := testOptions()
 	opts.ForceFull = true
 	eng := New(st, opts, nil)
-	res, err := eng.Reoptimize(context.Background())
+	res, err := adopt(context.Background(), eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
@@ -235,7 +245,7 @@ func TestDeltaMigrationPlan(t *testing.T) {
 	opts.SkipMigration = false
 	eng := New(st, opts, nil)
 	ctx := context.Background()
-	if _, err := eng.Reoptimize(ctx); err != nil {
+	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 
@@ -250,7 +260,7 @@ func TestDeltaMigrationPlan(t *testing.T) {
 	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 2}); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}
@@ -279,7 +289,7 @@ func TestRemoveServiceThenReoptimize(t *testing.T) {
 	st := newTestState(t, t3())
 	eng := New(st, testOptions(), nil)
 	ctx := context.Background()
-	if _, err := eng.Reoptimize(ctx); err != nil {
+	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	// Remove a partitioned (non-trivial) service so group bookkeeping
@@ -300,7 +310,7 @@ func TestRemoveServiceThenReoptimize(t *testing.T) {
 	if len(st.subOf) != st.Problem().N() {
 		t.Fatalf("subOf len %d, want %d", len(st.subOf), st.Problem().N())
 	}
-	res, err := eng.Reoptimize(ctx)
+	res, err := adopt(ctx, eng)
 	if err != nil {
 		t.Fatalf("reoptimize: %v", err)
 	}

@@ -32,7 +32,7 @@ func TestScaleServiceEvent(t *testing.T) {
 	orig := p.Services[s].Replicas
 
 	// Scale up: replicas target moves, placed count unchanged (deficit
-	// awaits Reoptimize).
+	// awaits Propose).
 	placed := st.Assignment().Placed(s)
 	if _, err := st.Apply(lifetime.ScaleService{Service: s, Replicas: orig + 3}); err != nil {
 		t.Fatalf("scale up: %v", err)

@@ -21,7 +21,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		events: reg.CounterVec("rasa_incr_events_total",
 			"Cluster state events applied, by event type.", "type"),
 		reopts: reg.CounterVec("rasa_incr_reoptimize_total",
-			"Reoptimize calls, by path taken (noop, delta, full).", "mode"),
+			"Propose passes, by path taken (noop, delta, full).", "mode"),
 		escalations: reg.CounterVec("rasa_incr_escalations_total",
 			"Full-pipeline runs, by the reason a delta pass was not enough.", "reason"),
 		ratio: reg.Histogram("rasa_incr_dirty_ratio",
@@ -63,9 +63,9 @@ func (m *metrics) dirtyRatio(r float64) {
 	m.ratio.Observe(r)
 }
 
-// adopted records a pass whose target became the live assignment: an
-// adopting Reoptimize, or a Propose later committed with
-// CommitProposal. A proposal that is never committed moves nothing.
+// adopted records a pass whose target became the live assignment: a
+// Propose later committed with CommitProposal. A proposal that is never
+// committed moves nothing.
 func (m *metrics) adopted(res *Result) {
 	if m == nil {
 		return

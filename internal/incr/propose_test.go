@@ -49,7 +49,7 @@ func TestProposeCommitAdopt(t *testing.T) {
 		}
 	}
 	// The proposal's full pass counts exactly once toward the seed
-	// schedule, as if Reoptimize had run it.
+	// schedule: the commit does not count it again.
 	if got := st.Log().FullRuns(); got != 1 {
 		t.Fatalf("full runs = %d after propose+commit, want 1", got)
 	}
@@ -160,17 +160,4 @@ func TestMovesCountedOnAdoption(t *testing.T) {
 		t.Fatalf("apply: %v", err)
 	}
 	propose(ModeDelta)
-
-	// An adopting Reoptimize counts its own moves.
-	if _, err := eng.Apply(lifetime.ScaleService{Service: target, Replicas: st.Problem().Services[target].Replicas + 1}); err != nil {
-		t.Fatalf("apply: %v", err)
-	}
-	m0 := moves.Value()
-	res, err := eng.Reoptimize(ctx)
-	if err != nil {
-		t.Fatalf("reoptimize: %v", err)
-	}
-	if got := moves.Value(); got != m0+float64(res.Moves) {
-		t.Fatalf("moves counter %v after Reoptimize, want %v + %d", got, m0, res.Moves)
-	}
 }

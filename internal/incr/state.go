@@ -19,7 +19,7 @@ import (
 // State methods lock internally, so Apply can race an HTTP handler;
 // but the Problem/Assignment accessors hand out the log's live
 // pointers, so callers that inspect them must not do so concurrently
-// with Apply or Reoptimize.
+// with Apply or Propose.
 type State struct {
 	mu  sync.Mutex
 	log *lifetime.Log
@@ -71,7 +71,7 @@ func NewState(p *cluster.Problem, assign *cluster.Assignment) (*State, error) {
 // FromLog wraps an existing log — a replayed trace, a resumed
 // checkpoint — folding every entry already in it. The partition is
 // not reconstructible from the log (solver results are not events), so
-// a state built this way escalates its first Reoptimize to the full
+// a state built this way escalates its first Propose to the full
 // pipeline, exactly like a bootstrap.
 func FromLog(l *lifetime.Log) *State {
 	st := &State{
@@ -216,7 +216,7 @@ func (st *State) SetAssignment(a *cluster.Assignment) error {
 
 // Settle fills SLA deficits with the default scheduler without running
 // any solver, leaving the dirty set untouched: a cheap stop-gap between
-// an event batch and the next Reoptimize, mirroring how production
+// an event batch and the next Propose, mirroring how production
 // keeps the fleet serving while the optimizer is between runs. The
 // re-placements are committed to the log as an applied "settle" plan.
 func (st *State) Settle() {
@@ -280,7 +280,7 @@ func (st *State) Snapshot() Stats {
 
 // markDirty flags the subproblem owning service s. Before the first
 // full solve there is no partition to scope against, so nothing is
-// tracked — Reoptimize escalates unconditionally.
+// tracked — Propose escalates unconditionally.
 func (st *State) markDirty(s int) {
 	if !st.havePartition {
 		return

@@ -48,7 +48,7 @@ const (
 
 // ScaleService sets a service's SLA replica target. Scaling down strips
 // the surplus containers immediately (most-loaded machines first);
-// scaling up leaves a deficit for the next Reoptimize to place.
+// scaling up leaves a deficit for the next planner pass to place.
 type ScaleService struct {
 	Service  int
 	Replicas int
@@ -157,7 +157,7 @@ func (e AddMachine) apply(st *State) ([]int, error) {
 // DrainMachine evicts every container from a machine and zeroes its
 // capacity, so no solver or scheduler path places anything back on it
 // (decommissioning, maintenance). The evicted services are the entry's
-// Touched set; the containers are re-placed by the next Reoptimize.
+// Touched set; the containers are re-placed by the next planner pass.
 type DrainMachine struct {
 	Machine int
 }
@@ -358,7 +358,7 @@ type PlacementDelta struct {
 }
 
 // PlanCommitted records the outcome of a planner pass. Applied plans
-// (Reoptimize, restores, settles) carry their placement deltas and
+// (committed proposals, restores, settles) carry their placement deltas and
 // mutate the state to the committed target cell by cell — each Before
 // is verified against the live state, so a diverged commit fails loudly
 // instead of silently corrupting the fold. Proposed plans (Applied
@@ -367,7 +367,7 @@ type PlacementDelta struct {
 // toward the state's fullRuns either way — the partition-seed
 // exploration schedule must survive a replay.
 type PlanCommitted struct {
-	Origin  string // "reoptimize", "propose", "restore", "settle"
+	Origin  string // "propose", "commit", "restore", "settle"
 	Mode    string // "delta" or "full" for planner passes, "" otherwise
 	Reason  string // escalation reason of a full pass
 	Applied bool

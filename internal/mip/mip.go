@@ -190,8 +190,13 @@ type solver struct {
 	// its optimum (pivot limit or interruption): its subtree was never
 	// searched, so the final bound keeps it. -inf when there is none.
 	unsolved float64
-	nodes    int
-	stats    solve.Stats
+	// pruned is the highest bound of a node fathomed because it could not
+	// beat the incumbent by more than the gap slack: its subtree was not
+	// searched either, so under a gap the final bound keeps it too. -inf
+	// when there is none.
+	pruned float64
+	nodes  int
+	stats  solve.Stats
 	// rootBasis is the root relaxation's optimal basis, surfaced on the
 	// Solution for cross-solve warm starting.
 	rootBasis *lp.Basis
@@ -290,6 +295,7 @@ func Solve(ctx context.Context, p *Problem, opts Options) (Solution, error) {
 		ws:           lp.AcquireWorkspace(),
 		incumbentObj: math.Inf(-1),
 		unsolved:     math.Inf(-1),
+		pruned:       math.Inf(-1),
 	}
 	s.nodeLP = lp.Problem{NumVars: n, Objective: p.LP.Objective, Rows: p.LP.Rows, Lower: s.lo, Upper: s.up}
 	for j := 0; j < n; j++ {
@@ -596,6 +602,7 @@ func (s *solver) run() (Solution, error) {
 		}
 		n := heap.Pop(open).(*node)
 		if s.haveInc && n.bound <= s.incumbentObj+s.gapSlack() {
+			s.pruned = math.Max(s.pruned, n.bound)
 			s.popped(n.parent)
 			continue // pruned by bound
 		}
@@ -624,7 +631,7 @@ func (s *solver) run() (Solution, error) {
 		s.processLP(n, sol, open)
 	}
 
-	bound := s.unsolved
+	bound := math.Max(s.unsolved, s.pruned)
 	if s.haveInc {
 		bound = math.Max(bound, s.incumbentObj)
 	}
@@ -664,6 +671,7 @@ func (s *solver) gapSlack() float64 {
 // integrality, try rounding, or branch.
 func (s *solver) processLP(n *node, sol lp.Solution, open *nodeHeap) {
 	if s.haveInc && sol.Objective <= s.incumbentObj+s.gapSlack() {
+		s.pruned = math.Max(s.pruned, sol.Objective)
 		return // dominated
 	}
 	if s.isIntegral(sol.X) {

@@ -20,8 +20,8 @@ import (
 )
 
 // clusterSession is the server's single live cluster: the federated
-// block pool (one incremental engine per compatibility block, hashed
-// onto Config.Shards shard workers) plus the budget needed to derive
+// block pool (one incremental engine per compatibility block, dealt
+// round-robin onto Config.Shards shard workers) plus the budget needed to derive
 // request deadlines. One session exists at a time; POST /v1/cluster
 // replaces it.
 //

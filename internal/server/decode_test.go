@@ -53,33 +53,20 @@ func checkDecodeMatchesRef(t *testing.T, body []byte) {
 	}
 }
 
-// TestDecodeSnapshotRequestMatchesRef runs wrapped and bare bodies, the
-// forms the fast path takes and those it leaves to encoding/json,
-// through decodeSnapshotRequest and the reference, then random byte
-// edits of a small wrapped body.
-func TestDecodeSnapshotRequestMatchesRef(t *testing.T) {
-	snap := testSnapshot(t, 3)
-	var indented bytes.Buffer
-	if err := json.Indent(&indented, snap, "", "  "); err != nil {
-		t.Fatal(err)
-	}
-	s := string(snap)
-	fast := []string{
+// decodeBodies builds request bodies around the canonical snapshot s
+// (indented is s indented): fast lists the forms decodeCommon must take
+// itself, slow those it leaves to encoding/json.
+func decodeBodies(s, indented string) (fast, slow []string) {
+	fast = []string{
 		`{"snapshot":` + s + `}`,
 		`{"snapshot":` + s + `,"options":{"budget":"1s","seed":7}}`,
-		` { "options" : {"policy":{"kind":"cg"}} ,` + "\n\t" + `"snapshot" : ` + indented.String() + " } \n",
+		` { "options" : {"policy":{"kind":"cg"}} ,` + "\n\t" + `"snapshot" : ` + indented + " } \n",
 		`{"snapshot":` + s + `,"options":null}`,
 		`{"snapshot":` + s + `,"options":{"unknown":1,"budget":"2s"}}`,
 		s,
-		indented.String() + "\n",
+		indented + "\n",
 	}
-	for _, body := range fast {
-		if _, _, ok := decodeCommon([]byte(body)); !ok {
-			t.Errorf("fast path declined %.120q", body)
-		}
-		checkDecodeMatchesRef(t, []byte(body))
-	}
-	slow := []string{
+	slow = []string{
 		``, ` `, `null`, `[]`, `"x"`, `{}`, `{ }`, `{"snapshot":null}`,
 		`{"snapshot":null,"options":{}}`,
 		`{"snapshot":{}}`, `{"snapshot":{"version":1}}`, `{"snapshot":[]}`, `{"snapshot":1}`,
@@ -108,6 +95,26 @@ func TestDecodeSnapshotRequestMatchesRef(t *testing.T) {
 		s + ` x`,
 		s[:len(s)-1],
 	}
+	return fast, slow
+}
+
+// TestDecodeSnapshotRequestMatchesRef runs wrapped and bare bodies, the
+// forms the fast path takes and those it leaves to encoding/json,
+// through decodeSnapshotRequest and the reference, then random byte
+// edits of a small wrapped body.
+func TestDecodeSnapshotRequestMatchesRef(t *testing.T) {
+	snap := testSnapshot(t, 3)
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, snap, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	fast, slow := decodeBodies(string(snap), indented.String())
+	for _, body := range fast {
+		if _, _, ok := decodeCommon([]byte(body)); !ok {
+			t.Errorf("fast path declined %.120q", body)
+		}
+		checkDecodeMatchesRef(t, []byte(body))
+	}
 	for _, body := range slow {
 		checkDecodeMatchesRef(t, []byte(body))
 	}
@@ -133,4 +140,32 @@ func TestDecodeSnapshotRequestMatchesRef(t *testing.T) {
 		}
 		checkDecodeMatchesRef(t, body)
 	}
+}
+
+// FuzzDecodeSnapshotRequest holds decodeSnapshotRequest, whose
+// decodeCommon fast path splits the envelope itself, to the
+// encoding/json reference on arbitrary bytes: the same snapshot,
+// options and error text. The seeds are the table test's bodies around
+// a one-service snapshot, kept small so the engine mutates them fast.
+func FuzzDecodeSnapshotRequest(f *testing.F) {
+	const small = `{"version":1,"resourceNames":["cpu"],"services":[{"name":"a","replicas":2,"request":[1.5]}],` +
+		`"machines":[{"name":"m","capacity":[4]}],"assignment":[{"service":0,"machine":0,"count":2}]}`
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, []byte(small), "", " "); err != nil {
+		f.Fatal(err)
+	}
+	fast, slow := decodeBodies(small, indented.String())
+	for _, body := range fast {
+		if _, _, ok := decodeCommon([]byte(body)); !ok {
+			f.Fatalf("fast path declined seed %q", body)
+		}
+		f.Add([]byte(body))
+	}
+	for _, body := range slow {
+		f.Add([]byte(body))
+	}
+	f.Add([]byte(`{"snapshot":{"version":1,"resourceNames":["cpu"],"services":[{"name":"a\"b","replicas":2,"request":[1.5]}]},"options":{"seed":4}}`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		checkDecodeMatchesRef(t, body)
+	})
 }

@@ -75,7 +75,8 @@ type Config struct {
 	MaxWait time.Duration
 	// Shards is the number of shard workers the live cluster session
 	// (internal/fed: one incremental engine per compatibility block)
-	// hashes its blocks onto; 0 means fed.DefaultShards. A worker
+	// deals its blocks onto, block id mod Shards; 0 means
+	// fed.DefaultShards. A worker
 	// proposes its blocks one after another, each under the session
 	// budget.
 	Shards int

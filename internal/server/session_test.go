@@ -50,9 +50,9 @@ func TestShardedSessionIncrMetrics(t *testing.T) {
 }
 
 // TestSessionAllowanceCoversShardLoad checks that the session deadline
-// grows with the most blocks one shard worker proposes in turn: all of
-// them on one shard, and three of them at three shards, where
-// rendezvous hashing puts blocks 0-2 on shard 2.
+// grows with the most blocks one shard worker proposes in turn: all
+// three on one shard, and one each at three shards, where blocks are
+// dealt round-robin.
 func TestSessionAllowanceCoversShardLoad(t *testing.T) {
 	c, err := workload.Generate(workload.Preset{
 		Name: "threezone", Services: 30, Containers: 180, Machines: 9,
@@ -62,7 +62,8 @@ func TestSessionAllowanceCoversShardLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 3} {
+	for _, tc := range []struct{ shards, most int }{{1, 3}, {3, 1}} {
+		shards := tc.shards
 		s := New(Config{Workers: 1, Shards: shards})
 		defer s.Shutdown(t.Context())
 		rec := postObj(t, s, "/v1/cluster", map[string]any{
@@ -86,10 +87,10 @@ func TestSessionAllowanceCoversShardLoad(t *testing.T) {
 		for _, sh := range topo.Shards {
 			most = max(most, len(sh.Blocks))
 		}
-		if len(topo.Shards) != shards || len(topo.Blocks) != 3 || most != 3 {
+		if len(topo.Shards) != shards || len(topo.Blocks) != 3 || most != tc.most {
 			t.Fatalf("shards=%d: topology %s", shards, rec.Body)
 		}
-		if got, want := s.session().allowance(), 3*(2*time.Second+budgetGrace); got != want {
+		if got, want := s.session().allowance(), time.Duration(tc.most)*(2*time.Second+budgetGrace); got != want {
 			t.Fatalf("shards=%d: allowance %v, want %v", shards, got, want)
 		}
 	}

@@ -69,14 +69,13 @@ func TestShardedSessionLifecycle(t *testing.T) {
 
 	blocks := installShardedCluster(t, s)
 
-	// Topology endpoint: versioned map covering every block.
+	// Topology endpoint: every block, dealt round-robin onto the shards.
 	rec := getPath(t, s, "/v1/shards")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("shards: %d %s", rec.Code, rec.Body)
 	}
 	var topo struct {
-		Version int `json:"version"`
-		Shards  []struct {
+		Shards []struct {
 			ID     int   `json:"id"`
 			Blocks []int `json:"blocks"`
 		} `json:"shards"`
@@ -89,8 +88,13 @@ func TestShardedSessionLifecycle(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &topo); err != nil {
 		t.Fatal(err)
 	}
-	if topo.Version != 1 || len(topo.Shards) != 2 || len(topo.Blocks) != blocks {
+	if len(topo.Shards) != 2 || len(topo.Blocks) != blocks {
 		t.Fatalf("topology %s", rec.Body)
+	}
+	for _, b := range topo.Blocks {
+		if b.Shard != b.ID%2 {
+			t.Fatalf("block %d on shard %d, want %d: %s", b.ID, b.Shard, b.ID%2, rec.Body)
+		}
 	}
 
 	// Events route through the pool; stats keep the single-engine shape.
