@@ -32,12 +32,12 @@ type anchor struct {
 }
 
 // Anchor snapshots the tableau of the workspace's most recent solve as
-// the anchor for SolveNode and reports whether it could. Only a dense
-// solve that ended Optimal leaves a tableau to anchor on; otherwise any
+// the anchor for SolveNode and reports whether it could. Only a solve
+// that ended Optimal leaves a tableau to anchor on; otherwise any
 // earlier anchor is dropped and SolveNode declines every node.
 func (w *Workspace) Anchor() bool {
 	an := &w.anc
-	an.ok = w.lastKernel == KernelDense && w.lastStatus == Optimal
+	an.ok = w.lastStatus == Optimal
 	w.live = an.ok
 	if !an.ok {
 		return false
@@ -101,7 +101,6 @@ func (w *Workspace) SolveNode(ctx context.Context, opts Options, lo, up []float6
 	if !w.markTarget(from) {
 		return w.decline()
 	}
-	w.lastKernel = KernelDense
 	w.trackPhase1 = false
 	w.fromLive = w.live && w.overlap(w.basis[:w.m]) >= w.overlap(an.basis)
 	if w.fromLive {

@@ -393,8 +393,8 @@ func FuzzAnchoredNodeBackstop(f *testing.F) {
 
 // TestSolveNodeDeclines pins the cases SolveNode must hand back to
 // SolveFrom: a workspace with no anchor (none taken, taken after a
-// non-optimal or a sparse solve, or dropped by Release), and a basis
-// that does not fit the anchor.
+// non-optimal solve, or dropped by Release), and a basis that does not
+// fit the anchor.
 func TestSolveNodeDeclines(t *testing.T) {
 	ctx := context.Background()
 	root := &Problem{NumVars: 2, Objective: dense(3, 5)}
@@ -457,10 +457,6 @@ func TestSolveNodeDeclines(t *testing.T) {
 	}
 	if _, ok := w.SolveNode(ctx, Options{}, lo, up1, b); ok {
 		t.Error("dropped anchor still used")
-	}
-	// So does anchoring after a sparse solve.
-	if s, _ := w.Solve(ctx, root, Options{Kernel: KernelSparse}); s.Status != Optimal || w.Anchor() {
-		t.Fatalf("sparse solve anchored (status %v)", s.Status)
 	}
 	// And Release.
 	if _, _ = w.Solve(ctx, root, Options{}); !w.Anchor() {

@@ -11,30 +11,17 @@
 // solver is exact up to floating-point tolerances, reports dual values
 // (required by column-generation pricing), and is deterministic.
 //
-// Two interchangeable engines back the same API (Options.Kernel):
+// The engine is a dense tableau simplex with Dantzig pricing and an
+// automatic switch to Bland's rule when cycling is suspected. Variable
+// bounds use the bounded-variable method: a nonbasic column sits at its
+// lower or upper bound (an at-upper column is stored complemented), the
+// primal ratio test includes bound flips, and the dual simplex repairs
+// basic variables outside either bound. A bound costs no row.
 //
-//   - A dense tableau simplex with Dantzig pricing and an automatic
-//     switch to Bland's rule when cycling is suspected — the reference
-//     kernel, lowest constant factor on small problems. Variable bounds
-//     use the bounded-variable method: a nonbasic column sits at its
-//     lower or upper bound (an at-upper column is stored complemented),
-//     the primal ratio test includes bound flips, and the dual simplex
-//     repairs basic variables outside either bound. A bound costs no row.
-//   - A sparse revised simplex (sparse.go): CSC constraint storage, a
-//     product-form eta file with periodic refactorization, bounded
-//     variables (presolve turns assignment-style singleton rows into
-//     bounds that never enter the matrix), and a presolve/postsolve
-//     pair that maps solutions and duals back to original indices.
-//     KernelAuto selects it once the implied dense tableau passes
-//     ~32k cells; any numerical breakdown falls back to the dense
-//     kernel, so results are identical up to tolerances.
-//
-// The engines live in a Workspace (see workspace.go) whose storage is
+// The tableau lives in a Workspace (see workspace.go) whose storage is
 // flat, pooled, and reused across solves, and which supports warm
 // starts from a captured Basis — the mechanism CG master re-solves use
 // to re-optimize in a few pivots instead of a full two-phase solve.
-// Bases are captured in the dense column layout regardless of kernel,
-// so either engine can warm-start from the other's capture.
 //
 // Branch-and-bound nodes take a cheaper warm path (anchor.go): the
 // workspace snapshots the root relaxation's optimal dense tableau
@@ -48,7 +35,7 @@
 // whose bound moved, and the dual repair, instead of a rebuild of the
 // tableau and a re-pivot of the whole basis. A node solve allocates
 // nothing: its X and Duals are workspace buffers, valid until the next
-// solve. Without an anchor (a sparse or non-optimal root) or with a
+// solve. Without an anchor (a root that did not end optimal) or with a
 // basis that does not fit it, the caller falls back to SolveFrom.
 package lp
 
@@ -172,14 +159,10 @@ type Options struct {
 	// default.
 	MaxIter  int
 	Deadline time.Time // zero means no deadline
-	// Kernel selects the simplex engine: KernelAuto (default) routes
-	// large problems to the sparse revised-simplex kernel and small
-	// ones to the dense tableau; KernelDense / KernelSparse force one.
-	Kernel Kernel
 }
 
 // Numerical tolerances. These are standard textbook magnitudes for a
-// dense double-precision simplex.
+// double-precision tableau simplex.
 const (
 	pivotEps = 1e-9 // minimum magnitude for a usable pivot element
 	costEps  = 1e-9 // reduced-cost optimality tolerance

@@ -163,9 +163,8 @@ func TestValidation(t *testing.T) {
 }
 
 // TestValidateBounds is the bounds half of validation: malformed
-// Lower/Upper are ErrBadProblem for either kernel, well-formed ones
-// (+inf upper, fixed variables) pass, and the happy path with bounds
-// does not allocate.
+// Lower/Upper are ErrBadProblem, well-formed ones (+inf upper, fixed
+// variables) pass, and the happy path with bounds does not allocate.
 func TestValidateBounds(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
 	for _, c := range []struct {
@@ -187,14 +186,12 @@ func TestValidateBounds(t *testing.T) {
 	} {
 		p := &Problem{NumVars: 2, Objective: dense(1, 1), Lower: c.lower, Upper: c.upper}
 		p.AddRow(dense(1, 1), LE, 4)
-		for _, k := range []Kernel{KernelDense, KernelSparse} {
-			_, err := Solve(context.Background(), p, Options{Kernel: k})
-			if c.ok && err != nil {
-				t.Errorf("%s (%v): %v", c.name, k, err)
-			}
-			if !c.ok && !errors.Is(err, ErrBadProblem) {
-				t.Errorf("%s (%v): got %v, want ErrBadProblem", c.name, k, err)
-			}
+		_, err := Solve(context.Background(), p, Options{})
+		if c.ok && err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		}
+		if !c.ok && !errors.Is(err, ErrBadProblem) {
+			t.Errorf("%s: got %v, want ErrBadProblem", c.name, err)
 		}
 	}
 	p := &Problem{NumVars: 2, Lower: []float64{0, 1}, Upper: []float64{2, inf}}

@@ -27,12 +27,12 @@ func TestReleaseDropsOversizedArrays(t *testing.T) {
 		t.Fatalf("small arrays dropped on Release: cap(a)=%d cap(phase2)=%d", cap(w.a), cap(w.phase2))
 	}
 
-	// Sparse-kernel state counts against the same cap.
+	// Bound state counts against the same cap.
 	w = AcquireWorkspace()
-	w.sps.xB = make([]float64, maxPooledFloats+1)
+	w.span = make([]float64, maxPooledFloats+1)
 	w.Release()
-	if cap(w.sps.xB) != 0 {
-		t.Fatalf("oversized sparse state retained through Release: cap=%d", cap(w.sps.xB))
+	if cap(w.span) != 0 {
+		t.Fatalf("oversized bound state retained through Release: cap=%d", cap(w.span))
 	}
 
 	// So does the anchor SolveNode keeps: a workspace whose own tableau
@@ -56,24 +56,22 @@ func TestMaxIterTotalBudget(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 200; trial++ {
 		p := randomMixedLP(rng)
-		for _, k := range []Kernel{KernelDense, KernelSparse} {
-			full, err := Solve(ctx, p, Options{Kernel: k})
+		full, err := Solve(ctx, p, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if full.Stats.SimplexIters < 2 {
+			continue
+		}
+		checked++
+		for budget := 1; budget <= full.Stats.SimplexIters; budget++ {
+			sol, err := Solve(ctx, p, Options{MaxIter: budget})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if full.Stats.SimplexIters < 2 {
-				continue
-			}
-			checked++
-			for budget := 1; budget <= full.Stats.SimplexIters; budget++ {
-				sol, err := Solve(ctx, p, Options{Kernel: k, MaxIter: budget})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if sol.Stats.SimplexIters > budget {
-					t.Fatalf("kernel %v budget %d: spent %d pivots total (problem %+v)",
-						k, budget, sol.Stats.SimplexIters, p)
-				}
+			if sol.Stats.SimplexIters > budget {
+				t.Fatalf("budget %d: spent %d pivots total (problem %+v)",
+					budget, sol.Stats.SimplexIters, p)
 			}
 		}
 	}
@@ -90,7 +88,7 @@ func TestMaxIterTotalBudgetWarm(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		p := randomMixedLP(rng)
 		w := AcquireWorkspace()
-		parent, err := w.Solve(ctx, p, Options{Kernel: KernelDense})
+		parent, err := w.Solve(ctx, p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +100,7 @@ func TestMaxIterTotalBudgetWarm(t *testing.T) {
 		v := rng.Intn(p.NumVars)
 		child := withBound(p, v, 0, math.Floor(parent.X[v]))
 		for budget := 1; budget <= 6; budget++ {
-			sol, err := w.SolveFrom(ctx, child, Options{Kernel: KernelDense, MaxIter: budget}, basis)
+			sol, err := w.SolveFrom(ctx, child, Options{MaxIter: budget}, basis)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,41 +133,39 @@ func TestWarmStartLayoutDriftGuard(t *testing.T) {
 		{"LE->GE changes column count", GE},
 		{"LE->EQ swaps slack for artificial", EQ},
 	}
-	for _, k := range []Kernel{KernelDense, KernelSparse} {
-		for _, f := range flips {
-			w := AcquireWorkspace()
-			parent, err := w.Solve(ctx, base, Options{Kernel: k})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if parent.Status != Optimal {
-				t.Fatalf("kernel %v: parent not optimal: %v", k, parent.Status)
-			}
-			basis := w.CaptureBasis(nil)
-
-			drifted := &Problem{NumVars: 2, Objective: base.Objective}
-			drifted.Rows = append(drifted.Rows, base.Rows...)
-			drifted.Rows[0].Sense = f.sense
-
-			warm, err := w.SolveFrom(ctx, drifted, Options{Kernel: k}, basis)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cold := solveWith(t, drifted, KernelDense)
-			if warm.Status != cold.Status {
-				t.Fatalf("kernel %v %s: drifted warm status %v != cold %v", k, f.name, warm.Status, cold.Status)
-			}
-			if cold.Status == Optimal {
-				if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
-					t.Fatalf("kernel %v %s: drifted warm objective %g != cold %g", k, f.name, warm.Objective, cold.Objective)
-				}
-				checkCertificates(t, "drifted-warm", drifted, warm)
-			}
-			if warm.Stats.WarmPivots != 0 {
-				t.Fatalf("kernel %v %s: drifted basis was not rejected: %d warm pivots", k, f.name, warm.Stats.WarmPivots)
-			}
-			w.Release()
+	for _, f := range flips {
+		w := AcquireWorkspace()
+		parent, err := w.Solve(ctx, base, Options{})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if parent.Status != Optimal {
+			t.Fatalf("parent not optimal: %v", parent.Status)
+		}
+		basis := w.CaptureBasis(nil)
+
+		drifted := &Problem{NumVars: 2, Objective: base.Objective}
+		drifted.Rows = append(drifted.Rows, base.Rows...)
+		drifted.Rows[0].Sense = f.sense
+
+		warm, err := w.SolveFrom(ctx, drifted, Options{}, basis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold := mustSolve(t, drifted)
+		if warm.Status != cold.Status {
+			t.Fatalf("%s: drifted warm status %v != cold %v", f.name, warm.Status, cold.Status)
+		}
+		if cold.Status == Optimal {
+			if math.Abs(warm.Objective-cold.Objective) > 1e-6*(1+math.Abs(cold.Objective)) {
+				t.Fatalf("%s: drifted warm objective %g != cold %g", f.name, warm.Objective, cold.Objective)
+			}
+			checkCertificates(t, "drifted-warm", drifted, warm)
+		}
+		if warm.Stats.WarmPivots != 0 {
+			t.Fatalf("%s: drifted basis was not rejected: %d warm pivots", f.name, warm.Stats.WarmPivots)
+		}
+		w.Release()
 	}
 
 	// Lower bounds drift the layout too: y >= 3 turns x + y >= 1 into
@@ -179,25 +175,23 @@ func TestWarmStartLayoutDriftGuard(t *testing.T) {
 	flip.AddRow([]Coef{{Var: 0, Val: -1}, {Var: 1, Val: 1}}, LE, 1)
 	shifted := *flip
 	shifted.Lower = []float64{0, 3}
-	for _, k := range []Kernel{KernelDense, KernelSparse} {
-		w := AcquireWorkspace()
-		if s, err := w.Solve(ctx, flip, Options{Kernel: k}); err != nil || s.Status != Optimal {
-			t.Fatalf("kernel %v: flip: %v %v", k, s.Status, err)
-		}
-		warm, err := w.SolveFrom(ctx, &shifted, Options{Kernel: k}, w.CaptureBasis(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if warm.Status != Optimal || math.Abs(warm.Objective+5) > 1e-9 || warm.Stats.WarmPivots != 0 {
-			t.Fatalf("kernel %v: lower-bound drift: %v obj %g after %d warm pivots, want optimal -5 solved cold", k, warm.Status, warm.Objective, warm.Stats.WarmPivots)
-		}
-		w.Release()
+	w := AcquireWorkspace()
+	if s, err := w.Solve(ctx, flip, Options{}); err != nil || s.Status != Optimal {
+		t.Fatalf("flip: %v %v", s.Status, err)
 	}
+	warm, err := w.SolveFrom(ctx, &shifted, Options{}, w.CaptureBasis(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Status != Optimal || math.Abs(warm.Objective+5) > 1e-9 || warm.Stats.WarmPivots != 0 {
+		t.Fatalf("lower-bound drift: %v obj %g after %d warm pivots, want optimal -5 solved cold", warm.Status, warm.Objective, warm.Stats.WarmPivots)
+	}
+	w.Release()
 }
 
 // TestPrefixLayoutMatchesBuild pins prefixLayout to the column
 // assignment Workspace.build actually performs — the invariant the
-// cross-kernel basis interop and the drift guard both lean on.
+// warm-start drift guard leans on.
 func TestPrefixLayoutMatchesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 300; trial++ {
@@ -205,22 +199,12 @@ func TestPrefixLayoutMatchesBuild(t *testing.T) {
 		w := AcquireWorkspace()
 		w.trackPhase1 = false
 		w.build(p)
-		li := prefixLayout(p, p.NumVars)
-		if li.n != w.n {
-			t.Fatalf("trial %d: prefixLayout n=%d, build n=%d", trial, li.n, w.n)
+		n, sig := prefixLayout(p, p.NumVars)
+		if n != w.n {
+			t.Fatalf("trial %d: prefixLayout n=%d, build n=%d", trial, n, w.n)
 		}
-		for j := 0; j < w.n; j++ {
-			if li.owner[j] != w.colRow[j] {
-				t.Fatalf("trial %d: column %d owner %d != build colRow %d", trial, j, li.owner[j], w.colRow[j])
-			}
-		}
-		if li.sig != w.sig {
-			t.Fatalf("trial %d: prefixLayout signature %x, build %x", trial, li.sig, w.sig)
-		}
-		for i := range p.Rows {
-			if li.slack[i] != w.slackCol[i] {
-				t.Fatalf("trial %d: row %d slack %d != build slackCol %d", trial, i, li.slack[i], w.slackCol[i])
-			}
+		if sig != w.sig {
+			t.Fatalf("trial %d: prefixLayout signature %x, build %x", trial, sig, w.sig)
 		}
 		w.Release()
 	}

@@ -66,14 +66,8 @@ type Workspace struct {
 	// run phase 1 and skip the bookkeeping.
 	trackPhase1 bool
 
-	// sps is the sparse revised-simplex kernel's state (sparse.go);
-	// lastKernel records which engine produced the workspace's current
-	// end-state so CaptureBasis reads the right one.
-	sps        spState
-	lastKernel Kernel
-	// lastStatus is the status of the most recent solve; with
-	// lastKernel it tells Anchor whether an optimal dense tableau is
-	// there to snapshot.
+	// lastStatus is the status of the most recent solve; it tells
+	// Anchor whether an optimal tableau is there to snapshot.
 	lastStatus Status
 	// anc is the snapshot SolveNode solves branch-and-bound nodes from
 	// (anchor.go). live reports that the tableau above is one of the
@@ -95,9 +89,9 @@ type Workspace struct {
 // Basis is a snapshot of the simplex basis of a solved tableau, the
 // warm-start handle passed back into SolveFrom and SolveNode: the basic
 // columns and the nonbasic columns at their upper bound, so a warm
-// start from either kernel lands on the same vertex. It records the
-// column layout at capture time so basis columns can be remapped when
-// the follow-up problem appends structural variables (CG master).
+// start lands on the same vertex. It records the column layout at
+// capture time so basis columns can be remapped when the follow-up
+// problem appends structural variables (CG master).
 type Basis struct {
 	cols   []int  // basic column of each row (order-insensitive: used as a set)
 	upper  []int  // nonbasic structural columns at their upper bound
@@ -137,7 +131,7 @@ func (w *Workspace) Release() {
 // pooled (the dominant storage; int/bool slices scale with the same
 // dimensions and are covered by the same cap).
 func (w *Workspace) retainedFloats() int {
-	return cap(w.a) + cap(w.phase1) + cap(w.phase2) + cap(w.slackSign) + w.sps.retainedFloats() +
+	return cap(w.a) + cap(w.phase1) + cap(w.phase2) + cap(w.slackSign) +
 		cap(w.lo) + cap(w.up) + cap(w.ref) + cap(w.span) +
 		cap(w.anc.a) + cap(w.anc.phase2) + cap(w.anc.slackSign) +
 		cap(w.anc.lo) + cap(w.anc.up) + cap(w.anc.ref) + cap(w.anc.span)
@@ -150,16 +144,6 @@ func (w *Workspace) retainedFloats() int {
 func (w *Workspace) CaptureBasis(dst *Basis) *Basis {
 	if dst == nil {
 		dst = &Basis{}
-	}
-	if w.lastKernel == KernelSparse {
-		// The sparse kernel pre-translates its basis into the dense
-		// column layout (buildCapture), so captures from either kernel
-		// warm-start either kernel.
-		k := &w.sps
-		dst.cols = append(dst.cols[:0], k.capCols...)
-		dst.upper = append(dst.upper[:0], k.capUpper...)
-		dst.m, dst.nStruc, dst.n, dst.sig = k.capM, k.capNStruc, k.capN, k.capSig
-		return dst
 	}
 	dst.cols = append(dst.cols[:0], w.basis[:w.m]...)
 	dst.m, dst.nStruc, dst.n, dst.sig = w.m, w.nStruc, w.n, w.sig
@@ -254,14 +238,6 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 		stats.Stop = cause
 		return finish(Solution{Status: IterLimit})
 	}
-	if resolveKernel(opts.Kernel, p) == KernelSparse {
-		if sol, ok := w.solveSparse(ctx, p, opts, from, &stats); ok {
-			return finish(sol)
-		}
-		// Numerical breakdown in the sparse kernel: the dense tableau
-		// below makes no factorization assumptions and settles it.
-	}
-	w.lastKernel = KernelDense
 	if from != nil {
 		if sol, ok := w.solveWarm(ctx, p, opts, from, &stats); ok {
 			return finish(sol)
@@ -277,9 +253,9 @@ func (w *Workspace) solveImpl(ctx context.Context, p *Problem, opts Options, fro
 	if maxIter <= 0 {
 		maxIter = 200 * (w.m + w.n + 10)
 	}
-	// MaxIter is a total pivot budget across phases (and across a
-	// sparse attempt that broke down after spending pivots), not a
-	// per-phase allowance.
+	// MaxIter is a total pivot budget across phases (and across a warm
+	// attempt that gave up after spending pivots), not a per-phase
+	// allowance.
 
 	// Phase 1: drive artificials to zero.
 	st, cause := w.iterate(ctx, w.phase1, maxIter-stats.SimplexIters, opts.Deadline, true, false, &stats)
@@ -479,7 +455,7 @@ func (w *Workspace) solveWarm(ctx context.Context, p *Problem, opts Options, fro
 	// keeps it but swaps a slack for an artificial), and a drifted basis
 	// would canonicalize into the wrong columns. The layout signature
 	// detects both drifts.
-	if li := prefixLayout(p, from.nStruc); li.n != from.n || li.sig != from.sig {
+	if n, sig := prefixLayout(p, from.nStruc); n != from.n || sig != from.sig {
 		return Solution{}, false
 	}
 	w.trackPhase1 = false
@@ -538,8 +514,7 @@ var (
 // selects extract's output buffers.
 func (w *Workspace) reoptimize(ctx context.Context, opts Options, stats *solve.Stats, buf bool) (Solution, bool) {
 	// MaxIter is a total budget: the dual repair and the primal polish
-	// share it (and any pivots a preceding sparse attempt spent count
-	// against it too).
+	// share it.
 	maxIter := opts.MaxIter
 	if maxIter <= 0 {
 		maxIter = 200 * (w.m + w.n + 10)

@@ -207,12 +207,12 @@ func TestNaiveRoundingRespectsBounds(t *testing.T) {
 	}
 }
 
-// TestCrossingBoundsWithoutAnchor: a root big enough for the sparse
-// kernel leaves no anchor, so every node is solved by SolveFrom on the
-// bounded problem. An up-branch above a fractional upper bound has
-// crossing bounds, which the node must settle as infeasible itself
-// (SolveFrom rejects them as a malformed problem).
-func TestCrossingBoundsWithoutAnchor(t *testing.T) {
+// TestCrossingBoundsInfeasible: an up-branch above a fractional upper
+// bound (x >= 3 against x <= 2.5) has crossing bounds. nodeBounds
+// settles such a node as infeasible before either node path runs, since
+// SolveNode requires lo <= up and SolveFrom rejects crossing bounds as
+// a malformed problem; the search must still reach the optimum.
+func TestCrossingBoundsInfeasible(t *testing.T) {
 	const n, m = 30, 120
 	p := &Problem{LP: lp.Problem{NumVars: n, Upper: make([]float64, n)}, Integer: allInt(n)}
 	for j := 0; j < n; j++ {

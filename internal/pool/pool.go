@@ -60,12 +60,22 @@ type Result struct {
 	Race *RaceOutcome
 }
 
-// maxMIPCells bounds the direct-MIP formulation size (rows * columns of
-// the simplex tableau). Formulations beyond this bound cannot complete a
+// maxMIPFloats bounds the float64s a direct-MIP solve allocates
+// (mipFloats), 160 MB. Formulations beyond this bound cannot complete a
 // single LP solve within any practical budget on this substrate and are
 // reported OutOfTime immediately — reproducing the OOT entries of
-// Fig. 6/Fig. 9 for the NO-PARTITION configuration.
-const maxMIPCells = 20_000_000
+// Fig. 6/Fig. 9 for the NO-PARTITION configuration — instead of
+// allocating a tableau that size.
+const maxMIPFloats = 20_000_000
+
+// mipFloats is what branch-and-bound over m allocates: the simplex
+// tableau of an m-row, n-variable LP, about (m+1)·(n+2m+1) float64s
+// (a GE row adds a surplus and an artificial column), twice over, since
+// the root's optimal tableau is kept as the nodes' anchor.
+func mipFloats(m *model.MIPModel) int64 {
+	rows, vars := int64(m.NumRows()), int64(m.NumVars())
+	return 2 * (rows + 1) * (vars + 2*rows + 1)
+}
 
 // Solve dispatches the subproblem to the chosen algorithm with the
 // given deadline. Both algorithms are anytime: with an expired deadline
@@ -109,7 +119,7 @@ func SolveMIPWarm(ctx context.Context, sp *cluster.Subproblem, deadline time.Tim
 	if err != nil {
 		return Result{}, err
 	}
-	if cells := int64(m.NumVars()) * int64(m.NumRows()); cells > maxMIPCells {
+	if mipFloats(m) > maxMIPFloats {
 		return Result{Algorithm: MIP, OutOfTime: true}, nil
 	}
 	opts := mip.Options{Deadline: deadline, Rounder: m.Rounder()}
@@ -144,7 +154,7 @@ func SolveMIPCutoff(ctx context.Context, sp *cluster.Subproblem, deadline time.T
 	if err != nil {
 		return Result{}, err
 	}
-	if cells := int64(m.NumVars()) * int64(m.NumRows()); cells > maxMIPCells {
+	if mipFloats(m) > maxMIPFloats {
 		return Result{Algorithm: MIP, OutOfTime: true}, nil
 	}
 	sol, err := mip.Solve(ctx, &m.Prob, mip.Options{

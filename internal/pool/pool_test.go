@@ -63,21 +63,28 @@ func TestAlgorithmString(t *testing.T) {
 
 func TestMIPOversizedGoesOOT(t *testing.T) {
 	// A NO-PARTITION-sized subproblem must be reported OutOfTime rather
-	// than attempting a hopeless formulation (Fig. 6's OOT entries).
-	c, err := workload.Generate(workload.Preset{
-		Name: "big", Services: 400, Containers: 2500, Machines: 120,
-		Beta: 1.5, AffinityFraction: 0.7, Zones: 1, Utilization: 0.55, Seed: 11,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp := cluster.FullSubproblem(c.Problem)
-	res, err := SolveMIP(context.Background(), sp, time.Now().Add(100*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OutOfTime {
-		t.Fatalf("expected OOT on %d-service full problem", c.Problem.N())
+	// than attempting a hopeless formulation (Fig. 6's OOT entries),
+	// without a single pivot. "tall" is quarter-scale M1: its rows ×
+	// variables (about 10M) are small, but its two tableau copies are
+	// about 61M float64s, so the bound must count the tableau.
+	for _, ps := range []workload.Preset{
+		{Name: "big", Services: 400, Containers: 2500, Machines: 120,
+			Beta: 1.5, AffinityFraction: 0.7, Zones: 1, Utilization: 0.55, Seed: 11},
+		{Name: "tall", Services: 147, Containers: 641, Machines: 24,
+			Beta: 1.6, AffinityFraction: 0.55, Zones: 2, Utilization: 0.55, Seed: 101},
+	} {
+		c, err := workload.Generate(ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := cluster.FullSubproblem(c.Problem)
+		res, err := SolveMIP(context.Background(), sp, time.Now().Add(2*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.OutOfTime || res.Stats.SimplexIters != 0 {
+			t.Fatalf("%s: OutOfTime=%v after %d pivots, want OOT without solving", ps.Name, res.OutOfTime, res.Stats.SimplexIters)
+		}
 	}
 }
 
