@@ -52,8 +52,7 @@ func main() {
 	maxBudget := flag.Duration("max-budget", 60*time.Second, "upper clamp on per-job budgets with -serve")
 	shards := flag.Int("shards", fed.DefaultShards, "with -serve, the number of shard workers the /v1/cluster session deals compatibility blocks onto round-robin, i.e. how many block proposals run at once (each worker proposes its blocks in turn)")
 	maxWait := flag.Duration("max-wait", 5*time.Minute, "upper clamp on ?wait= long-poll durations with -serve")
-	policy := flag.String("policy", "heuristic", "with -serve, default algorithm-selection policy (heuristic, cg, mip, race, or gcn — the online-trained selector)")
-	minConfidence := flag.Float64("min-confidence", 0.8, "with -serve -policy gcn, race CG-vs-MIP when the model's confidence falls below this (the race outcome retrains it)")
+	policy := flag.String("policy", "heuristic", "with -serve, default algorithm-selection policy for jobs that name none: heuristic, cg, or mip (an unknown kind exits at startup)")
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the context: in-flight solves return their
@@ -66,7 +65,7 @@ func main() {
 		return
 	}
 	if *serveAddr != "" {
-		runServe(ctx, *serveAddr, *workers, *queueDepth, *shards, *budget, *maxBudget, *maxWait, *policy, *minConfidence)
+		runServe(ctx, *serveAddr, *workers, *queueDepth, *shards, *budget, *maxBudget, *maxWait, *policy)
 		return
 	}
 	runOnce(ctx, *snapPath, *budget, *seed, *verbose)

@@ -20,7 +20,10 @@ import (
 // milliseconds, so this only matters if a solver wedges.
 const drainTimeout = 30 * time.Second
 
-func runServe(ctx context.Context, addr string, workers, queueDepth, shards int, budget, maxBudget, maxWait time.Duration, policy string, minConfidence float64) {
+func runServe(ctx context.Context, addr string, workers, queueDepth, shards int, budget, maxBudget, maxWait time.Duration, policy string) {
+	if _, err := server.ParsePolicy(policy); err != nil {
+		fail(err)
+	}
 	srv := server.New(server.Config{
 		Workers:       workers,
 		QueueDepth:    queueDepth,
@@ -29,7 +32,6 @@ func runServe(ctx context.Context, addr string, workers, queueDepth, shards int,
 		MaxWait:       maxWait,
 		Shards:        shards,
 		Policy:        policy,
-		MinConfidence: minConfidence,
 	})
 	hs := &http.Server{Addr: addr, Handler: srv}
 	errCh := make(chan error, 1)

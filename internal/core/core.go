@@ -129,14 +129,12 @@ type Result struct {
 	// Partition reports the partitioning phase.
 	Partition *partition.Result
 	// SubResults holds the per-subproblem solver outcomes, aligned with
-	// Partition.Subproblems. A raced subproblem's entry reports the
-	// winning arm as Algorithm and the head-to-head in Race.
+	// Partition.Subproblems.
 	SubResults []pool.Result
-	// Selected records the algorithm chosen per subproblem (pool.Race
-	// when the policy asked for a head-to-head).
+	// Selected records the algorithm chosen per subproblem.
 	Selected []pool.Algorithm
-	// Decisions records each subproblem's confidence-aware policy
-	// decision, aligned with Selected.
+	// Decisions records each subproblem's policy decision, aligned with
+	// Selected.
 	Decisions []selector.Decision
 	// OutOfTime reports that the solver phase produced nothing: every
 	// subproblem exhausted the budget without placements (the paper's
@@ -394,10 +392,7 @@ func Optimize(ctx context.Context, p *cluster.Problem, current *cluster.Assignme
 	}
 
 	// Phase 2: algorithm selection + parallel solving under the
-	// remaining budget. Policies decide per subproblem; a decision of
-	// pool.Race (a learned policy below its confidence threshold, or the
-	// explicit always-race policy) makes the solve layer run both
-	// algorithms head to head.
+	// remaining budget.
 	decisions := make([]selector.Decision, len(pres.Subproblems))
 	selected := make([]pool.Algorithm, len(pres.Subproblems))
 	for i, sp := range pres.Subproblems {
@@ -419,16 +414,6 @@ func Optimize(ctx context.Context, p *cluster.Problem, current *cluster.Assignme
 		remaining = minSolveBudget
 	}
 	results := pool.SolveAll(ctx, pres.Subproblems, func(i int) pool.Algorithm { return selected[i] }, remaining, opts.Parallelism)
-
-	// Raced subproblems produced oracle labels; feed them back to a
-	// learning policy so low-confidence regions shrink over time.
-	if learner, ok := opts.Policy.(selector.Observer); ok {
-		for i, r := range results {
-			if r.Race != nil {
-				learner.ObserveRace(selector.FromRace(pres.Subproblems[i], r.Race))
-			}
-		}
-	}
 
 	// Phase 3: merge and migration path.
 	newAssign := Settle(p, current, pres, results)

@@ -23,11 +23,8 @@ type Options struct {
 	// Default DefaultShards. One shard is valid: its worker proposes
 	// every block in turn.
 	Shards int
-	// Engine configures every block's incremental engine. A single
-	// Engine.Policy value is shared by all blocks, so a learned policy
-	// (selector.Observer) aggregates race outcomes from every shard into
-	// one trainer, the same learning loop one engine over the whole
-	// cluster would feed.
+	// Engine configures every block's incremental engine; all blocks
+	// share its one Engine.Policy value.
 	Engine incr.Options
 }
 

@@ -1,8 +1,6 @@
 package gnn
 
 import (
-	"encoding/json"
-	"fmt"
 	"math"
 	"math/rand"
 
@@ -277,49 +275,6 @@ func (g *GCN) Accuracy(samples []Sample) float64 {
 		}
 	}
 	return float64(hit) / float64(len(samples))
-}
-
-// gcnJSON is the persistence schema for trained weights.
-type gcnJSON struct {
-	InDim, Hidden, Classes int
-	W0, W1, WOut           []float64
-	B0, B1, B              []float64
-}
-
-// MarshalJSON serializes the trained weights.
-func (g *GCN) MarshalJSON() ([]byte, error) {
-	return json.Marshal(gcnJSON{
-		InDim: g.InDim, Hidden: g.Hidden, Classes: g.Classes,
-		W0: g.W0.V, W1: g.W1.V, WOut: g.WOut.V,
-		B0: g.B0, B1: g.B1, B: g.B,
-	})
-}
-
-// UnmarshalJSON restores trained weights.
-func (g *GCN) UnmarshalJSON(data []byte) error {
-	var j gcnJSON
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	if len(j.W0) != j.InDim*j.Hidden || len(j.W1) != j.Hidden*j.Hidden ||
-		len(j.WOut) != j.Hidden*j.Classes || len(j.B) != j.Classes ||
-		len(j.B0) != j.Hidden || len(j.B1) != j.Hidden {
-		return fmt.Errorf("gnn: corrupt GCN weight shapes")
-	}
-	*g = GCN{
-		InDim: j.InDim, Hidden: j.Hidden, Classes: j.Classes,
-		W0:   &Mat{R: j.InDim, C: j.Hidden, V: j.W0},
-		W1:   &Mat{R: j.Hidden, C: j.Hidden, V: j.W1},
-		WOut: &Mat{R: j.Hidden, C: j.Classes, V: j.WOut},
-		B0:   j.B0, B1: j.B1, B: j.B,
-	}
-	g.opt.w0 = newAdam(len(g.W0.V))
-	g.opt.w1 = newAdam(len(g.W1.V))
-	g.opt.wOut = newAdam(len(g.WOut.V))
-	g.opt.b0 = newAdam(len(g.B0))
-	g.opt.b1 = newAdam(len(g.B1))
-	g.opt.b = newAdam(len(g.B))
-	return nil
 }
 
 // FeatureGraph builds the GCN input for a subproblem (Definition 2):

@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -251,35 +250,6 @@ func TestMLPLearnsPooledTask(t *testing.T) {
 	m.Fit(samples, TrainConfig{Epochs: 50, LR: 0.02, Seed: 6})
 	if acc := m.Accuracy(samples); acc < 0.9 {
 		t.Fatalf("MLP accuracy = %v, want >= 0.9", acc)
-	}
-}
-
-func TestGCNJSONRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := NewGCN(2, 4, 2, rng)
-	s := randomSample(rng, 0)
-	want := g.Predict(s.AHat, s.X)
-
-	data, err := json.Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var g2 GCN
-	if err := json.Unmarshal(data, &g2); err != nil {
-		t.Fatal(err)
-	}
-	got := g2.Predict(s.AHat, s.X)
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("round trip prediction %v vs %v", got, want)
-		}
-	}
-}
-
-func TestGCNJSONRejectsCorrupt(t *testing.T) {
-	var g GCN
-	if err := json.Unmarshal([]byte(`{"InDim":2,"Hidden":4,"Classes":2,"W0":[1,2]}`), &g); err == nil {
-		t.Fatal("expected corrupt-shape error")
 	}
 }
 

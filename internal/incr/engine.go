@@ -316,17 +316,6 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 		func(i int) *pool.WarmStart { return st.warmFor(dirtyIdx[i]) },
 		e.opts.DeltaBudget, e.opts.Parallelism)
 
-	// Low-confidence decisions raced both arms; the outcomes are oracle
-	// labels for a learning policy (shared across every engine — and, in
-	// the federated pool, every block — that holds the same Policy).
-	if learner, ok := e.opts.Policy.(selector.Observer); ok {
-		for i, r := range results {
-			if r.Race != nil {
-				learner.ObserveRace(selector.FromRace(subs[i], r.Race))
-			}
-		}
-	}
-
 	next := core.Settle(p, cur, &partition.Result{Subproblems: subs}, results)
 
 	total := p.Affinity.TotalWeight()

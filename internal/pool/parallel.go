@@ -58,7 +58,7 @@ func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i 
 				err error
 			)
 			if alg == MIP && warmFor != nil {
-				res, err = SolveMIPWarm(ctx, subs[i], deadline, warmFor(i))
+				res, err = solveMIP(ctx, subs[i], deadline, warmFor(i), nil)
 			} else {
 				res, err = Solve(ctx, subs[i], alg, deadline)
 			}
@@ -66,7 +66,7 @@ func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i 
 			case err != nil:
 				res = Result{Algorithm: alg, OutOfTime: true}
 			case alg == MIP && len(res.Placements) == 0:
-				// CG and Race picks are anytime — they always return an
+				// A CG pick is anytime — it always returns an
 				// incumbent — but a MIP pick that hits the shared
 				// deadline (or the size guard) before rounding its
 				// first integral solution returns nothing, and the

@@ -24,11 +24,6 @@ type Algorithm int
 const (
 	CG  Algorithm = iota // column generation (Section IV-C2)
 	MIP                  // direct MIP via branch and bound (Section IV-C1)
-	// Race runs both members concurrently and keeps the better result
-	// (Section IV-D's labelling procedure). It costs up to 2x the CPU of
-	// a single arm, but its outcome doubles as an oracle-labelled
-	// training example for the online selector.
-	Race
 )
 
 func (a Algorithm) String() string {
@@ -37,8 +32,6 @@ func (a Algorithm) String() string {
 		return "CG"
 	case MIP:
 		return "MIP"
-	case Race:
-		return "RACE"
 	}
 	return "unknown"
 }
@@ -52,11 +45,9 @@ type Result struct {
 	// Stats is the solver effort behind this result: iteration counts,
 	// per-phase wall time, and the cause that stopped the solve.
 	Stats solve.Stats
-	// Race, set only when the subproblem was solved by racing both pool
-	// members (Algorithm Race, or a policy decision below its confidence
-	// threshold), records the head-to-head outcome; Algorithm then names
-	// the winning arm. It is the labelled example the learning loop
-	// trains on.
+	// Race, set only by SolveRace (the selector's offline labeller),
+	// records the head-to-head outcome; Algorithm then names the winning
+	// arm.
 	Race *RaceOutcome
 }
 
@@ -87,15 +78,13 @@ func Solve(ctx context.Context, sp *cluster.Subproblem, alg Algorithm, deadline 
 		return SolveCG(ctx, sp, deadline)
 	case MIP:
 		return SolveMIP(ctx, sp, deadline)
-	case Race:
-		return SolveRace(ctx, sp, deadline)
 	}
 	return Result{}, fmt.Errorf("pool: unknown algorithm %d", alg)
 }
 
 // SolveMIP solves the subproblem with the direct MIP formulation.
 func SolveMIP(ctx context.Context, sp *cluster.Subproblem, deadline time.Time) (Result, error) {
-	return SolveMIPCutoff(ctx, sp, deadline, nil)
+	return solveMIP(ctx, sp, deadline, nil, nil)
 }
 
 // WarmStart caches the root-relaxation basis of a subproblem's last MIP
@@ -111,10 +100,15 @@ type WarmStart struct {
 	Basis      *lp.Basis
 }
 
-// SolveMIPWarm is SolveMIP seeded from (and refreshing) a WarmStart
-// cache. A nil warm behaves exactly like SolveMIP. The basis is used
-// only when the cached shape matches the freshly built formulation.
-func SolveMIPWarm(ctx context.Context, sp *cluster.Subproblem, deadline time.Time, warm *WarmStart) (Result, error) {
+// solveMIP is the one direct-MIP solve behind SolveMIP, SolveAllWarm
+// and SolveRace. A non-nil warm seeds the root simplex from its cached
+// basis when the cached shape matches the freshly built formulation,
+// and is refreshed with the new root basis. A non-nil cutoff stops the
+// branch and bound with a Cancelled stop cause once it reports (c,
+// true) and the proven global upper bound cannot exceed c; the
+// labelling race uses it to abandon a MIP solve once the concurrent CG
+// result is provably unbeatable.
+func solveMIP(ctx context.Context, sp *cluster.Subproblem, deadline time.Time, warm *WarmStart, cutoff func() (float64, bool)) (Result, error) {
 	m, err := model.BuildMIP(sp)
 	if err != nil {
 		return Result{}, err
@@ -122,7 +116,7 @@ func SolveMIPWarm(ctx context.Context, sp *cluster.Subproblem, deadline time.Tim
 	if mipFloats(m) > maxMIPFloats {
 		return Result{Algorithm: MIP, OutOfTime: true}, nil
 	}
-	opts := mip.Options{Deadline: deadline, Rounder: m.Rounder()}
+	opts := mip.Options{Deadline: deadline, Rounder: m.Rounder(), Cutoff: cutoff}
 	if warm != nil && warm.Basis != nil && warm.Vars == m.NumVars() && warm.Rows == m.NumRows() {
 		opts.RootBasis = warm.Basis
 	}
@@ -132,38 +126,6 @@ func SolveMIPWarm(ctx context.Context, sp *cluster.Subproblem, deadline time.Tim
 	}
 	if warm != nil && sol.RootBasis != nil {
 		warm.Vars, warm.Rows, warm.Basis = m.NumVars(), m.NumRows(), sol.RootBasis
-	}
-	if sol.X == nil {
-		return Result{Algorithm: MIP, OutOfTime: true, Stats: sol.Stats}, nil
-	}
-	return Result{
-		Placements: m.Extract(sol.X),
-		Objective:  m.AffinityValue(sol.X),
-		Algorithm:  MIP,
-		Stats:      sol.Stats,
-	}, nil
-}
-
-// SolveMIPCutoff is SolveMIP with an objective cutoff: when cutoff
-// reports (c, true) and the branch-and-bound proves its global upper
-// bound cannot exceed c, the solve stops early with a Cancelled stop
-// cause. The selector's labelling race uses it to abandon a MIP solve
-// once the concurrent CG result is provably unbeatable.
-func SolveMIPCutoff(ctx context.Context, sp *cluster.Subproblem, deadline time.Time, cutoff func() (float64, bool)) (Result, error) {
-	m, err := model.BuildMIP(sp)
-	if err != nil {
-		return Result{}, err
-	}
-	if mipFloats(m) > maxMIPFloats {
-		return Result{Algorithm: MIP, OutOfTime: true}, nil
-	}
-	sol, err := mip.Solve(ctx, &m.Prob, mip.Options{
-		Deadline: deadline,
-		Rounder:  m.Rounder(),
-		Cutoff:   cutoff,
-	})
-	if err != nil {
-		return Result{}, err
 	}
 	if sol.X == nil {
 		return Result{Algorithm: MIP, OutOfTime: true, Stats: sol.Stats}, nil

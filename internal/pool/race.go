@@ -17,9 +17,9 @@ import (
 const RaceMargin = 0.01
 
 // RaceOutcome records the head-to-head result of racing both pool
-// algorithms on one subproblem. It is the labelled example the learning
-// loop trains on: Winner is the oracle label, Tie and Margin qualify how
-// trustworthy that label is.
+// algorithms on one subproblem. It is the labelled example the offline
+// selector trains on: Winner is the oracle label, Tie and Margin qualify
+// how trustworthy that label is.
 type RaceOutcome struct {
 	// CGObjective and MIPObjective are the gained-affinity objectives the
 	// two arms returned under the shared deadline.
@@ -75,7 +75,7 @@ func SolveRace(ctx context.Context, sp *cluster.Subproblem, deadline time.Time) 
 		}
 		return math.Float64frombits(cgObjBits.Load()) * (1 + RaceMargin), true
 	}
-	mipRes, mipErr := SolveMIPCutoff(ctx, sp, deadline, cutoff)
+	mipRes, mipErr := solveMIP(ctx, sp, deadline, nil, cutoff)
 	<-cgDone
 	if cgErr != nil {
 		return Result{}, cgErr

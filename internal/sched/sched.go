@@ -95,32 +95,6 @@ func (st *state) leastAllocatedScore(s, m int) float64 {
 	return score / float64(len(cap))
 }
 
-// affinityGain is the marginal gained affinity of adding one container
-// of s to machine m.
-func (st *state) affinityGain(s, m int) float64 {
-	ds := float64(st.p.Services[s].Replicas)
-	xs := float64(st.a.Get(s, m))
-	var gain float64
-	for _, h := range st.p.Affinity.Neighbors(s) {
-		cnt := st.a.Get(h.To, m)
-		if cnt == 0 {
-			continue
-		}
-		dn := float64(st.p.Services[h.To].Replicas)
-		before := minF(xs/ds, float64(cnt)/dn)
-		after := minF((xs+1)/ds, float64(cnt)/dn)
-		gain += h.Weight * (after - before)
-	}
-	return gain
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Original computes the pre-RASA production schedule: containers arrive
 // in randomized order (as they do over the lifetime of a real cluster)
 // and are placed by filter + least-allocated score, ties broken first-fit

@@ -23,45 +23,27 @@ func TestDecideNilModelFallsBack(t *testing.T) {
 	}
 }
 
-// TestDecideLowConfidenceRaces checks the confidence gate: an untrained
-// model's ~50/50 softmax falls below any real threshold and the policy
-// asks for a race; with the gate disabled it trusts the argmax.
-func TestDecideLowConfidenceRaces(t *testing.T) {
+// TestDecideTakesArgmax checks a loaded classifier decides by the
+// argmax of its class probabilities: the source names the classifier,
+// the algorithm is CG or MIP, and the confidence is the winning-class
+// probability.
+func TestDecideTakesArgmax(t *testing.T) {
 	sp := smallSubproblem()
 	rng := rand.New(rand.NewSource(1))
-	gcn, mlp := gnn.NewGCN(2, 16, 2, rng), gnn.NewMLP(2, 16, 2, rng)
 	for _, tc := range []struct {
-		kind         string
-		gated, plain Policy
+		kind string
+		p    Policy
 	}{
-		{"gcn", GCNPolicy{Model: gcn, MinConfidence: 0.9}, GCNPolicy{Model: gcn}},
-		{"mlp", MLPPolicy{Model: mlp, MinConfidence: 0.9}, MLPPolicy{Model: mlp}},
+		{"gcn", GCNPolicy{Model: gnn.NewGCN(2, 16, 2, rng)}},
+		{"mlp", MLPPolicy{Model: gnn.NewMLP(2, 16, 2, rng)}},
 	} {
-		d := tc.gated.Decide(sp)
-		if d.Algorithm != pool.Race || d.Source != tc.kind+"-lowconf" {
-			t.Fatalf("%s low-confidence decision %+v, want Race/%s-lowconf", tc.kind, d, tc.kind)
+		d := tc.p.Decide(sp)
+		if d.Source != tc.kind || (d.Algorithm != pool.CG && d.Algorithm != pool.MIP) {
+			t.Fatalf("%s decision %+v, want a direct %s choice of CG or MIP", tc.kind, d, tc.kind)
 		}
-		if d.Confidence <= 0 || d.Confidence >= 0.9 {
-			t.Fatalf("%s confidence %v outside (0, 0.9)", tc.kind, d.Confidence)
+		if d.Confidence < 0.5 || d.Confidence > 1 {
+			t.Fatalf("%s confidence %v outside [0.5, 1]", tc.kind, d.Confidence)
 		}
-
-		d = tc.plain.Decide(sp)
-		if d.Algorithm == pool.Race || d.Source != tc.kind {
-			t.Fatalf("%s ungated decision %+v, want a direct %s choice", tc.kind, d, tc.kind)
-		}
-		if d.Algorithm != pool.CG && d.Algorithm != pool.MIP {
-			t.Fatalf("%s ungated decision picked %v", tc.kind, d.Algorithm)
-		}
-	}
-}
-
-// TestRacePolicyDecision checks the explicit race policy dispatches
-// pool.Race with zero confidence.
-func TestRacePolicyDecision(t *testing.T) {
-	sp := smallSubproblem()
-	d := Race{}.Decide(sp)
-	if d.Algorithm != pool.Race || d.Confidence != 0 || d.Source != "race" {
-		t.Fatalf("race decision %+v", d)
 	}
 }
 

@@ -6,11 +6,9 @@
 // empirical heuristic, and the topology-blind MLP), and the labelling
 // harness that generates training data by racing both algorithms.
 //
-// Policies are confidence-aware: Decide returns a Decision carrying the
-// chosen algorithm, the policy's confidence in it, and a source tag. A
-// policy that is unsure may return pool.Race — the solve layer then runs
-// both algorithms and the head-to-head outcome flows back to the policy
-// through the Observer interface, closing the online learning loop.
+// The classifiers are trained offline, as in the paper: Label races CG
+// against MIP on sampled subproblems, TrainGCN and TrainMLP fit the
+// weights, and the resulting policy only predicts.
 package selector
 
 import (
@@ -24,35 +22,29 @@ import (
 	"github.com/cloudsched/rasa/internal/pool"
 )
 
-// Decision is a confidence-aware algorithm choice for one subproblem.
+// Decision is the algorithm choice for one subproblem.
 type Decision struct {
-	// Algorithm to run; pool.Race means "unsure — run both and learn
-	// from the outcome".
+	// Algorithm to run.
 	Algorithm pool.Algorithm
 	// Confidence in [0, 1]: a classifier reports its winning-class
-	// probability, deterministic rules report 1, an explicit race 0.
+	// probability, deterministic rules report 1, the untrained
+	// classifiers' heuristic fallback 0.
 	Confidence float64
-	// Source tags where the choice came from ("gcn", "gcn-lowconf",
-	// "mlp", "mlp-lowconf", "heuristic", "fixed", "race",
-	// "tractability-guard", "heuristic-fallback") for the decision-mix
-	// metrics.
+	// Source tags where the choice came from ("gcn", "mlp", "heuristic",
+	// "fixed", "tractability-guard", "heuristic-fallback") for the
+	// decision-mix metrics.
 	Source string
 }
 
 // Policy selects a pool algorithm for each subproblem.
 type Policy interface {
-	// Decide returns the confidence-aware algorithm choice for the
-	// subproblem.
+	// Decide returns the algorithm choice for the subproblem.
 	Decide(sp *cluster.Subproblem) Decision
 	// Name identifies the policy in experiment output.
 	Name() string
 }
 
-// Observer is implemented by policies that learn online: whenever the
-// solve layer races both algorithms on a subproblem — because the
-// policy returned pool.Race, or the caller forced a race — the labelled
-// outcome is fed back through ObserveRace. Implementations must be
-// safe for concurrent use; subproblem solves run in parallel.
+// Observer is unused; it stays only because perfbench's tracedOptimize compiles against it.
 type Observer interface {
 	ObserveRace(l Labeled)
 }
@@ -67,19 +59,6 @@ func (f Fixed) Decide(*cluster.Subproblem) Decision {
 
 // Name implements Policy.
 func (f Fixed) Name() string { return f.Algorithm.String() }
-
-// Race always races both pool algorithms (the labelling configuration,
-// and the always-race arm of the selector benchmark). It burns up to 2x
-// the CPU of a single arm but is its own oracle.
-type Race struct{}
-
-// Decide implements Policy.
-func (Race) Decide(*cluster.Subproblem) Decision {
-	return Decision{Algorithm: pool.Race, Confidence: 0, Source: "race"}
-}
-
-// Name implements Policy.
-func (Race) Name() string { return "RACE" }
 
 // Heuristic is the empirical rule of Section V-C: compare the average
 // container count per service with the average machine count per machine
@@ -128,11 +107,10 @@ func heuristicRule(sp *cluster.Subproblem) pool.Algorithm {
 // within it.
 const mipTractableCells = 1_500_000
 
-// MIPTractable estimates the simplex-tableau size of the subproblem's
+// mipTractable estimates the simplex-tableau size of the subproblem's
 // direct MIP formulation without building it and reports whether a
-// learned policy may send it to MIP at all. Exported for the online
-// trainer, whose learned policies apply the same regime guard.
-func MIPTractable(sp *cluster.Subproblem) bool {
+// learned policy may send it to MIP at all.
+func mipTractable(sp *cluster.Subproblem) bool {
 	nS, nM := len(sp.Services), len(sp.Machines)
 	inSub := make(map[int]bool, nS)
 	for _, s := range sp.Services {
@@ -153,22 +131,17 @@ func MIPTractable(sp *cluster.Subproblem) bool {
 // follow labelAlgorithms: 0 => CG, 1 => MIP.
 type GCNPolicy struct {
 	Model *gnn.GCN
-	// MinConfidence gates the prediction: when the winning-class
-	// probability falls below it, Decide returns pool.Race so the solve
-	// layer runs both arms and the outcome becomes a training example.
-	// Zero disables the gate (always trust the argmax).
-	MinConfidence float64
 }
 
 // Decide implements Policy. With a nil model it falls back to the
-// empirical heuristic at confidence 0 (the untrained-server bootstrap
-// path); predictions outside the MIP-tractable regime are forced to CG.
+// empirical heuristic at confidence 0; predictions outside the
+// MIP-tractable regime are forced to CG.
 func (p GCNPolicy) Decide(sp *cluster.Subproblem) Decision {
 	var predict func() []float64
 	if p.Model != nil {
 		predict = func() []float64 { return p.Model.Predict(gnn.FeatureGraph(sp)) }
 	}
-	return gate(sp, predict, p.MinConfidence, "gcn")
+	return gate(sp, predict, "gcn")
 }
 
 // Name implements Policy.
@@ -177,8 +150,6 @@ func (GCNPolicy) Name() string { return "GCN-BASED" }
 // MLPPolicy selects with the mean-pooled MLP baseline.
 type MLPPolicy struct {
 	Model *gnn.MLP
-	// MinConfidence gates the prediction exactly like GCNPolicy's.
-	MinConfidence float64
 }
 
 // Decide implements Policy.
@@ -190,7 +161,7 @@ func (p MLPPolicy) Decide(sp *cluster.Subproblem) Decision {
 			return p.Model.Predict(x)
 		}
 	}
-	return gate(sp, predict, p.MinConfidence, "mlp")
+	return gate(sp, predict, "mlp")
 }
 
 // Name implements Policy.
@@ -199,13 +170,12 @@ func (MLPPolicy) Name() string { return "MLP-BASED" }
 // gate is the decision path both classifiers share. With no model
 // (predict nil) it falls back to the heuristic rule at confidence 0;
 // outside the MIP-tractable regime it forces CG; otherwise it takes the
-// argmax of predict's class probabilities, or asks for a race when that
-// probability is below minConf. kind prefixes the source tag.
-func gate(sp *cluster.Subproblem, predict func() []float64, minConf float64, kind string) Decision {
+// argmax of predict's class probabilities. kind is the source tag.
+func gate(sp *cluster.Subproblem, predict func() []float64, kind string) Decision {
 	if predict == nil {
 		return Decision{Algorithm: heuristicRule(sp), Confidence: 0, Source: "heuristic-fallback"}
 	}
-	if !MIPTractable(sp) {
+	if !mipTractable(sp) {
 		return Decision{Algorithm: pool.CG, Confidence: 1, Source: "tractability-guard"}
 	}
 	probs := predict()
@@ -215,11 +185,7 @@ func gate(sp *cluster.Subproblem, predict func() []float64, minConf float64, kin
 			best = i
 		}
 	}
-	conf := probs[best]
-	if minConf > 0 && conf < minConf {
-		return Decision{Algorithm: pool.Race, Confidence: conf, Source: kind + "-lowconf"}
-	}
-	return Decision{Algorithm: classToAlgorithm(best), Confidence: conf, Source: kind}
+	return Decision{Algorithm: classToAlgorithm(best), Confidence: probs[best], Source: kind}
 }
 
 func classToAlgorithm(c int) pool.Algorithm {
@@ -252,8 +218,7 @@ type Labeled struct {
 	Margin float64
 }
 
-// FromRace converts a race outcome observed in the solve path into a
-// labelled training example.
+// FromRace converts a race outcome into a labelled training example.
 func FromRace(sp *cluster.Subproblem, ro *pool.RaceOutcome) Labeled {
 	return Labeled{
 		Sub:    sp,

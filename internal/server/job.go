@@ -122,20 +122,13 @@ type JobResult struct {
 
 // SubResultJSON is one subproblem's outcome.
 type SubResultJSON struct {
-	// Algorithm is the algorithm that produced the result — for a raced
-	// subproblem, the winning arm.
+	// Algorithm is the algorithm that produced the result.
 	Algorithm string  `json:"algorithm"`
 	Objective float64 `json:"objective"`
-	// Raced reports both pool algorithms ran head-to-head on this
-	// subproblem (an explicit race policy, or a learned decision below
-	// its confidence threshold).
-	Raced bool `json:"raced,omitempty"`
-	// Source and Confidence echo the policy decision that dispatched
-	// this subproblem.
-	Source     string      `json:"source,omitempty"`
-	Confidence float64     `json:"confidence,omitempty"`
-	OutOfTime  bool        `json:"outOfTime,omitempty"`
-	Stats      solve.Stats `json:"stats"`
+	// Source echoes the policy decision that dispatched this subproblem.
+	Source    string      `json:"source,omitempty"`
+	OutOfTime bool        `json:"outOfTime,omitempty"`
+	Stats     solve.Stats `json:"stats"`
 }
 
 // PlanJSON is a migration plan in wire form.
@@ -184,13 +177,11 @@ func buildResult(p *cluster.Problem, res *core.Result) *JobResult {
 		srj := SubResultJSON{
 			Algorithm: sr.Algorithm.String(),
 			Objective: sr.Objective,
-			Raced:     sr.Race != nil,
 			OutOfTime: sr.OutOfTime,
 			Stats:     sr.Stats,
 		}
 		if i < len(res.Decisions) {
 			srj.Source = res.Decisions[i].Source
-			srj.Confidence = res.Decisions[i].Confidence
 		}
 		out.SubResults = append(out.SubResults, srj)
 	}

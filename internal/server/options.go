@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/cloudsched/rasa/internal/core"
-	"github.com/cloudsched/rasa/internal/learn"
 	"github.com/cloudsched/rasa/internal/pool"
 	"github.com/cloudsched/rasa/internal/selector"
 	"github.com/cloudsched/rasa/internal/snapshot"
@@ -19,7 +18,7 @@ import (
 // POST /v1/cluster:
 //
 //	{"options": {"partition": "multistage",
-//	             "policy": {"kind": "gcn", "minConfidence": 0.8},
+//	             "policy": {"kind": "cg"},
 //	             "budget": "2s", ...}}
 //
 // Fields the object leaves unset take the server defaults.
@@ -47,15 +46,8 @@ type optionsJSON struct {
 
 // policyJSON selects an algorithm-selection policy.
 type policyJSON struct {
-	// Kind: heuristic (default), cg, mip, race, or gcn (the online-
-	// trained classifier; requires nothing to be pre-loaded — an
-	// untrained server races and learns).
+	// Kind: heuristic (default), cg, or mip.
 	Kind string `json:"kind"`
-	// MinConfidence overrides the server's race threshold for kind gcn:
-	// predictions below it are raced CG-vs-MIP and the outcome feeds the
-	// trainer. Unset uses the server default; explicit 0 disables
-	// racing.
-	MinConfidence *float64 `json:"minConfidence,omitempty"`
 }
 
 // reqOptions is the validated, resolved form every option-carrying
@@ -63,7 +55,6 @@ type policyJSON struct {
 type reqOptions struct {
 	strategy       core.Strategy
 	policy         selector.Policy
-	policyKind     string
 	budget         time.Duration
 	minAlive       float64
 	skipMigration  bool
@@ -342,7 +333,11 @@ func (s *Server) decodeOptions(o *optionsJSON) (reqOptions, error) {
 	if out.strategy, err = parsePartition(eff.Partition); err != nil {
 		return reqOptions{}, err
 	}
-	if out.policy, out.policyKind, err = s.parsePolicy(eff.Policy); err != nil {
+	kind := s.cfg.Policy
+	if eff.Policy != nil && eff.Policy.Kind != "" {
+		kind = eff.Policy.Kind
+	}
+	if out.policy, err = ParsePolicy(kind); err != nil {
 		return reqOptions{}, err
 	}
 	if eff.MinAlive < 0 || eff.MinAlive > 1 {
@@ -384,36 +379,17 @@ func parsePartition(s string) (core.Strategy, error) {
 	return 0, fmt.Errorf("unknown strategy %q (want multistage, random, kway, or none)", s)
 }
 
-// parsePolicy builds the selection policy for one request. A nil spec
-// uses the server's configured default kind. Kind "gcn" binds the
-// request to the server's shared online trainer: every gcn job feeds
-// (and benefits from) the same replay buffer and hot-swapped model,
-// with the request's minConfidence deciding how eagerly it races.
-func (s *Server) parsePolicy(spec *policyJSON) (selector.Policy, string, error) {
-	kind := s.cfg.Policy
-	minConf := s.cfg.MinConfidence
-	if spec != nil {
-		if spec.Kind != "" {
-			kind = spec.Kind
-		}
-		if spec.MinConfidence != nil {
-			if *spec.MinConfidence < 0 || *spec.MinConfidence > 1 {
-				return nil, "", fmt.Errorf("policy minConfidence %v outside [0, 1]", *spec.MinConfidence)
-			}
-			minConf = *spec.MinConfidence
-		}
-	}
+// ParsePolicy maps a policy kind — heuristic (or empty), cg, or mip — to
+// its selection policy. It is the one kind parser: request options and
+// rasad's -policy flag both go through it.
+func ParsePolicy(kind string) (selector.Policy, error) {
 	switch strings.ToLower(kind) {
 	case "", "heuristic":
-		return selector.Heuristic{}, "heuristic", nil
+		return selector.Heuristic{}, nil
 	case "cg":
-		return selector.Fixed{Algorithm: pool.CG}, "cg", nil
+		return selector.Fixed{Algorithm: pool.CG}, nil
 	case "mip":
-		return selector.Fixed{Algorithm: pool.MIP}, "mip", nil
-	case "race":
-		return selector.Race{}, "race", nil
-	case "gcn":
-		return &learn.Policy{Trainer: s.trainer, MinConfidence: minConf}, "gcn", nil
+		return selector.Fixed{Algorithm: pool.MIP}, nil
 	}
-	return nil, "", fmt.Errorf("unknown policy %q (want heuristic, cg, mip, race, or gcn)", kind)
+	return nil, fmt.Errorf("unknown policy %q (want heuristic, cg, or mip)", kind)
 }

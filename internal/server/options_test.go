@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
-
-	"github.com/cloudsched/rasa/internal/gnn"
 )
 
 // postRaw posts JSON and returns the raw response (for header checks)
@@ -80,10 +77,16 @@ func TestOptionsFormsAndDeprecation(t *testing.T) {
 			wantErr:    "unknown policy",
 		},
 		{
-			name:       "bad options minConfidence",
-			body:       `{"snapshot": %s, "options": {"policy": {"kind": "gcn", "minConfidence": 1.5}}}`,
+			name:       "retired policy kind gcn",
+			body:       `{"snapshot": %s, "options": {"policy": {"kind": "gcn"}}}`,
 			wantStatus: http.StatusBadRequest,
-			wantErr:    "minConfidence",
+			wantErr:    "unknown policy",
+		},
+		{
+			name:       "retired policy kind race",
+			body:       `{"snapshot": %s, "options": {"policy": {"kind": "race"}}}`,
+			wantStatus: http.StatusBadRequest,
+			wantErr:    "unknown policy",
 		},
 	}
 	for _, tc := range cases {
@@ -178,91 +181,5 @@ func TestDecodeSnapshotRequestMovedKeys(t *testing.T) {
 	}
 	if _, _, err := decodeSnapshotRequest([]byte(`{"budget": "1s"}`)); err == nil || !strings.Contains(err.Error(), "missing snapshot") {
 		t.Fatalf("body with neither snapshot nor snapshot fields: %v", err)
-	}
-}
-
-// TestPolicyRoundTrip exercises GET /v1/policy (trainer state + model
-// export) and PUT /v1/policy (model import, hot-swap, gate bypass),
-// including re-importing the exported body.
-func TestPolicyRoundTrip(t *testing.T) {
-	_, ts := startServer(t, Config{Workers: 1, Policy: "gcn", MinConfidence: 0.75})
-
-	getPolicy := func() map[string]any {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/v1/policy")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET /v1/policy status %d", resp.StatusCode)
-		}
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-
-	// Fresh server: defaults visible, no model yet.
-	st := getPolicy()
-	if st["defaultKind"] != "gcn" {
-		t.Fatalf("defaultKind %v", st["defaultKind"])
-	}
-	if st["defaultMinConfidence"] != 0.75 {
-		t.Fatalf("defaultMinConfidence %v", st["defaultMinConfidence"])
-	}
-	if _, ok := st["model"]; ok {
-		t.Fatalf("untrained server exported a model: %v", st["model"])
-	}
-
-	// Import a model; the operator path bypasses the rollback gate.
-	m := gnn.NewGCN(2, 16, 2, rand.New(rand.NewSource(1)))
-	body, err := json.Marshal(map[string]any{"model": m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	put := func(b []byte) (int, map[string]any) {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPut, ts.URL+"/v1/policy", bytes.NewReader(b))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, out
-	}
-	code, out := put(body)
-	if code != http.StatusOK || out["version"] != float64(1) {
-		t.Fatalf("PUT status %d body %v, want version 1", code, out)
-	}
-
-	// Export now carries the model; piping the bare model object back
-	// in (the documented round trip) installs the next version.
-	st = getPolicy()
-	model, ok := st["model"].(map[string]any)
-	if !ok {
-		t.Fatalf("no model in export: %v", st)
-	}
-	bare, err := json.Marshal(model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, out = put(bare)
-	if code != http.StatusOK || out["version"] != float64(2) {
-		t.Fatalf("bare re-import status %d body %v, want version 2", code, out)
-	}
-
-	// Garbage is rejected with the unified envelope.
-	code, out = put([]byte(`{"model": "nope"}`))
-	if code != http.StatusBadRequest {
-		t.Fatalf("garbage import status %d body %v", code, out)
 	}
 }

@@ -27,8 +27,6 @@
 //	POST /v1/cluster/reoptimize  delta re-solve; returns moved containers + plan
 //	GET  /v1/cluster/log         lifetime event log (paged; ?from=&limit=)
 //	GET  /v1/shards              block-to-shard topology of the cluster session
-//	GET  /v1/policy              selection-policy state + model export
-//	PUT  /v1/policy              install (import) a trained selection model
 //	GET  /metrics                Prometheus text exposition
 //	GET  /healthz                liveness + drain state
 package server
@@ -46,7 +44,6 @@ import (
 
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/core"
-	"github.com/cloudsched/rasa/internal/learn"
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/sched"
 	"github.com/cloudsched/rasa/internal/snapshot"
@@ -81,13 +78,8 @@ type Config struct {
 	// budget.
 	Shards int
 	// Policy is the default algorithm-selection policy kind for requests
-	// that don't pick one: heuristic (default), cg, mip, race, or gcn
-	// (the online-trained classifier; rasad -serve -policy gcn).
+	// that don't pick one: heuristic (default), cg, or mip.
 	Policy string
-	// MinConfidence is the default race threshold for the gcn policy:
-	// predictions whose confidence falls below it run both solvers and
-	// feed the outcome back to the trainer. Default 0.8.
-	MinConfidence float64
 	// Registry receives the service metrics; nil creates a fresh one.
 	Registry *obs.Registry
 }
@@ -113,9 +105,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Policy == "" {
 		c.Policy = "heuristic"
-	}
-	if c.MinConfidence == 0 {
-		c.MinConfidence = 0.8
 	}
 	if c.Registry == nil {
 		c.Registry = obs.NewRegistry()
@@ -164,19 +153,13 @@ type Server struct {
 	// optimize is swappable for deterministic tests.
 	optimize func(ctx context.Context, p *cluster.Problem, cur *cluster.Assignment, opts core.Options) (*core.Result, error)
 
-	// trainer is the shared online learning loop behind every gcn-policy
-	// request: one replay buffer, one hot-swapped model per server.
-	trainer *learn.Trainer
-
-	jobsTotal  *obs.CounterVec
-	inflight   *obs.Gauge
-	jobSecs    *obs.Histogram
-	queueSecs  *obs.Histogram
-	subStops   *obs.CounterVec
-	solver     *obs.SolveCollector
-	decisions  *obs.CounterVec
-	confidence *obs.Histogram
-	races      *obs.Counter
+	jobsTotal *obs.CounterVec
+	inflight  *obs.Gauge
+	jobSecs   *obs.Histogram
+	queueSecs *obs.Histogram
+	subStops  *obs.CounterVec
+	solver    *obs.SolveCollector
+	decisions *obs.CounterVec
 }
 
 // New builds the service and starts its worker pool. Call Shutdown to
@@ -205,22 +188,7 @@ func New(cfg Config) *Server {
 	s.queueSecs = reg.Histogram("rasa_job_queue_seconds", "Time jobs spent queued before a worker picked them up.", nil)
 	s.subStops = reg.CounterVec("rasa_subsolve_stop_total", "Subproblem solves by stop cause.", "cause")
 	s.solver = obs.NewSolveCollector(reg, "rasa")
-
-	s.trainer = learn.NewTrainer(learn.Options{})
 	s.decisions = reg.CounterVec("rasa_policy_decisions_total", "Algorithm-selection decisions by source and chosen algorithm.", "source", "algorithm")
-	s.confidence = reg.Histogram("rasa_policy_confidence", "Confidence of algorithm-selection decisions.",
-		[]float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99, 1})
-	s.races = reg.Counter("rasa_policy_races_total", "Subproblems solved by racing both pool algorithms.")
-	reg.GaugeFunc("rasa_policy_model_version", "Version of the installed selection model (0 = untrained).",
-		func() float64 { return float64(s.trainer.Stats().Version) })
-	reg.GaugeFunc("rasa_policy_holdout_accuracy", "Predictor-vs-oracle accuracy of the installed model on the holdout split.",
-		func() float64 { return s.trainer.Stats().HoldoutAccuracy })
-	reg.GaugeFunc("rasa_policy_retrains_total", "Online retrains attempted by the policy trainer.",
-		func() float64 { return float64(s.trainer.Stats().Retrains) })
-	reg.GaugeFunc("rasa_policy_rollbacks_total", "Retrained candidates rejected for regressing holdout accuracy.",
-		func() float64 { return float64(s.trainer.Stats().Rollbacks) })
-	reg.GaugeFunc("rasa_policy_examples_observed_total", "Race outcomes observed by the policy trainer (ties included).",
-		func() float64 { return float64(s.trainer.Stats().Observed) })
 
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
@@ -235,8 +203,6 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("GET /v1/cluster/execute", s.handleExecuteList)
 	s.mux.HandleFunc("GET /v1/cluster/execute/{id}", s.handleExecuteGet)
 	s.mux.HandleFunc("GET /v1/shards", s.handleShards)
-	s.mux.HandleFunc("GET /v1/policy", s.handlePolicyGet)
-	s.mux.HandleFunc("PUT /v1/policy", s.handlePolicyPut)
 	s.mux.Handle("GET /metrics", reg.Handler())
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 
@@ -331,15 +297,9 @@ func (s *Server) runJob(job *Job) {
 	s.solver.Observe(res.Stats)
 	for _, sr := range res.SubResults {
 		s.subStops.With(sr.Stats.Stop.String()).Inc()
-		if sr.Race != nil {
-			s.races.Inc()
-		}
 	}
 	for _, d := range res.Decisions {
-		// The algorithm label is what the policy asked for — RACE counts
-		// as its own arm; the winning side is visible per subResult.
 		s.decisions.With(d.Source, d.Algorithm.String()).Inc()
-		s.confidence.Observe(d.Confidence)
 	}
 }
 

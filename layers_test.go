@@ -26,7 +26,6 @@ var layerImports = map[string][]string{
 	"gnn":             {"cluster", "graph"},
 	"graph":           {},
 	"incr":            {"cluster", "core", "lifetime", "migrate", "obs", "partition", "pool", "sched", "selector", "solve"},
-	"learn":           {"cluster", "gnn", "pool", "selector"},
 	"lifetime":        {"cluster", "graph", "snapshot"},
 	"lifetime/record": {"cluster", "exec", "incr", "lifetime", "snapshot", "workload", "workload/churn"},
 	"lp":              {"solve"},
@@ -40,7 +39,7 @@ var layerImports = map[string][]string{
 	"prodsim":         {"cluster", "core", "exec", "incr", "migrate", "partition", "sched", "workload", "workload/churn"},
 	"sched":           {"cluster", "partition", "pool"},
 	"selector":        {"cluster", "gnn", "model", "pool"},
-	"server":          {"cluster", "core", "exec", "fed", "gnn", "incr", "learn", "lifetime", "migrate", "obs", "pool", "sched", "selector", "snapshot", "solve"},
+	"server":          {"cluster", "core", "exec", "fed", "incr", "lifetime", "migrate", "obs", "pool", "sched", "selector", "snapshot", "solve"},
 	"snapshot":        {"cluster", "graph"},
 	"solve":           {},
 	"workload":        {"cluster", "graph", "sched"},

@@ -43,7 +43,6 @@ import (
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/core"
 	"github.com/cloudsched/rasa/internal/graph"
-	"github.com/cloudsched/rasa/internal/learn"
 	"github.com/cloudsched/rasa/internal/migrate"
 	"github.com/cloudsched/rasa/internal/partition"
 	"github.com/cloudsched/rasa/internal/pool"
@@ -243,11 +242,6 @@ type TrainingConfig struct {
 	// Rounds partitions each cluster this many times with increasing
 	// subproblem sizes, widening the training distribution. Default 3.
 	Rounds int
-	// MinConfidence is the returned policy's race threshold: serving-
-	// path predictions below it race CG-vs-MIP instead of trusting the
-	// model (and, for kind "gcn", feed the outcome back into the
-	// trainer). Zero never races.
-	MinConfidence float64
 	// Seed drives partitioning, labelling, and weight init.
 	Seed int64
 }
@@ -268,13 +262,9 @@ func (c TrainingConfig) withDefaults() TrainingConfig {
 // TrainedPolicy is a versioned, ready-to-serve selection policy
 // returned by TrainPolicyContext.
 type TrainedPolicy struct {
-	// Policy is the live selection policy. For kind "gcn" it stays
-	// online: plugged into Options.Policy, low-confidence subproblems
-	// are raced and the outcomes retrain the model in place (versions
-	// advance past the Version recorded here).
+	// Policy is the trained selection policy; it only predicts.
 	Policy
-	// Version is the model version right after offline training (1 for
-	// a fresh trainer).
+	// Version is the model version, 1 for a freshly trained policy.
 	Version int
 	// HoldoutAccuracy is predictor-vs-oracle accuracy on the held-out
 	// labelled split (ties excluded).
@@ -289,10 +279,6 @@ type TrainedPolicy struct {
 // racing CG against MIP under cfg.LabelBudget, fits the classifier, and
 // returns it as a versioned policy. ctx cancels the labelling races
 // (the fit itself is fast and uninterruptible).
-//
-// For the default kind "gcn" the returned policy wraps an online
-// trainer seeded with the offline examples, so serving it keeps
-// improving the model; see TrainedPolicy.Policy.
 func TrainPolicyContext(ctx context.Context, cfg TrainingConfig) (*TrainedPolicy, error) {
 	cfg = cfg.withDefaults()
 	clusters := cfg.Clusters
@@ -305,53 +291,33 @@ func TrainPolicyContext(ctx context.Context, cfg TrainingConfig) (*TrainedPolicy
 			clusters = append(clusters, c)
 		}
 	}
+	if cfg.Kind != "gcn" && cfg.Kind != "mlp" {
+		return nil, wrapErr(fmt.Errorf("%w: unknown policy kind %q (want gcn or mlp)", ErrInvalidProblem, cfg.Kind))
+	}
 	labeled, err := labelClusters(ctx, clusters, cfg.LabelBudget, cfg.Rounds, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.Kind {
-	case "gcn":
-		trainer := learn.NewTrainer(learn.Options{
-			Capacity: max(256, len(labeled)),
-			// One forced fit below instead of cadence-triggered refits
-			// mid-feed.
-			RetrainEvery: len(labeled) + 1,
-			Epochs:       800,
-			Seed:         cfg.Seed,
-		})
-		for _, l := range labeled {
-			trainer.Observe(l)
+	// Every 5th decisive example is held out; ties are noise and are
+	// never scored.
+	var train, holdout []selector.Labeled
+	for i, l := range labeled {
+		if !l.Tie && (i+1)%5 == 0 {
+			holdout = append(holdout, l)
+		} else {
+			train = append(train, l)
 		}
-		trainer.Retrain()
-		out := &TrainedPolicy{
-			Policy:   &learn.Policy{Trainer: trainer, MinConfidence: cfg.MinConfidence},
-			Examples: len(labeled),
-		}
-		if m := trainer.Model(); m != nil {
-			out.Version = m.Version
-			out.HoldoutAccuracy = m.HoldoutAccuracy
-		}
-		return out, nil
-	case "mlp":
-		// Mirror the trainer's every-5th holdout split so the reported
-		// accuracy is comparable across kinds.
-		var train, holdout []selector.Labeled
-		for i, l := range labeled {
-			if !l.Tie && (i+1)%5 == 0 {
-				holdout = append(holdout, l)
-			} else {
-				train = append(train, l)
-			}
-		}
-		m := selector.TrainMLP(train, cfg.Seed)
-		return &TrainedPolicy{
-			Policy:          selector.MLPPolicy{Model: m, MinConfidence: cfg.MinConfidence},
-			Version:         1,
-			HoldoutAccuracy: m.Accuracy(selector.ToSamples(holdout)),
-			Examples:        len(labeled),
-		}, nil
 	}
-	return nil, wrapErr(fmt.Errorf("%w: unknown policy kind %q (want gcn or mlp)", ErrInvalidProblem, cfg.Kind))
+	scored := selector.ToSamples(holdout)
+	out := &TrainedPolicy{Version: 1, Examples: len(labeled)}
+	if cfg.Kind == "gcn" {
+		m := selector.TrainGCN(train, cfg.Seed)
+		out.Policy, out.HoldoutAccuracy = selector.GCNPolicy{Model: m}, m.Accuracy(scored)
+	} else {
+		m := selector.TrainMLP(train, cfg.Seed)
+		out.Policy, out.HoldoutAccuracy = selector.MLPPolicy{Model: m}, m.Accuracy(scored)
+	}
+	return out, nil
 }
 
 // labelClusters is TrainPolicyContext's labelling loop: it partitions

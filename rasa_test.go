@@ -163,6 +163,58 @@ func TestPublicPolicies(t *testing.T) {
 	}
 }
 
+// TestTrainPolicySmallLabelSet checks both classifier kinds fit
+// whatever training split the labelling yields. A split smaller than 24
+// examples must still give a version-1 model that decides every
+// tractable subproblem itself, not an empty policy that falls back to
+// the heuristic.
+func TestTrainPolicySmallLabelSet(t *testing.T) {
+	ctx := context.Background()
+	var clusters []*rasa.GeneratedCluster
+	for seed := int64(1); seed <= 2; seed++ {
+		c, err := rasa.Generate(rasa.Preset{
+			Name: "small", Services: 60, Containers: 300, Machines: 12,
+			Beta: 1.6, AffinityFraction: 0.6, Zones: 1, Utilization: 0.55, Seed: seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		clusters = append(clusters, c)
+	}
+	for _, kind := range []string{"gcn", "mlp"} {
+		tp, err := rasa.TrainPolicyContext(ctx, rasa.TrainingConfig{
+			Clusters: clusters, Kind: kind, LabelBudget: 50 * time.Millisecond, Rounds: 1, Seed: 1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tp.Examples == 0 || tp.Examples >= 24 {
+			t.Fatalf("%s: %d labelled examples, want a set smaller than 24", kind, tp.Examples)
+		}
+		if tp.Version != 1 {
+			t.Fatalf("%s: version %d, want 1", kind, tp.Version)
+		}
+		res, err := rasa.OptimizeContext(ctx, clusters[0].Problem, clusters[0].Original, rasa.Options{
+			Budget: 300 * time.Millisecond, Policy: tp, SkipMigration: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var predicted int
+		for i, d := range res.Decisions {
+			if d.Source == "heuristic-fallback" {
+				t.Fatalf("%s: subproblem %d decided by the heuristic fallback", kind, i)
+			}
+			if d.Source == kind {
+				predicted++
+			}
+		}
+		if predicted == 0 {
+			t.Fatalf("%s: no decision came from the model: %+v", kind, res.Decisions)
+		}
+	}
+}
+
 func TestPublicWorkload(t *testing.T) {
 	if len(rasa.EvaluationPresets()) != 4 || len(rasa.TrainingPresets()) != 4 {
 		t.Fatal("preset counts")
