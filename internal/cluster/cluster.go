@@ -112,9 +112,6 @@ func NewBitmap(n int) Bitmap { return make(Bitmap, (n+63)/64) }
 // Set sets bit i.
 func (b Bitmap) Set(i int) { b[i/64] |= 1 << (uint(i) % 64) }
 
-// Clear clears bit i.
-func (b Bitmap) Clear(i int) { b[i/64] &^= 1 << (uint(i) % 64) }
-
 // Get reports bit i.
 func (b Bitmap) Get(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
 
@@ -136,20 +133,6 @@ func (b Bitmap) Clone() Bitmap {
 	out := make(Bitmap, len(b))
 	copy(out, b)
 	return out
-}
-
-// Intersects reports whether b and o share any set bit.
-func (b Bitmap) Intersects(o Bitmap) bool {
-	n := len(b)
-	if len(o) < n {
-		n = len(o)
-	}
-	for i := 0; i < n; i++ {
-		if b[i]&o[i] != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // N returns len(p.Services).
@@ -222,27 +205,4 @@ func (p *Problem) Validate() error {
 		return fmt.Errorf("%w: schedulable matrix has %d rows, want %d", ErrInvalidProblem, len(p.Schedulable), len(p.Services))
 	}
 	return nil
-}
-
-// TotalRequested returns the total resources requested by all replicas
-// of all services.
-func (p *Problem) TotalRequested() Resources {
-	tot := make(Resources, len(p.ResourceNames))
-	for _, s := range p.Services {
-		for r := range tot {
-			tot[r] += s.Request[r] * float64(s.Replicas)
-		}
-	}
-	return tot
-}
-
-// TotalCapacity returns the total capacity of all machines.
-func (p *Problem) TotalCapacity() Resources {
-	tot := make(Resources, len(p.ResourceNames))
-	for _, m := range p.Machines {
-		for r := range tot {
-			tot[r] += m.Capacity[r]
-		}
-	}
-	return tot
 }

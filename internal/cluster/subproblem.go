@@ -90,19 +90,3 @@ func (sp *Subproblem) TotalContainers() int {
 	}
 	return t
 }
-
-// TotalAffinity returns the total weight of affinity edges with both
-// endpoints inside the subproblem.
-func (sp *Subproblem) TotalAffinity() float64 {
-	in := make(map[int]bool, len(sp.Services))
-	for _, s := range sp.Services {
-		in[s] = true
-	}
-	var t float64
-	for _, e := range sp.P.Affinity.Edges() {
-		if in[e.U] && in[e.V] {
-			t += e.Weight
-		}
-	}
-	return t
-}

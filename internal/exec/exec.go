@@ -11,8 +11,8 @@
 // believed state and the plan (a machine death, a command that
 // exhausted its retries, a step the runtime invariant refuses) stops
 // the current plan at a step boundary, checkpoints progress, feeds the
-// divergence into the incremental engine (lifetime.DrainMachine events plus
-// the believed assignment), re-plans the remainder, and resumes. Every
+// divergence into the incremental engine (through the shared event
+// log), re-plans the remainder, and resumes. Every
 // outcome — retries, backoff, escalations, SLA-floor headroom — is
 // surfaced through internal/obs and the final Report.
 //
@@ -35,12 +35,10 @@
 // its plan as a proposal (incr.Engine.Propose), and the executor
 // appends MoveStarted at admission, MoveApplied at settle, MoveFailed
 // on skips and reverts, and MachineDied on write-offs. The log's folded
-// state therefore tracks the executor's APPLIED view move by move, and
-// reserved-vs-applied reduces to two cursors into the log
-// (Report.ReservedSeq / Report.AppliedSeq). Checkpoint/resume in a
-// fresh process is "replay the log to the checkpoint's Offset"
-// (lifetime.Replay + incr.FromLog); the Checkpoint JSON remains as a
-// compact self-contained alternative.
+// state is therefore the executor's APPLIED view, move by move; the
+// executor keeps no second copy. Resuming in a fresh process is "replay
+// the log to the checkpoint's Offset, then Run" (lifetime.Replay +
+// incr.FromLog).
 package exec
 
 import (
@@ -56,7 +54,6 @@ import (
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/migrate"
 	"github.com/cloudsched/rasa/internal/obs"
-	"github.com/cloudsched/rasa/internal/snapshot"
 )
 
 // Options tune an Executor.
@@ -73,11 +70,10 @@ type Options struct {
 	// CommandTimeout bounds each fabric Apply attempt (default 2s).
 	CommandTimeout time.Duration
 	// BaseBackoff and MaxBackoff bound the exponential backoff between
-	// attempts (defaults 10ms and 1s); Jitter spreads each delay by
-	// ±Jitter (default 0.25).
+	// attempts (defaults 10ms and 1s); each delay is spread by
+	// ±backoffJitter.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	Jitter      float64
 	// MaxReplans bounds checkpoint-and-re-plan escalations before the
 	// run aborts (default 3; negative means none allowed).
 	MaxReplans int
@@ -105,9 +101,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = time.Second
 	}
-	if o.Jitter == 0 {
-		o.Jitter = 0.25
-	}
 	if o.MaxReplans == 0 {
 		o.MaxReplans = 3
 	} else if o.MaxReplans < 0 {
@@ -133,8 +126,12 @@ const (
 	OutcomeCancelled Outcome = "cancelled"
 )
 
-// Checkpoint snapshots execution progress at a divergence: enough to
-// audit the escalation and to Resume a run in a fresh process.
+// backoffJitter spreads each backoff delay by up to ±25%, so retries
+// against a shared fabric do not march in lockstep.
+const backoffJitter = 0.25
+
+// Checkpoint records execution progress at a divergence: enough to
+// audit the escalation and to resume the run in a fresh process.
 type Checkpoint struct {
 	// Step is the index of the first step of the diverged plan that was
 	// NOT fully executed; Executed counts commands applied so far across
@@ -143,20 +140,13 @@ type Checkpoint struct {
 	Executed int    `json:"executed"`
 	Reason   string `json:"reason"`
 	// Offset is the event-log head at the checkpoint: replaying the log
-	// to this sequence number reconstructs the believed state below.
+	// to this sequence number reconstructs the believed state, dead
+	// machines included, and Run resumes from there.
 	Offset uint64 `json:"offset,omitempty"`
-	// Services/Machines are the believed state's shape, Placements its
-	// non-zero cells; DeadMachines lists every machine written off so
-	// far.
-	Services     int                      `json:"services"`
-	Machines     int                      `json:"machines"`
-	DeadMachines []int                    `json:"deadMachines,omitempty"`
-	Placements   []snapshot.PlacementJSON `json:"placements"`
 }
 
 // Report is the final account of an execution run. The JSON tags give
-// its wire form; the durations, Err and the log cursors are left to the
-// caller.
+// its wire form; the durations and Err are left to the caller.
 type Report struct {
 	Outcome Outcome `json:"outcome"`
 	// Err describes why an aborted run gave up.
@@ -207,14 +197,6 @@ type Report struct {
 	AchievedGain float64 `json:"achievedGain"`
 	NormPlanned  float64 `json:"normPlanned"`
 	NormAchieved float64 `json:"normAchieved"`
-	// ReservedSeq and AppliedSeq are the executor's two cursors into the
-	// lifetime event log: the newest MoveStarted it appended (the
-	// reservation frontier) and the newest state-bearing actuation
-	// (MoveApplied or MachineDied — the applied frontier). At every
-	// settle boundary the log's folded assignment equals the believed
-	// state.
-	ReservedSeq uint64 `json:"-"`
-	AppliedSeq  uint64 `json:"-"`
 	// Final is the believed final assignment (matches the fabric's
 	// state up to machine deaths the fabric has not yet reported).
 	// Elapsed is the actuation's wall time (a sharded execution's blocks
@@ -358,35 +340,6 @@ func (e *Executor) Execute(ctx context.Context, from *cluster.Assignment, plan *
 	rep.Elapsed = time.Since(start)
 	e.m.run(rep)
 	return rep, nil
-}
-
-// Resume restarts an interrupted run from a checkpoint in a (possibly
-// fresh) process: the believed assignment is restored into the engine,
-// the checkpoint's dead machines are drained, and the remainder is
-// re-planned and executed.
-func (e *Executor) Resume(ctx context.Context, cp *Checkpoint) (*Report, error) {
-	st := e.eng.State()
-	p := st.Problem()
-	if cp.Services != p.N() || cp.Machines != p.M() {
-		return nil, fmt.Errorf("exec: checkpoint shape %dx%d does not match cluster %dx%d",
-			cp.Services, cp.Machines, p.N(), p.M())
-	}
-	a := cluster.NewAssignment(cp.Services, cp.Machines)
-	for _, pl := range cp.Placements {
-		if pl.Service < 0 || pl.Service >= cp.Services || pl.Machine < 0 || pl.Machine >= cp.Machines || pl.Count < 0 {
-			return nil, fmt.Errorf("exec: invalid checkpoint placement %+v", pl)
-		}
-		a.Set(pl.Service, pl.Machine, pl.Count)
-	}
-	if err := st.SetAssignment(a.Clone()); err != nil {
-		return nil, err
-	}
-	for _, m := range cp.DeadMachines {
-		if _, err := st.Apply(lifetime.DrainMachine{Machine: m}); err != nil {
-			return nil, fmt.Errorf("exec: draining checkpointed dead machine %d: %w", m, err)
-		}
-	}
-	return e.Run(ctx)
 }
 
 // replan asks the engine for a fresh proposal from the believed state.
@@ -692,7 +645,7 @@ func (e *Executor) applyWithRetry(ctx context.Context, cmd migrate.Command) (ret
 }
 
 // backoffDelay is BaseBackoff * 2^(attempt-1), capped at MaxBackoff,
-// spread by ±Jitter.
+// spread by ±backoffJitter.
 func (e *Executor) backoffDelay(attempt int) time.Duration {
 	d := e.opts.BaseBackoff
 	for i := 1; i < attempt && d < e.opts.MaxBackoff; i++ {
@@ -702,37 +655,33 @@ func (e *Executor) backoffDelay(attempt int) time.Duration {
 		d = e.opts.MaxBackoff
 	}
 	e.mu.Lock()
-	j := 1 + e.opts.Jitter*(2*e.rng.Float64()-1)
+	j := 1 + backoffJitter*(2*e.rng.Float64()-1)
 	e.mu.Unlock()
-	if j < 0 {
-		j = 0
-	}
 	return time.Duration(float64(d) * j)
 }
 
 // execState is the executor's believed cluster state during one run.
-// It keeps two views: the RESERVED view (cur/alive/used) includes the
+// It reads two views: the RESERVED view (cur/alive/used) includes the
 // effect of every admitted command, settled or not, and is what
-// admission checks against; the APPLIED view (applied/appliedAlive)
-// counts only settled successes and is therefore what an external
-// observer of the fabric sees. Floors re-clamp on machine deaths
-// against the applied view — clamping against the reserved view would
-// let the executor's own pending deletes masquerade as environmental
-// damage and erode the floor below what the environment caused.
+// admission checks against; the APPLIED view is the event log's folded
+// assignment, which counts only settled successes and deaths and is
+// therefore what an external observer of the fabric sees. Floors
+// re-clamp on machine deaths against the applied view — clamping
+// against the reserved view would let the executor's own pending
+// deletes masquerade as environmental damage and erode the floor below
+// what the environment caused.
 type execState struct {
 	p *cluster.Problem
 	// log is the lifetime event log shared with the engine. The executor
-	// appends its actuation events here; the log's folded state tracks
-	// the applied view, making the engine's next fold see every death
-	// and settled move without a separate hand-off.
+	// appends its actuation events here; the log's folded state is the
+	// applied view, and the engine's next fold sees every death and
+	// settled move without a separate hand-off.
 	log   *lifetime.Log
 	cur   *cluster.Assignment
 	used  []cluster.Resources
 	alive []int
 	floor []int
 
-	applied      *cluster.Assignment
-	appliedAlive []int
 	// graceDips[s] counts deletes of s that were already in flight when
 	// a machine death re-clamped the floor: their sub-floor landings are
 	// the death's collateral, not executor-issued violations.
@@ -744,21 +693,13 @@ type execState struct {
 	rep  *Report
 }
 
-// logEv appends one actuation event to the lifetime log and advances
-// the report's log cursors. Append failures are surfaced on the report
-// (they indicate the log and the believed state have diverged) but do
-// not stop execution — the fabric action already happened.
+// logEv appends one actuation event to the lifetime log. Append
+// failures are surfaced on the report (they indicate the log and the
+// believed state have diverged) but do not stop execution — the fabric
+// action already happened.
 func (ex *execState) logEv(ev lifetime.Event) {
 	if _, err := ex.log.Append(ev); err != nil {
 		ex.rep.appendErr("exec: log: " + err.Error())
-		return
-	}
-	seq := ex.log.Head()
-	switch ev.(type) {
-	case lifetime.MoveStarted:
-		ex.rep.ReservedSeq = seq
-	case lifetime.MoveApplied, lifetime.MachineDied:
-		ex.rep.AppliedSeq = seq
 	}
 }
 
@@ -778,14 +719,9 @@ func (ex *execState) setFloors(plan *migrate.Plan, minAlive float64) {
 	n := ex.p.N()
 	ex.alive = make([]int, n)
 	target := make([]int, n)
-	// At a plan boundary nothing is in flight: the reserved and applied
-	// views coincide.
-	ex.applied = ex.cur.Clone()
-	ex.appliedAlive = make([]int, n)
 	ex.graceDips = make([]int, n)
 	for s := 0; s < n; s++ {
 		ex.alive[s] = ex.cur.Placed(s)
-		ex.appliedAlive[s] = ex.alive[s]
 		target[s] = ex.alive[s]
 	}
 	for _, step := range plan.Steps {
@@ -857,40 +793,33 @@ func (ex *execState) admit(c migrate.Command) (string, bool) {
 	return "", true
 }
 
-// settle commits a successfully applied command to the applied view
-// (its reservation already holds in the reserved view). Commands
-// landing on machines written off in the meantime are not counted:
-// the death destroyed their effect, and markDead already zeroed the
-// machine's applied row.
+// settle commits a successfully applied command to the applied view by
+// logging its MoveApplied (its reservation already holds in the
+// reserved view). Commands landing on machines written off in the
+// meantime are not logged: the death destroyed their effect, and the
+// machine's MachineDied already zeroed its row in the log.
 func (ex *execState) settle(c migrate.Command) {
 	s, m := c.Service, c.Machine
 	if ex.dead[m] {
-		// No MoveApplied: the death destroyed the command's effect, and
-		// the log already zeroed the machine via its MachineDied event.
 		return
 	}
 	ex.logEv(lifetime.MoveApplied{Op: opString(c.Op), Service: s, Machine: m})
-	switch c.Op {
-	case migrate.Delete:
-		ex.applied.Add(s, m, -1)
-		ex.appliedAlive[s]--
-		if ex.appliedAlive[s] < ex.floor[s] {
-			if ex.graceDips[s] > 0 {
-				// In flight when a death re-clamped the floor: the dip is
-				// environmental, and the floor follows it down.
-				ex.graceDips[s]--
-				ex.rep.EnvFloorDips++
-				ex.floor[s] = ex.appliedAlive[s]
-			} else {
-				// Cannot happen: admission reserved above the floor and the
-				// delete wave runs after its step's creates settled. Counted,
-				// never silently ignored.
-				ex.rep.FloorViolations++
-			}
+	if c.Op != migrate.Delete {
+		return
+	}
+	if applied := ex.log.Assignment().Placed(s); applied < ex.floor[s] {
+		if ex.graceDips[s] > 0 {
+			// In flight when a death re-clamped the floor: the dip is
+			// environmental, and the floor follows it down.
+			ex.graceDips[s]--
+			ex.rep.EnvFloorDips++
+			ex.floor[s] = applied
+		} else {
+			// Cannot happen: admission reserved above the floor and the
+			// delete wave runs after its step's creates settled. Counted,
+			// never silently ignored.
+			ex.rep.FloorViolations++
 		}
-	case migrate.Create:
-		ex.applied.Add(s, m, 1)
-		ex.appliedAlive[s]++
 	}
 }
 
@@ -921,39 +850,40 @@ func (ex *execState) revert(c migrate.Command, reason string) {
 
 // markDead writes a machine off the believed state: its containers are
 // gone (the fabric's mirror dropped them the same way), its resources
-// are unusable, and the engine will be told via a DrainMachine event
-// at the next re-plan or state sync. Floors are re-clamped: a death
-// pushing a service below its floor is the environment breaking the
-// SLA, and the executor must remain able to act from the degraded
-// state.
+// are unusable, and the MachineDied it logs tells the engine at its
+// next fold. Floors are re-clamped: a death pushing a service below its
+// floor is the environment breaking the SLA, and the executor must
+// remain able to act from the degraded state.
 func (ex *execState) markDead(m int) {
 	if ex.dead[m] {
 		return
 	}
-	// Log first: MachineDied zeroes the machine's row in the log's
-	// folded state exactly as the local bookkeeping below zeroes the
-	// believed views, keeping the two in lockstep.
+	// The floor re-clamp follows the applied view: only containers that
+	// actually existed (settled) count as environmental loss. Read them
+	// before MachineDied zeroes the machine's row; the log folds it in
+	// place, so applied is current after the append too.
+	applied := ex.log.Assignment()
+	n := ex.p.N()
+	lost := make([]int, n)
+	for s := range lost {
+		lost[s] = applied.Get(s, m)
+	}
 	ex.logEv(lifetime.MachineDied{Machine: m})
 	ex.dead[m] = true
 	ex.rep.DeadMachines = append(ex.rep.DeadMachines, m)
-	for s := 0; s < ex.p.N(); s++ {
+	for s := 0; s < n; s++ {
 		if c := ex.cur.Get(s, m); c > 0 {
 			ex.cur.Set(s, m, 0)
 			ex.alive[s] -= c
 		}
-		// The floor re-clamp follows the applied view: only containers
-		// that actually existed (settled) count as environmental loss.
-		if c := ex.applied.Get(s, m); c > 0 {
-			ex.applied.Set(s, m, 0)
-			ex.appliedAlive[s] -= c
-			if ex.appliedAlive[s] < ex.floor[s] {
-				ex.rep.EnvFloorDips++
-				ex.floor[s] = ex.appliedAlive[s]
-			}
+		placed := applied.Placed(s)
+		if lost[s] > 0 && placed < ex.floor[s] {
+			ex.rep.EnvFloorDips++
+			ex.floor[s] = placed
 		}
 		// Deletes still in flight at this moment were dispatched against
 		// the pre-death floor; grant them grace for sub-floor landings.
-		if g := ex.appliedAlive[s] - ex.alive[s]; g > 0 {
+		if g := placed - ex.alive[s]; g > 0 {
 			ex.graceDips[s] += g
 		}
 	}
@@ -962,21 +892,10 @@ func (ex *execState) markDead(m int) {
 	}
 }
 
-// checkpoint snapshots the believed state at a divergence.
+// checkpoint records progress at a divergence, with the log head as
+// its resume point.
 func (ex *execState) checkpoint(step int, reason string) Checkpoint {
-	cp := Checkpoint{
-		Step:         step,
-		Executed:     ex.rep.Executed,
-		Reason:       reason,
-		Offset:       ex.log.Head(),
-		Services:     ex.p.N(),
-		Machines:     ex.p.M(),
-		DeadMachines: append([]int(nil), ex.rep.DeadMachines...),
-	}
-	ex.cur.EachPlacement(func(s, m, count int) {
-		cp.Placements = append(cp.Placements, snapshot.PlacementJSON{Service: s, Machine: m, Count: count})
-	})
-	return cp
+	return Checkpoint{Step: step, Executed: ex.rep.Executed, Reason: reason, Offset: ex.log.Head()}
 }
 
 // replayPlan applies a plan to a copy of `from` without validation,

@@ -471,49 +471,6 @@ func TestCancellationMidRun(t *testing.T) {
 	}
 }
 
-// TestCheckpointResume aborts a run on its first divergence (no
-// re-plans allowed), then resumes from the emitted checkpoint with a
-// fresh executor and finishes the migration.
-func TestCheckpointResume(t *testing.T) {
-	eng := newTestEngine(t)
-	from, plan := planFor(t, eng)
-	fab := NewFaultFabric(from, FaultConfig{
-		Seed:   11,
-		Deaths: []MachineDeath{{Machine: mostLoadedMachine(from), AfterCommands: planCommands(plan) / 2}},
-	})
-
-	opts := fastOptions()
-	opts.MaxReplans = -1 // abort at the first divergence
-	ex := New(eng, fab, opts, nil)
-	rep, err := ex.Execute(context.Background(), from, plan)
-	if err != nil {
-		t.Fatalf("execute: %v", err)
-	}
-	if rep.Outcome != OutcomeAborted || len(rep.Checkpoints) == 0 {
-		t.Fatalf("outcome=%s checkpoints=%d, want aborted with a checkpoint", rep.Outcome, len(rep.Checkpoints))
-	}
-	cp := rep.Checkpoints[len(rep.Checkpoints)-1]
-	if cp.Reason == "" || len(cp.Placements) == 0 {
-		t.Fatalf("checkpoint underspecified: %+v", cp)
-	}
-
-	// Fresh executor (fresh process in real life), same engine + fabric.
-	ex2 := New(eng, fab, fastOptions(), nil)
-	rep2, err := ex2.Resume(context.Background(), &cp)
-	if err != nil {
-		t.Fatalf("resume: %v", err)
-	}
-	if rep2.Outcome != OutcomeCompleted {
-		t.Fatalf("resume outcome=%s err=%q", rep2.Outcome, rep2.Err)
-	}
-	if rep2.FloorViolations != 0 {
-		t.Fatalf("resume floor violations: %d", rep2.FloorViolations)
-	}
-	if !equalIgnoringDead(fab.Assignment(), rep2.Final, fab.DeadMachines()) {
-		t.Fatal("resumed run diverged from fabric mirror")
-	}
-}
-
 func TestMetricsRegistered(t *testing.T) {
 	reg := obs.NewRegistry()
 	eng := newTestEngine(t)
@@ -571,9 +528,8 @@ func TestFaultFabricDeathSchedule(t *testing.T) {
 	}
 }
 
-// TestResumeViaLogReplay is the event-sourced version of
-// TestCheckpointResume: instead of restoring the checkpoint's
-// placement dump into the engine, a fresh process replays the lifetime
+// TestResumeViaLogReplay aborts a run on its first divergence, then
+// resumes it the one way there is: a fresh process replays the lifetime
 // log up to the checkpoint's offset and resumes from the folded state.
 // The death is part of the log, so no drain bookkeeping is needed —
 // "resume" is literally "replay to offset, then Run".

@@ -126,12 +126,19 @@ func TestEventRoutingAndJournal(t *testing.T) {
 	if pl.Head() != 2 {
 		t.Fatalf("journal head = %d, want 2", pl.Head())
 	}
-	entries := pl.Entries(1)
+	entries := pl.Entries(1, 10)
 	if len(entries) != 2 || entries[0].Seq != 1 || entries[1].Seq != 2 {
 		t.Fatalf("entries %+v", entries)
 	}
-	if got := pl.Entries(3); got != nil {
+	if got := pl.Entries(3, 10); got != nil {
 		t.Fatalf("entries past head = %+v, want nil", got)
+	}
+	// A page copies at most limit entries.
+	if got := pl.Entries(1, 1); len(got) != 1 || got[0].Seq != 1 || cap(got) != 1 {
+		t.Fatalf("one-entry page = %+v (cap %d), want entry 1 alone", got, cap(got))
+	}
+	if got := pl.Entries(2, 5); len(got) != 1 || got[0].Seq != 2 {
+		t.Fatalf("page from 2 = %+v, want entry 2", got)
 	}
 
 	// Scale of global service 2 must land in block 1 as local service 0.

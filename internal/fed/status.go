@@ -133,18 +133,22 @@ func (pl *Pool) Head() uint64 {
 	return uint64(len(pl.journal))
 }
 
-// Entries returns a copy of the journal entries with sequence >= from
-// (1-based), mirroring lifetime.Log.Entries for GET /v1/cluster/log.
-func (pl *Pool) Entries(from uint64) []lifetime.EntryJSON {
+// Entries returns a copy of at most limit journal entries starting at
+// sequence from (1-based): one page of GET /v1/cluster/log.
+func (pl *Pool) Entries(from uint64, limit int) []lifetime.EntryJSON {
 	pl.jmu.Lock()
 	defer pl.jmu.Unlock()
 	if from < 1 {
 		from = 1
 	}
-	if from > uint64(len(pl.journal)) {
+	if from > uint64(len(pl.journal)) || limit < 1 {
 		return nil
 	}
-	return append([]lifetime.EntryJSON(nil), pl.journal[from-1:]...)
+	page := pl.journal[from-1:]
+	if len(page) > limit {
+		page = page[:limit]
+	}
+	return append([]lifetime.EntryJSON(nil), page...)
 }
 
 // Assignment assembles the global assignment from the per-block live

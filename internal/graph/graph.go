@@ -143,9 +143,6 @@ func (g *Graph) Weight(u, v int) float64 {
 	return 0
 }
 
-// HasEdge reports whether an edge between u and v exists.
-func (g *Graph) HasEdge(u, v int) bool { return g.Weight(u, v) > 0 }
-
 // Neighbors returns the adjacency list of u. The returned slice is owned
 // by the graph and must not be modified.
 func (g *Graph) Neighbors(u int) []Half {
@@ -236,42 +233,6 @@ func (g *Graph) Subgraph(vertices []int) (*Graph, []int) {
 		}
 	}
 	return sub, orig
-}
-
-// Components returns the connected components of the graph, each as a
-// sorted slice of vertex ids. Isolated vertices form singleton
-// components. Components are ordered by their smallest vertex.
-func (g *Graph) Components() [][]int {
-	n := len(g.adj)
-	comp := make([]int, n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	var out [][]int
-	queue := make([]int, 0, n)
-	for s := 0; s < n; s++ {
-		if comp[s] >= 0 {
-			continue
-		}
-		id := len(out)
-		comp[s] = id
-		queue = append(queue[:0], s)
-		members := []int{s}
-		for len(queue) > 0 {
-			u := queue[0]
-			queue = queue[1:]
-			for _, h := range g.adj[u] {
-				if comp[h.To] < 0 {
-					comp[h.To] = id
-					queue = append(queue, h.To)
-					members = append(members, h.To)
-				}
-			}
-		}
-		sort.Ints(members)
-		out = append(out, members)
-	}
-	return out
 }
 
 // BFSFrom performs a breadth-first search from each seed simultaneously

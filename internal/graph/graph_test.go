@@ -17,9 +17,6 @@ func TestEmptyGraph(t *testing.T) {
 	if got := g.TotalWeight(); got != 0 {
 		t.Fatalf("TotalWeight = %v, want 0", got)
 	}
-	if comps := g.Components(); len(comps) != 0 {
-		t.Fatalf("Components = %v, want none", comps)
-	}
 }
 
 func TestAddEdgeBasics(t *testing.T) {
@@ -32,7 +29,7 @@ func TestAddEdgeBasics(t *testing.T) {
 	if !almostEq(g.Weight(0, 1), 2.5) || !almostEq(g.Weight(1, 0), 2.5) {
 		t.Fatalf("Weight(0,1) = %v", g.Weight(0, 1))
 	}
-	if g.HasEdge(0, 3) {
+	if g.Weight(0, 3) != 0 {
 		t.Fatal("unexpected edge (0,3)")
 	}
 	if !almostEq(g.TotalWeight(), 3.5) {
@@ -132,28 +129,6 @@ func TestSubgraphPanicsOnDuplicate(t *testing.T) {
 	g.Subgraph([]int{1, 1})
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1, 1)
-	g.AddEdge(1, 2, 1)
-	g.AddEdge(3, 4, 1)
-	comps := g.Components()
-	if len(comps) != 3 {
-		t.Fatalf("components = %v, want 3 of them", comps)
-	}
-	wants := [][]int{{0, 1, 2}, {3, 4}, {5}}
-	for i, want := range wants {
-		if len(comps[i]) != len(want) {
-			t.Fatalf("component %d = %v, want %v", i, comps[i], want)
-		}
-		for j := range want {
-			if comps[i][j] != want[j] {
-				t.Fatalf("component %d = %v, want %v", i, comps[i], want)
-			}
-		}
-	}
-}
-
 func TestBFSFrom(t *testing.T) {
 	// Path 0-1-2-3-4 with seeds at 0 and 4: vertex 2 is reached in the
 	// same round by both; the earlier seed (index 0) must win.
@@ -220,33 +195,6 @@ func TestPropertyHandshake(t *testing.T) {
 			sum += g.TotalAffinity(s)
 		}
 		return almostEq(sum, 2*g.TotalWeight())
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: components partition the vertex set.
-func TestPropertyComponentsPartition(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 + rng.Intn(40)
-		g := New(n)
-		for i := 0; i < n; i++ {
-			g.AddEdge(rng.Intn(n), rng.Intn(n), 1)
-		}
-		seen := make([]bool, n)
-		total := 0
-		for _, c := range g.Components() {
-			for _, v := range c {
-				if seen[v] {
-					return false
-				}
-				seen[v] = true
-				total++
-			}
-		}
-		return total == n
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

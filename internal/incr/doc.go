@@ -6,8 +6,7 @@
 // actuation), tracks which partition subproblems each logged event
 // dirties via a cursor into the log, and answers Propose with a scoped
 // delta solve — only the dirty subproblems go back through the
-// selector/pool machinery, warm-started from cached root bases where
-// the formulation shape survived — escalating to the full pipeline when
+// selector/pool machinery — escalating to the full pipeline when
 // the dirty set or the gained-affinity drift crosses a threshold. The
 // delta pass merges and plans its migration through the same core
 // functions as the full pipeline (core.Settle, core.PlanMigration).
@@ -17,5 +16,5 @@
 // The paper runs RASA as a periodic CronJob that re-solves everything
 // (Section III); region-wide deployments answer continuous deltas with
 // online re-optimization instead. This package is that layer for this
-// reproduction: events in, bounded warm scoped re-solves out.
+// reproduction: events in, bounded scoped re-solves out.
 package incr

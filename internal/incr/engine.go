@@ -36,8 +36,8 @@ type Options struct {
 	// re-solves approach full-pipeline cost without its re-partitioning
 	// benefit; default 0.5.
 	MaxDirtyRatio float64
-	// ForceFull makes every Propose run the full pipeline (the
-	// benchmark's baseline arm and an operational escape hatch).
+	// ForceFull makes every Propose run the full pipeline (a cluster
+	// session's forceFull option: an operational escape hatch).
 	ForceFull bool
 
 	// The remaining fields forward to core.Optimize for full passes and
@@ -220,10 +220,9 @@ func (e *Engine) CommitProposal(res *Result) error {
 // Propose computes a target that brings the assignment back to
 // optimized quality after a batch of events. It decides between three
 // paths: nothing dirty — noop; a bounded dirty set — re-solve only the
-// dirty subproblems (warm-started where the formulation shape survived)
-// and merge with the untouched remainder; otherwise, or when the delta
-// result drifted too far below the last full solve's gained affinity,
-// the full pipeline.
+// dirty subproblems and merge with the untouched remainder; otherwise,
+// or when the delta result drifted too far below the last full solve's
+// gained affinity, the full pipeline.
 //
 // The target is not adopted: the live assignment stays at its entry
 // value and the pass is recorded in the log as a proposal (Applied
@@ -281,14 +280,12 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	// Delta pass. Collect dirty groups in index order (determinism),
 	// build their subproblems against the untouched remainder's
 	// residual capacities, and re-solve only those.
-	var dirtyIdx []int
 	var dirtyGroups [][]int
 	inDirty := make([]bool, p.N())
 	for g := 0; g < totalGroups; g++ {
 		if !st.dirty[g] {
 			continue
 		}
-		dirtyIdx = append(dirtyIdx, g)
 		dirtyGroups = append(dirtyGroups, st.groups[g])
 		for _, s := range st.groups[g] {
 			inDirty[s] = true
@@ -311,9 +308,8 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	for i, sp := range subs {
 		selected[i] = e.opts.Policy.Decide(sp).Algorithm
 	}
-	results := pool.SolveAllWarm(ctx, subs,
+	results := pool.SolveAll(ctx, subs,
 		func(i int) pool.Algorithm { return selected[i] },
-		func(i int) *pool.WarmStart { return st.warmFor(dirtyIdx[i]) },
 		e.opts.DeltaBudget, e.opts.Parallelism)
 
 	next := core.Settle(p, cur, &partition.Result{Subproblems: subs}, results)

@@ -6,7 +6,6 @@ import (
 
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/lifetime"
-	"github.com/cloudsched/rasa/internal/pool"
 	"github.com/cloudsched/rasa/internal/sched"
 )
 
@@ -49,11 +48,6 @@ type State struct {
 	// full solve — the drift baseline.
 	baseGain float64
 
-	// warm caches per-group MIP root bases, keyed by group index. The
-	// bases are starting hints only (validated and possibly discarded
-	// downstream), so staleness can never corrupt a solve.
-	warm map[int]*pool.WarmStart
-
 	eventsApplied int
 }
 
@@ -77,7 +71,6 @@ func FromLog(l *lifetime.Log) *State {
 	st := &State{
 		log:   l,
 		dirty: make(map[int]bool),
-		warm:  make(map[int]*pool.WarmStart),
 	}
 	st.mu.Lock()
 	st.catchUpLocked()
@@ -306,8 +299,8 @@ func (st *State) markAllDirty() {
 }
 
 // setPartition installs a fresh partition (after a full solve): all
-// dirty tracking resets and the warm-start caches are dropped, since
-// group indices no longer mean what they meant.
+// dirty tracking resets, since group indices no longer mean what they
+// meant.
 func (st *State) setPartition(groups [][]int) {
 	st.groups = groups
 	st.subOf = make([]int, st.log.Problem().N())
@@ -322,17 +315,6 @@ func (st *State) setPartition(groups [][]int) {
 	st.dirty = make(map[int]bool)
 	st.dirtyTrivial = false
 	st.havePartition = true
-	st.warm = make(map[int]*pool.WarmStart)
-}
-
-// warmFor returns the (possibly fresh) warm-start cache of group g.
-func (st *State) warmFor(g int) *pool.WarmStart {
-	w, ok := st.warm[g]
-	if !ok {
-		w = &pool.WarmStart{}
-		st.warm[g] = w
-	}
-	return w
 }
 
 // remapAfterRemove rebuilds the partition bookkeeping after the log
@@ -397,7 +379,4 @@ func (st *State) remapAfterRemove(s int) {
 		}
 	}
 	st.dirty = dirty
-	// Warm bases are keyed by group index and shaped by the old service
-	// set; drop them all rather than chase the renumbering.
-	st.warm = make(map[int]*pool.WarmStart)
 }

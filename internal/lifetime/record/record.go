@@ -29,9 +29,12 @@ type Config struct {
 	// 6); PerTick is the churn events applied per round (default 4).
 	Ticks   int
 	PerTick int
-	// Budget bounds each engine solve (default 2s — ample for the
-	// training presets, so solves converge before the deadline and the
-	// recording is deterministic for a given Seed).
+	// Budget bounds each engine solve (default 2s). The recording is
+	// deterministic for a given Seed only while every solve converges
+	// before its deadline: a solve cut off by the wall clock returns
+	// whatever incumbent it reached, which depends on machine speed and
+	// load. T2 at seed 3 with faults and a death has given two different
+	// traces at 2s and identical ones at 20s.
 	Budget time.Duration
 	// FaultRate is the fabric's per-command failure probability.
 	FaultRate float64
@@ -62,7 +65,8 @@ func (c Config) withDefaults() Config {
 
 // Record runs one cluster lifetime and exports its event log. All
 // moving parts are seeded and single-threaded (Parallelism 1), so two
-// Record calls with equal configs produce byte-identical traces.
+// Record calls with equal configs produce byte-identical traces,
+// provided no solve hits its Budget deadline (see Config.Budget).
 func Record(ctx context.Context, cfg Config) (*lifetime.Trace, error) {
 	cfg = cfg.withDefaults()
 	c, err := workload.Generate(cfg.Preset)

@@ -103,13 +103,6 @@ type Options struct {
 	// further is wasted budget (used by selector.Label to cancel the
 	// loser of the CG-vs-MIP race).
 	Cutoff func() (float64, bool)
-	// RootBasis, when non-nil, seeds the root relaxation's simplex from a
-	// basis captured in an earlier solve of a same-shaped problem (the
-	// incremental engine re-solving a subproblem whose formulation shape
-	// survived a delta). The workspace validates the basis and falls back
-	// to a cold solve when it is stale or mismatched, so a wrong guess
-	// costs nothing but the check.
-	RootBasis *lp.Basis
 }
 
 // Solution is the result of a solve.
@@ -119,11 +112,6 @@ type Solution struct {
 	Objective float64   // objective at X
 	Bound     float64   // proven upper bound on the optimum
 	Nodes     int       // branch-and-bound nodes explored
-	// RootBasis is the optimal basis of the root relaxation (nil when the
-	// root LP did not reach optimality). Callers re-solving the same
-	// formulation shape after a data-only change can feed it back through
-	// Options.RootBasis to skip most of the root's simplex work.
-	RootBasis *lp.Basis
 	// Stats aggregates B&B nodes, incumbents, simplex pivots across all
 	// node LPs, and why the solve stopped.
 	Stats solve.Stats
@@ -197,9 +185,6 @@ type solver struct {
 	pruned float64
 	nodes  int
 	stats  solve.Stats
-	// rootBasis is the root relaxation's optimal basis, surfaced on the
-	// Solution for cross-solve warm starting.
-	rootBasis *lp.Basis
 }
 
 // scratch is the storage a solve takes over from an earlier one through
@@ -213,9 +198,8 @@ type scratch struct {
 	// observation counts, for down and up branches.
 	pcDownSum, pcUpSum []float64
 	pcDownN, pcUpN     []int
-	// bases is every node basis the solve owns: all it captured except
-	// the root's, which Solution.RootBasis hands to the caller. free is
-	// the stack of those no open node will read again.
+	// bases is every node basis the solve owns, the root's included.
+	// free is the stack of those no open node will read again.
 	bases, free []*lp.Basis
 }
 
@@ -330,7 +314,7 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	var sol lp.Solution
 	var err error
 	if n.parent == nil {
-		sol, err = s.ws.SolveFrom(s.ctx, &s.prob.LP, opts, s.opts.RootBasis)
+		sol, err = s.ws.Solve(s.ctx, &s.prob.LP, opts)
 	} else {
 		if !s.nodeBounds(n) {
 			return lp.Solution{Status: lp.Infeasible}, nil
@@ -344,9 +328,8 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 		}
 	}
 	if err == nil && sol.Status == lp.Optimal {
-		n.basis = s.captureBasis(n.parent == nil)
+		n.basis = s.captureBasis()
 		if n.parent == nil {
-			s.rootBasis = n.basis
 			s.ws.Anchor()
 		}
 	}
@@ -354,13 +337,9 @@ func (s *solver) solveLP(n *node) (lp.Solution, error) {
 	return sol, err
 }
 
-// captureBasis captures the workspace's basis for a node: the root's
-// into a basis of its own, since Solution.RootBasis exports it, any
-// other into a free basis of the scratch.
-func (s *solver) captureBasis(root bool) *lp.Basis {
-	if root {
-		return s.ws.CaptureBasis(nil)
-	}
+// captureBasis captures the workspace's basis for a node into a free
+// basis of the scratch.
+func (s *solver) captureBasis() *lp.Basis {
 	var dst *lp.Basis
 	if k := len(s.free); k > 0 {
 		dst, s.free = s.free[k-1], s.free[:k-1]
@@ -372,11 +351,10 @@ func (s *solver) captureBasis(root bool) *lp.Basis {
 }
 
 // popped records that one child of parent has been popped. Once both
-// have, nothing reads parent's basis again and it is freed for reuse;
-// the root's never is.
+// have, nothing reads parent's basis again and it is freed for reuse.
 func (s *solver) popped(parent *node) {
 	parent.unpopped--
-	if parent.unpopped == 0 && parent.parent != nil && parent.basis != nil {
+	if parent.unpopped == 0 && parent.basis != nil {
 		s.free = append(s.free, parent.basis)
 		parent.basis = nil
 	}
@@ -543,7 +521,6 @@ func (s *solver) run() (Solution, error) {
 	finish := func(sol Solution) (Solution, error) {
 		s.stats.Nodes = s.nodes
 		sol.Stats = s.stats
-		sol.RootBasis = s.rootBasis
 		return sol, nil
 	}
 	root := &node{}

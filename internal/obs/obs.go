@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -238,19 +237,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return &Counter{s: v.f.get(values)}
 }
 
-// GaugeVec is a gauge family partitioned by label values.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers a labelled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return &GaugeVec{f: r.register(name, help, gaugeKind, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	return &Gauge{s: v.f.get(values)}
-}
-
 // HistogramVec is a histogram family partitioned by label values.
 type HistogramVec struct{ f *family }
 
@@ -378,17 +364,4 @@ func (r *Registry) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WriteTo(w)
 	})
-}
-
-// ExpBuckets returns n exponentially spaced bucket bounds starting at
-// start and growing by factor.
-func ExpBuckets(start, factor float64, n int) []float64 {
-	out := make([]float64, n)
-	v := start
-	for i := range out {
-		out[i] = v
-		v *= factor
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -181,13 +181,3 @@ func TestSolveCollector(t *testing.T) {
 		}
 	}
 }
-
-func TestExpBuckets(t *testing.T) {
-	b := ExpBuckets(0.001, 10, 4)
-	want := []float64{0.001, 0.01, 0.1, 1}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Fatalf("bucket %d = %v, want %v", i, b[i], want[i])
-		}
-	}
-}

@@ -39,13 +39,16 @@ import (
 	"github.com/cloudsched/rasa/internal/cluster"
 )
 
+// masterCoeff and masterExp define the master ratio
+// alpha = masterCoeff * ln^masterExp(N) / N: the paper's production
+// values (Section V-B).
+const (
+	masterCoeff = 45
+	masterExp   = 0.66
+)
+
 // Options tune the partitioners.
 type Options struct {
-	// MasterCoeff and MasterExp define the master ratio
-	// alpha = MasterCoeff * ln^MasterExp(N) / N. Defaults: 45 and 0.66
-	// (the paper's production values, Section V-B).
-	MasterCoeff float64
-	MasterExp   float64
 	// MasterRatio, when > 0, overrides the computed alpha (used by the
 	// Fig. 7 master-ratio sweep).
 	MasterRatio float64
@@ -63,12 +66,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MasterCoeff == 0 {
-		o.MasterCoeff = 45
-	}
-	if o.MasterExp == 0 {
-		o.MasterExp = 0.66
-	}
 	if o.TargetSize <= 0 {
 		o.TargetSize = 15
 	}
@@ -80,14 +77,13 @@ func (o Options) withDefaults() Options {
 
 // Alpha returns the master ratio used for a problem of N services.
 func (o Options) Alpha(n int) float64 {
-	o = o.withDefaults()
 	if o.MasterRatio > 0 {
 		return math.Min(o.MasterRatio, 1)
 	}
 	if n <= 1 {
 		return 1
 	}
-	a := o.MasterCoeff * math.Pow(math.Log(float64(n)), o.MasterExp) / float64(n)
+	a := masterCoeff * math.Pow(math.Log(float64(n)), masterExp) / float64(n)
 	return math.Min(a, 1)
 }
 

@@ -21,26 +21,17 @@ import (
 // yields an empty OutOfTime result rather than failing the batch,
 // mirroring the paper's tolerance of failed deployments.
 func SolveAll(ctx context.Context, subs []*cluster.Subproblem, algFor func(i int) Algorithm, budget time.Duration, parallelism int) []Result {
-	return SolveAllWarm(ctx, subs, algFor, nil, budget, parallelism)
-}
-
-// SolveAllWarm is SolveAll with per-subproblem warm-start caches: when
-// warmFor is non-nil and algFor(i) is MIP, subproblem i's solve is
-// seeded from (and refreshes) warmFor(i). Each cache entry is touched
-// only by its own subproblem's goroutine, so callers may hand out
-// entries from a plain map built before the call.
-func SolveAllWarm(parent context.Context, subs []*cluster.Subproblem, algFor func(i int) Algorithm, warmFor func(i int) *WarmStart, budget time.Duration, parallelism int) []Result {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	return solveAll(parent, subs, algFor, warmFor, time.Now().Add(budget), solve.NewSlots(parallelism))
+	return solveAll(ctx, subs, algFor, time.Now().Add(budget), solve.NewSlots(parallelism))
 }
 
-// solveAll runs SolveAllWarm's batch on slots: every subproblem
+// solveAll runs SolveAll's batch on slots: every subproblem
 // goroutine holds one while it solves, and the solves may run helpers
 // on the spare ones (CG prices a round's machine groups side by side),
 // so the number of slots caps the solver goroutines running at once.
-func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i int) Algorithm, warmFor func(i int) *WarmStart, deadline time.Time, slots *solve.Slots) []Result {
+func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i int) Algorithm, deadline time.Time, slots *solve.Slots) []Result {
 	ctx, cancel := context.WithDeadline(parent, deadline)
 	defer cancel()
 	ctx = solve.WithSlots(ctx, slots)
@@ -53,15 +44,7 @@ func solveAll(parent context.Context, subs []*cluster.Subproblem, algFor func(i 
 			slots.Acquire()
 			defer slots.Release()
 			alg := algFor(i)
-			var (
-				res Result
-				err error
-			)
-			if alg == MIP && warmFor != nil {
-				res, err = solveMIP(ctx, subs[i], deadline, warmFor(i), nil)
-			} else {
-				res, err = Solve(ctx, subs[i], alg, deadline)
-			}
+			res, err := Solve(ctx, subs[i], alg, deadline)
 			switch {
 			case err != nil:
 				res = Result{Algorithm: alg, OutOfTime: true}

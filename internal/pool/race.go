@@ -75,7 +75,7 @@ func SolveRace(ctx context.Context, sp *cluster.Subproblem, deadline time.Time) 
 		}
 		return math.Float64frombits(cgObjBits.Load()) * (1 + RaceMargin), true
 	}
-	mipRes, mipErr := solveMIP(ctx, sp, deadline, nil, cutoff)
+	mipRes, mipErr := solveMIP(ctx, sp, deadline, cutoff)
 	<-cgDone
 	if cgErr != nil {
 		return Result{}, cgErr

@@ -32,7 +32,7 @@ func TestParallelismCapsSolverGoroutines(t *testing.T) {
 	cgAll := func(int) Algorithm { return CG }
 	batch := func(n int) ([]Result, int) {
 		slots := solve.NewSlots(n)
-		res := SolveAllOnSlots(context.Background(), subs, cgAll, nil, time.Now().Add(time.Minute), slots)
+		res := SolveAllOnSlots(context.Background(), subs, cgAll, time.Now().Add(time.Minute), slots)
 		return res, slots.Peak()
 	}
 	one, peak := batch(1)

@@ -25,9 +25,9 @@ import (
 // request deadlines. One session exists at a time; POST /v1/cluster
 // replaces it.
 //
-// The session mutex serializes Reoptimize calls (the pool's own lock
-// would too, but queueing callers at this level keeps request
-// deadlines honest: each caller's clock starts when its solve starts).
+// The session mutex serializes reoptimize and execute runs (the pool's
+// own lock would too, but queueing callers at this level keeps request
+// deadlines honest: each caller's clock starts when its run starts).
 type clusterSession struct {
 	mu     sync.Mutex
 	pool   *fed.Pool
@@ -293,10 +293,7 @@ func (s *Server) handleClusterLog(w http.ResponseWriter, r *http.Request) {
 	}
 	head := sess.pool.Head()
 	fingerprint := sess.pool.Stats().Fingerprint
-	entries := sess.pool.Entries(from)
-	if len(entries) > limit {
-		entries = entries[:limit]
-	}
+	entries := sess.pool.Entries(from, limit)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"head":        head,
 		"fingerprint": fingerprint,
@@ -315,8 +312,8 @@ func (s *Server) handleClusterStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, sess.pool.Stats())
 }
 
-// handleShards serves GET /v1/shards: the session's versioned
-// block-to-shard map, per-shard ownership, and per-block log positions.
+// handleShards serves GET /v1/shards: the session's block-to-shard
+// map, per-shard ownership, and per-block log positions.
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	sess := s.session()
 	if sess == nil {

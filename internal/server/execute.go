@@ -81,8 +81,6 @@ type execView struct {
 	Report    *execReportJSON `json:"report,omitempty"`
 }
 
-func execID(seq int) string { return fmt.Sprintf("exec-%d", seq) }
-
 func (j *execJob) terminal() bool { return isClosed(j.done) }
 
 func (j *execJob) view() execView {
@@ -167,7 +165,7 @@ func (s *Server) handleExecuteSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.execSeq++
 	job := &execJob{
-		id:        execID(s.execSeq),
+		id:        s.mintID("exec", s.execSeq),
 		submitted: time.Now(),
 		status:    StatusQueued,
 		done:      make(chan struct{}),
@@ -251,7 +249,7 @@ func (s *Server) handleExecuteGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	job, ok := s.execJobs[id]
-	gone := !ok && issued(id, "exec-", s.execSeq, execID)
+	gone := !ok && s.issued(id, "exec", s.execSeq)
 	s.mu.Unlock()
 	if !ok {
 		missing(w, gone, "execution", id)

@@ -49,14 +49,16 @@ type Job struct {
 	done chan struct{}
 }
 
-// jobID mints the id of job number seq: the number plus a hash of it
-// keyed per server, so ids do not repeat across restarts and the server
-// can recompute every id it issued.
-func (s *Server) jobID(seq int) string {
+// mintID mints the id of job or execution number seq (prefix "job" or
+// "exec"): the prefix, the number and a hash of both keyed per server,
+// so ids do not repeat across restarts and the server can recompute
+// every id it issued.
+func (s *Server) mintID(prefix string, seq int) string {
 	h := fnv.New32a()
 	h.Write(s.idKey[:])
+	h.Write([]byte(prefix))
 	h.Write([]byte(strconv.Itoa(seq)))
-	return fmt.Sprintf("job-%06d-%08x", seq, h.Sum32())
+	return fmt.Sprintf("%s-%06d-%08x", prefix, seq, h.Sum32())
 }
 
 func (j *Job) terminal() bool { return isClosed(j.done) }

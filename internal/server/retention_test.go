@@ -65,7 +65,7 @@ func issueJobs(s *Server, n int, finished bool) []string {
 	var ids []string
 	for i := 0; i < n; i++ {
 		s.seq++
-		j := &Job{id: s.jobID(s.seq), status: StatusRunning, done: make(chan struct{})}
+		j := &Job{id: s.mintID("job", s.seq), status: StatusRunning, done: make(chan struct{})}
 		if finished {
 			j.status = StatusCompleted
 			close(j.done)
@@ -128,7 +128,7 @@ func TestEvictedJobGone(t *testing.T) {
 	// Ids the server never issued: a sequence number beyond the last
 	// one, a tampered suffix on an evicted one, and no sequence at all.
 	tampered := old[0][:len(old[0])-1] + "x"
-	for _, id := range []string{s.jobID(s.seq + 1), tampered, "job-does-not-exist"} {
+	for _, id := range []string{s.mintID("job", s.seq+1), tampered, "job-does-not-exist"} {
 		if rec := getPath(t, s, "/v1/jobs/"+id); rec.Code != http.StatusNotFound || errorCode(t, rec) != codeNotFound {
 			t.Fatalf("never-issued job %s: %d %s", id, rec.Code, rec.Body)
 		}
@@ -150,7 +150,7 @@ func TestEvictedExecutionGone(t *testing.T) {
 	s.execJobs = make(map[string]*execJob)
 	for i := 0; i <= retainFinished; i++ {
 		s.execSeq++
-		j := &execJob{id: execID(s.execSeq), status: StatusCompleted, done: make(chan struct{})}
+		j := &execJob{id: s.mintID("exec", s.execSeq), status: StatusCompleted, done: make(chan struct{})}
 		if i == 0 {
 			j.status = StatusRunning // exec-1 never finishes
 		} else {
@@ -169,17 +169,50 @@ func TestEvictedExecutionGone(t *testing.T) {
 	if err := s.Shutdown(t.Context()); err != nil {
 		t.Fatal(err)
 	}
-	if rec := getPath(t, s, "/v1/cluster/execute/exec-2"); rec.Code != http.StatusGone || errorCode(t, rec) != codeGone {
+	if rec := getPath(t, s, "/v1/cluster/execute/"+s.mintID("exec", 2)); rec.Code != http.StatusGone || errorCode(t, rec) != codeGone {
 		t.Fatalf("evicted execution: %d %s", rec.Code, rec.Body)
 	}
-	for _, id := range []string{"exec-1", "exec-3"} {
+	for _, id := range []string{s.mintID("exec", 1), s.mintID("exec", 3)} {
 		if code, _ := getExec(t, s, id, ""); code != http.StatusOK {
 			t.Fatalf("execution %s: %d", id, code)
 		}
 	}
-	for _, id := range []string{execID(s.execSeq + 1), "exec-0", "exec-02", "nope"} {
+	tampered := s.mintID("exec", 2)[:len(s.mintID("exec", 2))-1] + "x"
+	for _, id := range []string{s.mintID("exec", s.execSeq+1), "exec-0", "exec-2", tampered, "nope"} {
 		if rec := getPath(t, s, "/v1/cluster/execute/"+id); rec.Code != http.StatusNotFound || errorCode(t, rec) != codeNotFound {
 			t.Fatalf("never-issued execution %s: %d %s", id, rec.Code, rec.Body)
 		}
+	}
+}
+
+// TestIDsDifferAcrossServers: a restarted server must not reissue its
+// predecessor's ids, so two servers name their first job and their
+// first execution differently, and neither answers for the other's.
+func TestIDsDifferAcrossServers(t *testing.T) {
+	var servers []*Server
+	var jobs, execs []string
+	for range 2 {
+		s := New(Config{Workers: 1})
+		defer s.Shutdown(t.Context())
+		installExecCluster(t, s, 5)
+		execs = append(execs, submitExec(t, s, map[string]any{}))
+		rec := postObj(t, s, "/v1/jobs", json.RawMessage(testSnapshot(t, 40)))
+		var sub struct {
+			ID string `json:"id"`
+		}
+		if rec.Code != http.StatusAccepted || json.Unmarshal(rec.Body.Bytes(), &sub) != nil {
+			t.Fatalf("submit: %d %s", rec.Code, rec.Body)
+		}
+		jobs = append(jobs, sub.ID)
+		servers = append(servers, s)
+	}
+	if execs[0] == execs[1] || jobs[0] == jobs[1] {
+		t.Fatalf("two servers issued the same ids: executions %v, jobs %v", execs, jobs)
+	}
+	if rec := getPath(t, servers[1], "/v1/cluster/execute/"+execs[0]); rec.Code != http.StatusNotFound {
+		t.Fatalf("other server's execution %s: %d %s", execs[0], rec.Code, rec.Body)
+	}
+	if rec := getPath(t, servers[1], "/v1/jobs/"+jobs[0]); rec.Code != http.StatusNotFound {
+		t.Fatalf("other server's job %s: %d %s", jobs[0], rec.Code, rec.Body)
 	}
 }

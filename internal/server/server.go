@@ -137,7 +137,7 @@ type Server struct {
 	jobs     map[string]*Job
 	order    []string
 	seq      int
-	idKey    [8]byte // keys the hash in job ids (see jobID)
+	idKey    [8]byte // keys the hash in job and execution ids (see mintID)
 	// cluster is the live incremental session (POST /v1/cluster); nil
 	// until one is installed.
 	cluster *clusterSession
@@ -353,7 +353,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.seq++
-	job.id = s.jobID(s.seq)
+	job.id = s.mintID("job", s.seq)
 	job.status = StatusQueued
 	select {
 	case s.queue <- job:
@@ -406,7 +406,7 @@ func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	s.mu.Lock()
 	job, ok := s.jobs[id]
-	gone := !ok && issued(id, "job-", s.seq, s.jobID)
+	gone := !ok && s.issued(id, "job", s.seq)
 	s.mu.Unlock()
 	if !ok {
 		missing(w, gone, "job", id)
@@ -474,14 +474,13 @@ func evictFinished[E interface{ terminal() bool }](table map[string]E, order []s
 	return kept
 }
 
-// issued reports whether id is the id mint gave one of the sequence
-// numbers 1..last. An id is prefix, the number, then an optional
-// "-suffix".
-func issued(id, prefix string, last int, mint func(int) string) bool {
-	num, ok := strings.CutPrefix(id, prefix)
+// issued reports whether id is the id mintID gave one of the sequence
+// numbers 1..last under prefix.
+func (s *Server) issued(id, prefix string, last int) bool {
+	num, ok := strings.CutPrefix(id, prefix+"-")
 	num, _, _ = strings.Cut(num, "-")
 	seq, err := strconv.Atoi(num)
-	return ok && err == nil && seq >= 1 && seq <= last && mint(seq) == id
+	return ok && err == nil && seq >= 1 && seq <= last && s.mintID(prefix, seq) == id
 }
 
 // missing answers a GET for an id its table does not hold: 410 when the
