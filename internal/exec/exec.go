@@ -141,7 +141,11 @@ type Checkpoint struct {
 	Reason   string `json:"reason"`
 	// Offset is the event-log head at the checkpoint: replaying the log
 	// to this sequence number reconstructs the believed state, dead
-	// machines included, and Run resumes from there.
+	// machines included, and Run resumes from there. A federated
+	// execution runs one log per compatibility block, so its aggregate
+	// names in Block the block whose log Offset points into (0 in a
+	// single executor's report).
+	Block  int    `json:"block"`
 	Offset uint64 `json:"offset,omitempty"`
 }
 
@@ -248,11 +252,17 @@ func (e *Executor) Run(ctx context.Context) (*Report, error) {
 // RunProposal executes a proposal the caller already holds: res must
 // come from the engine's Propose over the state `from`, with no event
 // appended since. A noop proposal (nothing dirty, nothing to move)
-// completes immediately.
+// completes immediately. A proposal whose planning was cut off (moves
+// but no plan) is refused: ReplanRequested goes to the log, so the
+// engine re-solves what the dropped proposal consumed.
 func (e *Executor) RunProposal(ctx context.Context, from *cluster.Assignment, res *incr.Result) (*Report, error) {
 	if res.Plan == nil {
 		if res.Moves > 0 {
-			return nil, fmt.Errorf("exec: engine proposed %d moves without a plan (SkipMigration engine, or planning was cut off)", res.Moves)
+			err := fmt.Errorf("exec: engine proposed %d moves without a plan (planning was cut off)", res.Moves)
+			if _, lerr := e.eng.State().Log().Append(lifetime.ReplanRequested{Reason: "dropped: " + err.Error()}); lerr != nil {
+				err = errors.Join(err, lerr)
+			}
+			return nil, err
 		}
 		rep := &Report{Outcome: OutcomeCompleted, Final: from, MinHeadroom: -1}
 		e.finishGains(rep, from)
@@ -356,7 +366,7 @@ func (e *Executor) replan(ctx context.Context, ex *execState, reason string) (*m
 		return nil, err
 	}
 	if res.Plan == nil && res.Moves > 0 {
-		return nil, fmt.Errorf("engine proposed %d moves without a plan (SkipMigration engine, or planning was cut off)", res.Moves)
+		return nil, fmt.Errorf("engine proposed %d moves without a plan (planning was cut off)", res.Moves)
 	}
 	return res.Plan, nil
 }

@@ -20,8 +20,8 @@ import (
 
 const testMinAlive = 0.75
 
-// newTestEngine builds a small cluster, a state, and an engine that
-// plans migrations (SkipMigration off: the executor needs plans).
+// newTestEngine builds a small cluster, a state, and an engine over
+// them.
 func newTestEngine(t *testing.T) *incr.Engine {
 	t.Helper()
 	c, err := workload.Generate(workload.TrainingPresets()[0])
@@ -468,6 +468,60 @@ func TestCancellationMidRun(t *testing.T) {
 	// The engine is synced to whatever really happened before the cut.
 	if !equalIgnoringDead(eng.State().Assignment(), rep.Final, fab.DeadMachines()) {
 		t.Fatal("engine state not synced to believed state after cancellation")
+	}
+}
+
+// TestExecutedDeltaCleansDirtySet: a delta pass consumes the dirty set
+// it re-solved, so once its plan has executed an idle pass is a noop;
+// and a proposal dropped unexecuted leaves a ReplanRequested behind, so
+// the next pass re-solves what it consumed.
+func TestExecutedDeltaCleansDirtySet(t *testing.T) {
+	eng := newTestEngine(t)
+	st := eng.State()
+	ctx := context.Background()
+	run := func(what string) {
+		t.Helper()
+		rep, err := New(eng, NewInstantFabric(st.Assignment()), fastOptions(), nil).Run(ctx)
+		if err != nil || rep.Outcome != OutcomeCompleted {
+			t.Fatalf("%s: %v %+v", what, err, rep)
+		}
+	}
+	run("bootstrap")
+
+	// Scale one affinity service: a delta over its subproblem.
+	p := st.Problem()
+	s := 0
+	for p.Affinity.Degree(s) == 0 {
+		s++
+	}
+	if _, err := eng.Apply(lifetime.ScaleService{Service: s, Replicas: p.Services[s].Replicas + 1}); err != nil {
+		t.Fatalf("scale: %v", err)
+	}
+	if snap := st.Snapshot(); snap.DirtySubproblems == 0 {
+		t.Fatalf("scaling affinity service %d dirtied no subproblem", s)
+	}
+	run("delta")
+
+	res, err := eng.Propose(ctx)
+	if err != nil {
+		t.Fatalf("idle propose: %v", err)
+	}
+	if res.Mode != incr.ModeNoop {
+		t.Fatalf("idle pass after an executed delta: %v with %d moves, %d dirty, want noop",
+			res.Mode, res.Moves, res.DirtySubproblems)
+	}
+
+	// A proposal with moves but no plan is refused, and the next pass
+	// re-solves.
+	cut := &incr.Result{Mode: incr.ModeDelta, Moves: 1}
+	if _, err := New(eng, NewInstantFabric(st.Assignment()), fastOptions(), nil).RunProposal(ctx, st.Assignment().Clone(), cut); err == nil {
+		t.Fatal("a proposal with moves and no plan was executed")
+	}
+	if res, err = eng.Propose(ctx); err != nil {
+		t.Fatalf("propose after a dropped proposal: %v", err)
+	}
+	if res.Mode == incr.ModeNoop {
+		t.Fatal("pass after a dropped proposal is a noop")
 	}
 }
 

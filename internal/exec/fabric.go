@@ -59,9 +59,10 @@ func (e *MachineDownError) Error() string {
 
 // InstantFabric applies every command immediately and successfully
 // against an in-memory mirror of the cluster. It is the zero-fault
-// actuator: prodsim uses it to execute plans move-by-move instead of
-// adopting target assignments wholesale, and tests use its mirror as
-// the ground truth the executor's believed state must match.
+// actuator: prodsim and a cluster session's reoptimize use it to
+// execute plans move by move instead of adopting target assignments
+// wholesale, and tests use its mirror as the ground truth the
+// executor's believed state must match.
 type InstantFabric struct {
 	mu  sync.Mutex
 	cur *cluster.Assignment

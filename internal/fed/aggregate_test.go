@@ -19,7 +19,7 @@ func TestResultAggregatesBlocks(t *testing.T) {
 	pl := newTestPool(t, 2)
 	ctx := context.Background()
 
-	res, err := pl.Reoptimize(ctx)
+	res, err := reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -31,7 +31,7 @@ func TestResultAggregatesBlocks(t *testing.T) {
 		t.Fatalf("baseline gain %v, pool stats %v", res.BaselineGain, st.BaselineGain)
 	}
 
-	res, err = pl.Reoptimize(ctx)
+	res, err = reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("noop pass: %v", err)
 	}
@@ -48,7 +48,7 @@ func TestResultAggregatesBlocks(t *testing.T) {
 		t.Fatalf("scale: %v", err)
 	}
 	dirty := pl.Stats().DirtySubproblems
-	res, err = pl.Reoptimize(ctx)
+	res, err = reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("delta pass: %v", err)
 	}
@@ -134,7 +134,7 @@ func TestBlockEnginesShareRegistry(t *testing.T) {
 	}
 	events := reg.CounterVec("rasa_incr_events_total", "", "type").With("scaleService")
 	fulls := reg.CounterVec("rasa_incr_reoptimize_total", "", "mode").With("full")
-	if _, err := pl.Reoptimize(context.Background()); err != nil {
+	if _, err := reoptimize(context.Background(), pl); err != nil {
 		t.Fatal(err)
 	}
 	if got := fulls.Value(); got != 2 {

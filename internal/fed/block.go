@@ -1,16 +1,17 @@
 // Package fed is the federation layer: a block pool that deals
 // compatibility blocks round-robin onto N shard workers (block id mod
 // N), each block owning its own incremental engine and lifetime log
-// segment, with scatter-gather delta re-optimization and a merge step
-// that recombines per-block migration plans under one global SLA-floor
-// check before commit. A shard worker is only a unit of concurrency:
-// it proposes its blocks one after another, so Shards bounds how many
-// block proposals run at once.
+// segment. An execution proposes per block and then actuates every
+// block's plan at once through one migration executor per block, whose
+// admission check guards each command's SLA floor and capacity. A shard
+// worker is only a unit of concurrency: it proposes its blocks one
+// after another, so Shards bounds how many block proposals run at once.
 //
 // The load-bearing invariant is the paper's stage-3 decomposition
 // (Section IV-B3): no service of one compatibility block can ever be
-// placed on a machine of another, so blocks re-optimize independently
-// and their plans union into a valid global plan. partition.Blocks
+// placed on a machine of another, so blocks re-optimize independently,
+// per-block floor and capacity validity is global validity, and their
+// plans union into a valid global plan. partition.Blocks
 // computes the block structure; the pool owns the routing tables from
 // global service/machine indices to (block, local index) and keeps them
 // consistent across index-shifting events like RemoveService.
@@ -30,8 +31,8 @@ import (
 
 // block is one compatibility block hosted by the pool: a self-contained
 // sub-cluster with its own engine and log segment. The mutex serializes
-// event routing against the scatter-gather pass; the pool's table lock
-// orders strictly before any block lock.
+// event routing against an execution; the pool's table lock orders
+// strictly before any block lock.
 type block struct {
 	id int
 	mu sync.Mutex

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/cloudsched/rasa/internal/exec"
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
 	"github.com/cloudsched/rasa/internal/partition"
@@ -31,25 +32,26 @@ func equivalencePreset() workload.Preset {
 // master sets), TargetSize >= any block (stage 4 never consumes its
 // rng, which the arms would otherwise consume in different orders),
 // ForceFull (no per-arm escalation divergence) and a generous budget so
-// no solve is cut off mid-search.
+// no solve or migration plan is cut off mid-search.
 func equivalenceOpts(n int) incr.Options {
 	return incr.Options{
-		Budget:        60 * time.Second,
-		ForceFull:     true,
-		SkipMigration: true,
-		Parallelism:   1,
-		Partition:     partition.Options{MasterRatio: 1, TargetSize: n + 1, Seed: 11},
+		Budget:      60 * time.Second,
+		ForceFull:   true,
+		Parallelism: 1,
+		Partition:   partition.Options{MasterRatio: 1, TargetSize: n + 1, Seed: 11},
 	}
 }
 
-// adopt runs one single-engine pass and adopts its target, as the pool
-// does per block: Propose, then CommitProposal.
-func adopt(ctx context.Context, eng *incr.Engine) (*incr.Result, error) {
+// executeSingle runs one single-engine pass as the pool runs each block:
+// Propose, then RunProposal on an instant fabric.
+func executeSingle(ctx context.Context, eng *incr.Engine) (*incr.Result, *exec.Report, error) {
+	from := eng.State().Assignment().Clone()
 	res, err := eng.Propose(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return res, eng.CommitProposal(res)
+	rep, err := exec.New(eng, exec.NewInstantFabric(from), exec.Options{}, nil).RunProposal(ctx, from, res)
+	return res, rep, err
 }
 
 // TestBlockIsolationEquivalence is the federation's correctness
@@ -57,7 +59,8 @@ func adopt(ctx context.Context, eng *incr.Engine) (*incr.Result, error) {
 // merging the results yields the same assignment and the same gained
 // affinity as running one engine over the whole cluster on the same
 // event stream. This is the paper's stage-3 independence argument made
-// executable.
+// executable. Both arms plan migrations and execute them on instant
+// fabrics, the one way a session moves.
 func TestBlockIsolationEquivalence(t *testing.T) {
 	preset := equivalencePreset()
 	c, err := workload.Generate(preset)
@@ -115,11 +118,20 @@ func TestBlockIsolationEquivalence(t *testing.T) {
 
 	reoptBoth := func(stage string) {
 		t.Helper()
-		if _, err := adopt(ctx, single); err != nil {
-			t.Fatalf("%s: single reoptimize: %v", stage, err)
+		sres, srep, err := executeSingle(ctx, single)
+		if err != nil {
+			t.Fatalf("%s: single execute: %v", stage, err)
 		}
-		if _, err := pl.Reoptimize(ctx); err != nil {
-			t.Fatalf("%s: fed reoptimize: %v", stage, err)
+		fres, err := reoptimize(ctx, pl)
+		if err != nil {
+			t.Fatalf("%s: fed execute: %v", stage, err)
+		}
+		if srep.Outcome != exec.OutcomeCompleted || fres.Report.Outcome != exec.OutcomeCompleted {
+			t.Fatalf("%s: outcomes single=%s fed=%s", stage, srep.Outcome, fres.Report.Outcome)
+		}
+		if sres.Moves != fres.Moves || srep.Executed != fres.Report.Executed {
+			t.Fatalf("%s: moves single=%d fed=%d, executed single=%d fed=%d",
+				stage, sres.Moves, fres.Moves, srep.Executed, fres.Report.Executed)
 		}
 		compare(stage)
 	}
@@ -190,9 +202,9 @@ func TestBlockIsolationEquivalence(t *testing.T) {
 	reoptBoth("after wave 2")
 }
 
-// TestEquivalenceWithMigration repeats the property with migration
-// planning enabled: the adopted targets and the executed placements
-// must still coincide.
+// TestEquivalenceWithMigration checks the bootstrap pass's plans: the
+// single engine and the pool move the same containers, their plans
+// relocate as many, and the executed placements coincide.
 func TestEquivalenceWithMigration(t *testing.T) {
 	preset := equivalencePreset()
 	cs, err := workload.Generate(preset)
@@ -204,7 +216,6 @@ func TestEquivalenceWithMigration(t *testing.T) {
 		t.Fatalf("generate: %v", err)
 	}
 	opts := equivalenceOpts(cs.Problem.N())
-	opts.SkipMigration = false
 
 	st, err := incr.NewState(cs.Problem, cs.Original)
 	if err != nil {
@@ -217,11 +228,11 @@ func TestEquivalenceWithMigration(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	sres, err := adopt(ctx, single)
+	sres, _, err := executeSingle(ctx, single)
 	if err != nil {
 		t.Fatalf("single: %v", err)
 	}
-	fres, err := pl.Reoptimize(ctx)
+	fres, err := reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("fed: %v", err)
 	}

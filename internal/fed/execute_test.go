@@ -28,9 +28,7 @@ func newExecPool(t *testing.T) *Pool {
 	if err != nil {
 		t.Fatalf("generate: %v", err)
 	}
-	opts := equivalenceOpts(c.Problem.N())
-	opts.SkipMigration = false
-	pl, err := New(c.Problem, c.Original, Options{Shards: 2, Engine: opts}, nil)
+	pl, err := New(c.Problem, c.Original, Options{Shards: 2, Engine: equivalenceOpts(c.Problem.N())}, nil)
 	if err != nil {
 		t.Fatalf("pool: %v", err)
 	}
@@ -89,12 +87,13 @@ func TestExecuteActuatesBlocksConcurrently(t *testing.T) {
 	deadline, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	r := &barrier{n: pl.Blocks(), deadline: deadline, seen: make(map[int]bool), all: make(chan struct{})}
-	rep, err := pl.Execute(context.Background(), func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
+	res, err := pl.Execute(context.Background(), func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
 		return barrierFabric{Fabric: exec.NewInstantFabric(start), block: blockID, r: r}
 	}, exec.Options{MaxAttempts: 1, MaxReplans: -1})
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
+	rep := res.Report
 	select {
 	case <-r.all:
 	default:
@@ -155,7 +154,7 @@ func TestConcurrentExecuteMatchesSequential(t *testing.T) {
 				}
 			}
 		}
-		got, gotBlocks, err := conc.execute(ctx, fabFor, opts)
+		res, gotBlocks, err := conc.execute(ctx, fabFor, opts)
 		if err != nil {
 			t.Fatalf("round %d: execute: %v", round, err)
 		}
@@ -169,6 +168,7 @@ func TestConcurrentExecuteMatchesSequential(t *testing.T) {
 				t.Fatalf("round %d block %d: log head %d, reference %d", round, i, gh, wh)
 			}
 		}
+		got := res.Report
 		sameReport(t, fmt.Sprintf("round %d aggregate", round), got, want)
 		if got.FloorViolations != 0 {
 			t.Fatalf("round %d: %d floor violations", round, got.FloorViolations)
@@ -178,6 +178,37 @@ func TestConcurrentExecuteMatchesSequential(t *testing.T) {
 	}
 	if retries == 0 || deaths == 0 {
 		t.Fatalf("fault schedule never fired: %d retries, %d deaths", retries, deaths)
+	}
+}
+
+// TestExecuteReportsBlockCheckpoints: the aggregate report keeps every
+// block's checkpoints, each naming the block whose log its offset
+// points into.
+func TestExecuteReportsBlockCheckpoints(t *testing.T) {
+	pl := newExecPool(t)
+	res, err := pl.Execute(context.Background(), func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
+		return exec.NewFaultFabric(start, exec.FaultConfig{
+			Deaths: []exec.MachineDeath{{Machine: len(gMach) - 1, AfterCommands: 1}},
+			Seed:   int64(blockID + 1),
+		})
+	}, exec.Options{})
+	if err != nil {
+		t.Fatalf("execute: %v", err)
+	}
+	rep := res.Report
+	if len(rep.DeadMachines) == 0 {
+		t.Fatal("no scheduled death fired")
+	}
+	if len(rep.Checkpoints) == 0 {
+		t.Fatalf("%d machines died and the report holds no checkpoint", len(rep.DeadMachines))
+	}
+	for _, cp := range rep.Checkpoints {
+		if cp.Block < 0 || cp.Block >= pl.Blocks() {
+			t.Fatalf("checkpoint names block %d of %d", cp.Block, pl.Blocks())
+		}
+		if head := pl.blocks[cp.Block].log().Head(); cp.Offset == 0 || cp.Offset > head {
+			t.Fatalf("checkpoint offset %d, block %d log head %d", cp.Offset, cp.Block, head)
+		}
 	}
 }
 
@@ -335,10 +366,11 @@ func TestPerBlockValidityIsGlobal(t *testing.T) {
 	rounds := 0
 	for ; rounds < 4 || churned.Load() < 50; rounds++ {
 		obs.reset()
-		rep, blocks, err := pl.execute(ctx, fabFor, exec.Options{MinAlive: obs.minAlive, Parallelism: 4})
+		res, blocks, err := pl.execute(ctx, fabFor, exec.Options{MinAlive: obs.minAlive, Parallelism: 4})
 		if err != nil {
 			t.Fatalf("round %d: execute: %v", rounds, err)
 		}
+		rep := res.Report
 		if rep.Outcome != exec.OutcomeCompleted || rep.FloorViolations != 0 {
 			t.Fatalf("round %d: outcome %v, %d floor violations: %s", rounds, rep.Outcome, rep.FloorViolations, rep.Err)
 		}

@@ -42,6 +42,10 @@ func (pl *Pool) executeSequential(ctx context.Context, fabFor func(blockID int, 
 		agg.BackoffTotal += rep.BackoffTotal
 		agg.Replans += rep.Replans
 		agg.ReplanReasons = append(agg.ReplanReasons, rep.ReplanReasons...)
+		for _, cp := range rep.Checkpoints {
+			cp.Block = b.id
+			agg.Checkpoints = append(agg.Checkpoints, cp)
+		}
 		agg.FloorViolations += rep.FloorViolations
 		agg.EnvFloorDips += rep.EnvFloorDips
 		agg.WastedMoves += rep.WastedMoves

@@ -10,7 +10,6 @@ import (
 	"github.com/cloudsched/rasa/internal/graph"
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
-	"github.com/cloudsched/rasa/internal/migrate"
 	"github.com/cloudsched/rasa/internal/partition"
 )
 
@@ -57,10 +56,17 @@ func twoBlockProblem() (*cluster.Problem, *cluster.Assignment) {
 
 func testEngineOpts() incr.Options {
 	return incr.Options{
-		Budget:        5 * time.Second,
-		SkipMigration: true,
-		Parallelism:   1,
+		Budget:      5 * time.Second,
+		Parallelism: 1,
 	}
+}
+
+// reoptimize is one execution on instant fabrics, as POST
+// /v1/cluster/reoptimize runs it.
+func reoptimize(ctx context.Context, pl *Pool) (*Result, error) {
+	return pl.Execute(ctx, func(_ int, _ []int, start *cluster.Assignment) exec.Fabric {
+		return exec.NewInstantFabric(start)
+	}, exec.Options{})
 }
 
 func newTestPool(t *testing.T, shards int) *Pool {
@@ -289,19 +295,19 @@ func TestReoptimizeScatterGather(t *testing.T) {
 	ctx := context.Background()
 
 	// Bootstrap: both blocks run the full pipeline.
-	res, err := pl.Reoptimize(ctx)
+	res, err := reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
-	if res.Fulls != 2 || res.FloorRejections != 0 {
-		t.Fatalf("bootstrap fulls=%d rejections=%d", res.Fulls, res.FloorRejections)
+	if res.Fulls != 2 || res.Report.FloorViolations != 0 {
+		t.Fatalf("bootstrap fulls=%d floor violations=%d", res.Fulls, res.Report.FloorViolations)
 	}
 	if res.NormalizedGain < 0 || res.NormalizedGain > 1 {
 		t.Fatalf("normalized gain %v out of range", res.NormalizedGain)
 	}
 
-	// Nothing dirty: both blocks noop, no journal growth from commits.
-	res, err = pl.Reoptimize(ctx)
+	// Nothing dirty: both blocks noop, and the journal does not grow.
+	res, err = reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("noop pass: %v", err)
 	}
@@ -313,7 +319,7 @@ func TestReoptimizeScatterGather(t *testing.T) {
 	if _, err := pl.Apply(lifetime.ScaleService{Service: 3, Replicas: 3}); err != nil {
 		t.Fatalf("scale: %v", err)
 	}
-	res, err = pl.Reoptimize(ctx)
+	res, err = reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("delta pass: %v", err)
 	}
@@ -337,14 +343,12 @@ func TestReoptimizeScatterGather(t *testing.T) {
 
 func TestMergedPlanGlobalIndices(t *testing.T) {
 	p, a := twoBlockProblem()
-	opts := testEngineOpts()
-	opts.SkipMigration = false
-	pl, err := New(p, a, Options{Shards: 2, Engine: opts}, nil)
+	pl, err := New(p, a, Options{Shards: 2, Engine: testEngineOpts()}, nil)
 	if err != nil {
 		t.Fatalf("new pool: %v", err)
 	}
 	ctx := context.Background()
-	res, err := pl.Reoptimize(ctx)
+	res, err := reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
@@ -356,7 +360,7 @@ func TestMergedPlanGlobalIndices(t *testing.T) {
 		); err != nil {
 			t.Fatalf("churn: %v", err)
 		}
-		if res, err = pl.Reoptimize(ctx); err != nil {
+		if res, err = reoptimize(ctx, pl); err != nil {
 			t.Fatalf("churn pass: %v", err)
 		}
 	}
@@ -379,66 +383,14 @@ func TestMergedPlanGlobalIndices(t *testing.T) {
 	}
 }
 
-// TestFloorCheckRejectsBadPlan feeds the gather phase a hand-made plan
-// that deletes a service below its floor and checks the global check
-// refuses that block.
-func TestFloorCheckRejectsBadPlan(t *testing.T) {
-	pl := newTestPool(t, 2)
-	b := pl.blocks[0]
-	// Delete both replicas of local service 0 in one step, create none:
-	// alive falls to 0, far below floor(0.75*2)=1.
-	bad := &incr.Result{
-		Mode: incr.ModeDelta,
-		Plan: &migrate.Plan{Steps: []migrate.Step{{
-			{Op: migrate.Delete, Service: 0, Machine: 0},
-			{Op: migrate.Delete, Service: 0, Machine: 0},
-		}}, Moves: 2},
-		Changed: []lifetime.PlacementDelta{{Service: 0, Machine: 0, Before: 2, After: 2}},
-	}
-	rejected := pl.floorCheck([]*pass{{b: b, shard: 0, res: bad}})
-	if len(rejected) != 1 || rejected[0] != 0 {
-		t.Fatalf("rejected = %v, want [0]", rejected)
-	}
-
-	// A plan that respects the floor passes.
-	good := &incr.Result{
-		Mode: incr.ModeDelta,
-		Plan: &migrate.Plan{Steps: []migrate.Step{
-			{{Op: migrate.Delete, Service: 0, Machine: 0}},
-			{{Op: migrate.Create, Service: 0, Machine: 1}},
-		}, Moves: 1},
-	}
-	if rejected := pl.floorCheck([]*pass{{b: b, shard: 0, res: good}}); rejected != nil {
-		t.Fatalf("good plan rejected: %v", rejected)
-	}
-
-	// A create that overflows machine capacity is caught too.
-	over := &incr.Result{
-		Mode: incr.ModeDelta,
-		Plan: &migrate.Plan{Steps: []migrate.Step{func() migrate.Step {
-			var step migrate.Step
-			for i := 0; i < 12; i++ {
-				step = append(step, migrate.Command{Op: migrate.Create, Service: 0, Machine: 0})
-			}
-			return step
-		}()}, Moves: 12},
-		Changed: []lifetime.PlacementDelta{{Service: 0, Machine: 0, Before: 2, After: 14}},
-	}
-	if rejected := pl.floorCheck([]*pass{{b: b, shard: 0, res: over}}); len(rejected) != 1 {
-		t.Fatalf("overflow plan not rejected: %v", rejected)
-	}
-}
-
 func TestExecuteAggregatesBlocks(t *testing.T) {
 	p, a := twoBlockProblem()
-	opts := testEngineOpts()
-	opts.SkipMigration = false
-	pl, err := New(p, a, Options{Shards: 2, Engine: opts}, nil)
+	pl, err := New(p, a, Options{Shards: 2, Engine: testEngineOpts()}, nil)
 	if err != nil {
 		t.Fatalf("new pool: %v", err)
 	}
 	ctx := context.Background()
-	if _, err := pl.Reoptimize(ctx); err != nil {
+	if _, err := reoptimize(ctx, pl); err != nil {
 		t.Fatalf("bootstrap: %v", err)
 	}
 	if _, err := pl.Apply(
@@ -447,12 +399,11 @@ func TestExecuteAggregatesBlocks(t *testing.T) {
 	); err != nil {
 		t.Fatalf("churn: %v", err)
 	}
-	rep, err := pl.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
-		return exec.NewInstantFabric(start)
-	}, exec.Options{})
+	res, err := reoptimize(ctx, pl)
 	if err != nil {
 		t.Fatalf("execute: %v", err)
 	}
+	rep := res.Report
 	if rep.Outcome != exec.OutcomeCompleted {
 		t.Fatalf("outcome = %v err=%q", rep.Outcome, rep.Err)
 	}

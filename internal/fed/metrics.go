@@ -2,7 +2,6 @@ package fed
 
 import (
 	"strconv"
-	"time"
 
 	"github.com/cloudsched/rasa/internal/obs"
 )
@@ -10,13 +9,11 @@ import (
 // metrics instruments the shard pool. A nil *metrics is valid and drops
 // every observation, so the pool works without a registry.
 type metrics struct {
-	routed     *obs.CounterVec // rasa_fed_events_routed_total{shard}
-	reopts     *obs.CounterVec // rasa_fed_reoptimize_total{shard,mode}
-	mergeSecs  *obs.Histogram  // rasa_fed_merge_seconds
-	rejections *obs.Counter    // rasa_fed_floor_rejections_total
-	shards     *obs.Gauge      // rasa_fed_shards
-	blocks     *obs.Gauge      // rasa_fed_blocks
-	headroom   *obs.Gauge      // rasa_exec_min_sla_headroom, set last from the aggregate
+	routed   *obs.CounterVec // rasa_fed_events_routed_total{shard}
+	reopts   *obs.CounterVec // rasa_fed_reoptimize_total{shard,mode}
+	shards   *obs.Gauge      // rasa_fed_shards
+	blocks   *obs.Gauge      // rasa_fed_blocks
+	headroom *obs.Gauge      // rasa_exec_min_sla_headroom, set last from the aggregate
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -27,12 +24,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		routed: reg.CounterVec("rasa_fed_events_routed_total",
 			"Churn events routed to shard workers, by owning shard.", "shard"),
 		reopts: reg.CounterVec("rasa_fed_reoptimize_total",
-			"Per-block re-optimization passes, by owning shard and path taken.", "shard", "mode"),
-		mergeSecs: reg.Histogram("rasa_fed_merge_seconds",
-			"Wall time of the scatter-gather merge step (plan recombination plus the global SLA-floor check).",
-			nil),
-		rejections: reg.Counter("rasa_fed_floor_rejections_total",
-			"Per-block plans rejected by the global SLA-floor check."),
+			"Per-block proposals of an execution, by owning shard and path taken.", "shard", "mode"),
 		shards: reg.Gauge("rasa_fed_shards",
 			"Shard workers in the pool."),
 		blocks: reg.Gauge("rasa_fed_blocks",
@@ -56,20 +48,6 @@ func (m *metrics) reoptimize(shard int, mode string) {
 		return
 	}
 	m.reopts.With(shardLabel(shard), mode).Inc()
-}
-
-func (m *metrics) merge(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.mergeSecs.Observe(d.Seconds())
-}
-
-func (m *metrics) rejection(n int) {
-	if m == nil {
-		return
-	}
-	m.rejections.Add(float64(n))
 }
 
 func (m *metrics) topology(shards, blocks int) {

@@ -2,18 +2,15 @@ package fed
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"time"
 
 	"github.com/cloudsched/rasa/internal/cluster"
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
-	"github.com/cloudsched/rasa/internal/migrate"
 	"github.com/cloudsched/rasa/internal/obs"
 	"github.com/cloudsched/rasa/internal/partition"
-	"github.com/cloudsched/rasa/internal/solve"
 )
 
 // Options tune the shard pool.
@@ -40,12 +37,13 @@ func (o Options) withDefaults() Options {
 
 // Pool is the embedded shard federation: compatibility blocks sliced
 // into self-contained sub-clusters, dealt round-robin onto shard
-// workers, with global-index routing of churn events and a
-// scatter-gather Reoptimize.
+// workers, with global-index routing of churn events and one write
+// path, Execute: every block proposes, and an executor per block
+// actuates its plan into the block's log.
 //
 // Lock order: mu (tables) before any block.mu; journal's own lock is
-// leaf-only. The scatter-gather pass holds solveMu for its duration and
-// never touches mu while holding a block lock, so event routing
+// leaf-only. An execution holds solveMu for its duration and never
+// touches mu while holding a block lock, so event routing
 // (mu -> block.mu) cannot deadlock against it.
 type Pool struct {
 	opts Options
@@ -70,7 +68,7 @@ type Pool struct {
 	crossTotal float64
 	addRR      int // round-robin cursor for AddMachine placement
 
-	// solveMu serializes scatter-gather passes.
+	// solveMu serializes executions.
 	solveMu sync.Mutex
 
 	// jmu guards the journal: the pool-level event history serving
@@ -412,177 +410,20 @@ func (pl *Pool) removeService(e lifetime.RemoveService) error {
 	return nil
 }
 
-// pass is one block's Propose outcome inside a scatter-gather round.
+// pass is one block's Propose outcome inside an execution.
 type pass struct {
 	b     *block
 	shard int
 	res   *incr.Result
 }
 
-// Result aggregates one scatter-gather re-optimization across every
-// block, in the shape incr.Result reports for one engine.
-type Result struct {
-	// Mode is the highest path any block took (full > delta > noop);
-	// EscalationReason is the first escalating block's reason.
-	Mode             incr.Mode
-	EscalationReason string
-	// DirtySubproblems and TotalSubproblems sum the blocks' counts.
-	DirtySubproblems int
-	TotalSubproblems int
-	// Noops/Deltas/Fulls count per-block passes by path taken.
-	Noops, Deltas, Fulls int
-	// EventsApplied sums the blocks' cumulative event counts.
-	EventsApplied int
-	// GainedAffinity sums per-block gains after commit; NormalizedGain
-	// divides by the global denominator (block totals plus cross-block
-	// weight).
-	GainedAffinity float64
-	NormalizedGain float64
-	// BaselineGain weights each block's last full-solve gain by its
-	// affinity, over the same global denominator.
-	BaselineGain float64
-	// Moves and Changed are the merged global diff; Plan is the merged
-	// global migration plan (step i is the union of every accepted
-	// block plan's step i — valid because blocks share no machines).
-	Moves   int
-	Changed []lifetime.PlacementDelta
-	Plan    *migrate.Plan
-	// FloorRejections counts block plans the global SLA-floor check
-	// refused to commit (their blocks stay dirty and retry next pass);
-	// RejectedBlocks lists them.
-	FloorRejections  int
-	RejectedBlocks   []int
-	PartialMigration bool
-	OutOfTime        bool
-	// Stats combines every block's solver effort with solve.Stats.Merge.
-	Stats solve.Stats
-	// MergeElapsed is the gather+merge+floor-check portion of Elapsed.
-	MergeElapsed time.Duration
-	Elapsed      time.Duration
-}
-
-// Reoptimize runs one scatter-gather pass: every shard worker proposes
-// per-block re-optimizations concurrently (noop blocks return
-// immediately), the merge step recombines the per-block migration plans
-// into one global plan, a single global SLA-floor check walks that plan
-// against floors and capacities, and only then are the surviving block
-// proposals committed. Block locks are held from Propose to commit, so
-// no event can slip between a proposal and its adoption.
-func (pl *Pool) Reoptimize(ctx context.Context) (*Result, error) {
-	pl.solveMu.Lock()
-	defer pl.solveMu.Unlock()
-	start := time.Now()
-
-	passes, crossTotal, unlockAll, err := pl.proposeAll(ctx)
-	if err != nil {
-		return nil, err
-	}
-
-	// Gather: merge plans and run the global floor check, then commit
-	// the survivors.
-	mergeStart := time.Now()
-	rejected := pl.floorCheck(passes)
-	res := &Result{RejectedBlocks: rejected, FloorRejections: len(rejected)}
-	pl.m.rejection(len(rejected))
-	isRejected := make(map[int]bool, len(rejected))
-	for _, id := range rejected {
-		isRejected[id] = true
-	}
-	var mergedSteps []migrate.Step
-	var relocations int
-	for _, pa := range passes {
-		pl.m.reoptimize(pa.shard, pa.res.Mode.String())
-		res.Mode = max(res.Mode, pa.res.Mode)
-		if res.EscalationReason == "" {
-			res.EscalationReason = pa.res.EscalationReason
-		}
-		res.DirtySubproblems += pa.res.DirtySubproblems
-		res.TotalSubproblems += pa.res.TotalSubproblems
-		res.Stats.Merge(pa.res.Stats)
-		switch pa.res.Mode {
-		case incr.ModeNoop:
-			res.Noops++
-		case incr.ModeDelta:
-			res.Deltas++
-		case incr.ModeFull:
-			res.Fulls++
-		}
-		if pa.res.Mode == incr.ModeNoop || isRejected[pa.b.id] {
-			continue
-		}
-		if err := pa.b.eng.CommitProposal(pa.res); err != nil {
-			unlockAll()
-			return nil, fmt.Errorf("fed: block %d commit: %w", pa.b.id, err)
-		}
-		res.Moves += pa.res.Moves
-		for _, d := range pa.res.Changed {
-			res.Changed = append(res.Changed, lifetime.PlacementDelta{
-				Service: pa.b.gSvc[d.Service], Machine: pa.b.gMach[d.Machine],
-				Before: d.Before, After: d.After,
-			})
-		}
-		if pa.res.PartialMigration {
-			res.PartialMigration = true
-		}
-		if pa.res.OutOfTime {
-			res.OutOfTime = true
-		}
-		if pa.res.Plan != nil {
-			relocations += pa.res.Plan.Relocations
-			for i, step := range pa.res.Plan.Steps {
-				for len(mergedSteps) <= i {
-					mergedSteps = append(mergedSteps, nil)
-				}
-				for _, c := range step {
-					mergedSteps[i] = append(mergedSteps[i], migrate.Command{
-						Op: c.Op, Service: pa.b.gSvc[c.Service], Machine: pa.b.gMach[c.Machine],
-					})
-				}
-			}
-		}
-	}
-	if len(mergedSteps) > 0 {
-		res.Plan = &migrate.Plan{Steps: mergedSteps, Moves: res.Moves, Relocations: relocations}
-	}
-
-	// Tally gains from the live (post-commit) block states.
-	var gained, total, baseWeighted float64
-	for _, pa := range passes {
-		st := pa.b.eng.State()
-		bp := st.Problem()
-		gained += st.Assignment().GainedAffinity(bp)
-		w := bp.Affinity.TotalWeight()
-		total += w
-		baseWeighted += pa.res.BaselineGain * w
-		res.EventsApplied += pa.res.EventsApplied
-	}
-	unlockAll()
-
-	res.GainedAffinity = gained
-	if denom := total + crossTotal; denom > 0 {
-		res.NormalizedGain = gained / denom
-		res.BaselineGain = baseWeighted / denom
-	}
-	res.MergeElapsed = time.Since(mergeStart)
-	res.Elapsed = time.Since(start)
-	pl.m.merge(res.MergeElapsed)
-
-	pl.jmu.Lock()
-	pl.journal = append(pl.journal, lifetime.EntryJSON{
-		Seq: uint64(len(pl.journal) + 1),
-		EventJSON: lifetime.ToJSON(lifetime.PlanCommitted{
-			Origin: "fed", Mode: "merge", Applied: true, Moves: res.Moves,
-		}),
-	})
-	pl.jmu.Unlock()
-	return res, nil
-}
-
-// proposeAll is the scatter phase of Reoptimize and Execute: each shard
-// worker locks and proposes its blocks in id order, so at most Shards
-// proposals (CPU work under a wall-clock budget) run at once. On success
-// passes[i] is block i's proposal and every block stays locked until
-// unlockAll; on error no lock is held.
+// proposeAll is Execute's first phase: each shard worker locks and
+// proposes its blocks in id order, so at most Shards proposals (CPU
+// work under a wall-clock budget) run at once. On success passes[i] is
+// block i's proposal and every block stays locked until unlockAll; on
+// error no lock is held, and every block that did propose got a
+// ReplanRequested in its log, since its proposal consumed its dirty set
+// and will not be executed.
 func (pl *Pool) proposeAll(ctx context.Context) (passes []*pass, crossTotal float64, unlockAll func(), err error) {
 	pl.mu.RLock()
 	crossTotal = pl.crossTotal
@@ -626,116 +467,18 @@ func (pl *Pool) proposeAll(ctx context.Context) (passes []*pass, crossTotal floa
 		}
 	}
 	for _, err := range errs {
-		if err != nil {
-			unlockAll()
-			return nil, 0, nil, err
-		}
-	}
-	return passes, crossTotal, unlockAll, nil
-}
-
-// floorCheck is the thin global invariant between local autonomy and
-// commit: it walks the union of the proposed block plans step by step
-// over the pooled cluster, tracking per-service alive counts against
-// the SLA floor and per-machine load against capacity, and returns the
-// ids of blocks whose plans would breach either. With disjoint blocks
-// each already Simulate-verified by its planner this returns nothing —
-// it exists to stop a miscomputed or stale plan from reaching the
-// fabric, the same zero-by-construction stance the executor takes.
-//
-// Called with every block lock held, so block problems and assignments
-// are stable; attribution is per block because commands only ever touch
-// their own block's services and machines.
-func (pl *Pool) floorCheck(passes []*pass) []int {
-	minAlive := pl.opts.Engine.MinAlive
-	if minAlive == 0 {
-		minAlive = 0.75 // incr.Options default
-	}
-	type track struct {
-		alive map[int]int         // local service -> alive count
-		floor map[int]int         // local service -> min alive
-		used  []cluster.Resources // local machine -> load
-		bp    *cluster.Problem
-	}
-	tracks := make(map[int]*track)
-	bad := make(map[int]bool)
-	for _, pa := range passes {
-		if pa == nil || pa.res.Plan == nil || pa.res.Mode == incr.ModeNoop {
+		if err == nil {
 			continue
 		}
-		st := pa.b.eng.State()
-		bp, a := st.Problem(), st.Assignment()
-		t := &track{
-			alive: make(map[int]int, bp.N()),
-			floor: make(map[int]int, bp.N()),
-			used:  a.UsedResources(bp),
-			bp:    bp,
-		}
-		target := make(map[int]int, bp.N())
-		for s := 0; s < bp.N(); s++ {
-			t.alive[s] = a.Placed(s)
-			target[s] = t.alive[s]
-		}
-		for _, d := range pa.res.Changed {
-			target[d.Service] += d.After - d.Before
-		}
-		for s := 0; s < bp.N(); s++ {
-			f := int(minAlive * float64(bp.Services[s].Replicas))
-			if target[s] < f {
-				f = target[s]
-			}
-			if t.alive[s] < f {
-				f = t.alive[s]
-			}
-			t.floor[s] = f
-		}
-		tracks[pa.b.id] = t
-	}
-
-	maxSteps := 0
-	for _, pa := range passes {
-		if pa != nil && pa.res.Plan != nil && len(pa.res.Plan.Steps) > maxSteps {
-			maxSteps = len(pa.res.Plan.Steps)
-		}
-	}
-	for i := 0; i < maxSteps; i++ {
 		for _, pa := range passes {
-			if pa == nil || pa.res.Plan == nil || bad[pa.b.id] || i >= len(pa.res.Plan.Steps) {
-				continue
-			}
-			t := tracks[pa.b.id]
-			for _, c := range pa.res.Plan.Steps[i] {
-				req := t.bp.Services[c.Service].Request
-				switch c.Op {
-				case migrate.Delete:
-					t.alive[c.Service]--
-					t.used[c.Machine] = t.used[c.Machine].Sub(req)
-				case migrate.Create:
-					t.alive[c.Service]++
-					t.used[c.Machine] = t.used[c.Machine].Add(req)
-				}
-			}
-			// Verify after the whole step (commands within a step are
-			// concurrent, matching migrate.Simulate).
-			for _, c := range pa.res.Plan.Steps[i] {
-				if t.alive[c.Service] < t.floor[c.Service] {
-					bad[pa.b.id] = true
-					break
-				}
-				if c.Op == migrate.Create && !t.used[c.Machine].Fits(t.bp.Machines[c.Machine].Capacity) {
-					bad[pa.b.id] = true
-					break
+			if pa != nil && pa.res.Mode != incr.ModeNoop {
+				if _, lerr := pa.b.log().Append(lifetime.ReplanRequested{Reason: "dropped: " + err.Error()}); lerr != nil {
+					err = errors.Join(err, lerr)
 				}
 			}
 		}
+		unlockAll()
+		return nil, 0, nil, err
 	}
-	if len(bad) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(bad))
-	for id := range bad {
-		out = append(out, id)
-	}
-	sort.Ints(out)
-	return out
+	return passes, crossTotal, unlockAll, nil
 }

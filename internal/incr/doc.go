@@ -10,8 +10,8 @@
 // the dirty set or the gained-affinity drift crosses a threshold. The
 // delta pass merges and plans its migration through the same core
 // functions as the full pipeline (core.Settle, core.PlanMigration).
-// A proposal leaves the live assignment alone: CommitProposal adopts it
-// wholesale, or an executor (package exec) actuates it move by move.
+// A proposal leaves the live assignment alone: an executor (package
+// exec) actuates it move by move, through the log.
 //
 // The paper runs RASA as a periodic CronJob that re-solves everything
 // (Section III); region-wide deployments answer continuous deltas with

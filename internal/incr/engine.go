@@ -42,12 +42,11 @@ type Options struct {
 
 	// The remaining fields forward to core.Optimize for full passes and
 	// to the selector/pool machinery for delta passes.
-	Strategy      core.Strategy
-	Partition     partition.Options
-	Policy        selector.Policy
-	Parallelism   int
-	MinAlive      float64
-	SkipMigration bool
+	Strategy    core.Strategy
+	Partition   partition.Options
+	Policy      selector.Policy
+	Parallelism int
+	MinAlive    float64
 }
 
 func (o Options) withDefaults() Options {
@@ -140,16 +139,12 @@ type Result struct {
 	Moves   int
 	Changed []PlacementDelta
 	// Plan transitions the entry assignment to the proposed target (nil
-	// for noop, or when SkipMigration).
+	// for noop, or when planning was cut off).
 	Plan             *migrate.Plan
 	PartialMigration bool
 	OutOfTime        bool
 	Stats            solve.Stats
 	Elapsed          time.Duration
-
-	// head is the log head right after this pass was recorded; a later
-	// CommitProposal refuses to apply the result if the log advanced.
-	head uint64
 }
 
 // Engine drives incremental re-optimization over a State.
@@ -176,47 +171,6 @@ func (e *Engine) Apply(events ...lifetime.Event) (int, error) {
 	return applied, err
 }
 
-// ErrStaleProposal is returned by CommitProposal when the log advanced
-// after the proposal: the proposal's placement deltas and the dirty-set
-// bookkeeping may no longer describe the live state.
-var ErrStaleProposal = errors.New("incr: log advanced since proposal")
-
-// CommitProposal adopts a previously Proposed result wholesale: the
-// proposal's placement deltas are committed to the log as an applied
-// plan, mutating the live assignment to the proposed target — the
-// atomic alternative to executing the proposal's migration plan move by
-// move. The federation merge step (internal/fed) uses it to commit
-// per-block plans that passed the global SLA-floor check.
-//
-// The committed event carries Mode "" (the proposal already recorded
-// its own Mode, and a "full" proposal already counted toward the log's
-// full-run total), so committing does not advance the partition-seed
-// exploration schedule. Noop proposals commit trivially.
-func (e *Engine) CommitProposal(res *Result) error {
-	st := e.st
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if res.Mode == ModeNoop {
-		return nil
-	}
-	if st.log.Head() != res.head {
-		return ErrStaleProposal
-	}
-	pc := lifetime.PlanCommitted{
-		Origin:  "commit",
-		Applied: true,
-		Moves:   res.Moves,
-		Changed: res.Changed,
-	}
-	if err := st.commitLocked(pc); err != nil {
-		return err
-	}
-	st.dirty = make(map[int]bool)
-	st.dirtyTrivial = false
-	e.m.adopted(res)
-	return nil
-}
-
 // Propose computes a target that brings the assignment back to
 // optimized quality after a batch of events. It decides between three
 // paths: nothing dirty — noop; a bounded dirty set — re-solve only the
@@ -227,10 +181,15 @@ func (e *Engine) CommitProposal(res *Result) error {
 // The target is not adopted: the live assignment stays at its entry
 // value and the pass is recorded in the log as a proposal (Applied
 // false). The returned Plan transitions the entry assignment to the
-// proposed target. Either CommitProposal adopts it wholesale, or an
-// executor actuates it move by move, each confirmed move landing in the
-// log as a MoveApplied event — so the state converges on the target
-// exactly as far as the fabric actually got.
+// proposed target, and an executor (package exec) actuates it move by
+// move, each confirmed move landing in the log as a MoveApplied event —
+// so the state converges on the target exactly as far as the fabric
+// actually got.
+//
+// A delta or full pass consumes the dirty set it re-solved. What the
+// execution then fails to reach re-dirties through the log: MoveFailed,
+// MachineDied and ReplanRequested fold back in. A caller that drops a
+// proposal unexecuted appends ReplanRequested itself.
 func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	st := e.st
 	st.mu.Lock()
@@ -261,7 +220,6 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 		if total := p.Affinity.TotalWeight(); total > 0 {
 			res.NormalizedGain = res.GainedAffinity / total
 		}
-		res.head = st.log.Head()
 		e.m.reoptimize(res.Mode)
 		return res, nil
 	case float64(dirtyCount) > e.opts.MaxDirtyRatio*float64(totalGroups):
@@ -352,7 +310,7 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	}
 
 	target := next
-	if !e.opts.SkipMigration && ctx.Err() == nil {
+	if ctx.Err() == nil {
 		plan, reached, partial, err := core.PlanMigration(ctx, p, cur, next, e.opts.MinAlive)
 		switch {
 		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
@@ -375,9 +333,11 @@ func (e *Engine) Propose(ctx context.Context) (*Result, error) {
 	if err := st.commitLocked(lifetime.PlanCommitted{Origin: "propose", Mode: "delta", Moves: res.Moves}); err != nil {
 		return nil, err
 	}
-	res.head = st.log.Head()
+	st.dirty = make(map[int]bool)
+	st.dirtyTrivial = false
 	res.Elapsed = time.Since(start)
 	e.m.reoptimize(res.Mode)
+	e.m.deltaSolve(res.Elapsed)
 	return res, nil
 }
 
@@ -388,13 +348,12 @@ func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirty
 	p := st.log.Problem()
 	cur := st.log.Assignment()
 	copts := core.Options{
-		Budget:        e.opts.Budget,
-		Strategy:      e.opts.Strategy,
-		Partition:     e.opts.Partition,
-		Policy:        e.opts.Policy,
-		Parallelism:   e.opts.Parallelism,
-		MinAlive:      e.opts.MinAlive,
-		SkipMigration: e.opts.SkipMigration,
+		Budget:      e.opts.Budget,
+		Strategy:    e.opts.Strategy,
+		Partition:   e.opts.Partition,
+		Policy:      e.opts.Policy,
+		Parallelism: e.opts.Parallelism,
+		MinAlive:    e.opts.MinAlive,
 	}
 	// Vary the sampling seed across runs so repeated escalations explore
 	// different partitions instead of replaying one. The count comes
@@ -443,7 +402,6 @@ func (e *Engine) full(ctx context.Context, start time.Time, reason string, dirty
 		OutOfTime:        cres.OutOfTime,
 		Stats:            cres.Stats,
 		Elapsed:          time.Since(start),
-		head:             st.log.Head(),
 	}
 	e.m.reoptimize(res.Mode)
 	e.m.escalation(reason)

@@ -15,20 +15,29 @@ import (
 
 func testOptions() Options {
 	return Options{
-		Budget:        3 * time.Second,
-		SkipMigration: true,
-		Parallelism:   2,
+		Budget:      3 * time.Second,
+		Parallelism: 2,
 	}
 }
 
-// adopt runs one pass and adopts its target: Propose, then
-// CommitProposal.
+// commit lands a proposal: res.Changed goes to the log as the engine's
+// own applied plan — in one entry, what an executor that lands every
+// move leaves behind.
+func commit(st *State, res *Result) error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.commitLocked(lifetime.PlanCommitted{
+		Origin: "commit", Applied: true, Moves: res.Moves, Changed: res.Changed,
+	})
+}
+
+// adopt runs one pass and adopts its target: Propose, then commit.
 func adopt(ctx context.Context, eng *Engine) (*Result, error) {
 	res, err := eng.Propose(ctx)
-	if err != nil {
-		return nil, err
+	if err != nil || res.Mode == ModeNoop {
+		return res, err
 	}
-	return res, eng.CommitProposal(res)
+	return res, commit(eng.st, res)
 }
 
 func TestBootstrapNoopDelta(t *testing.T) {
@@ -241,9 +250,7 @@ func TestForceFull(t *testing.T) {
 // to the adopted one, and only moved containers appear in Changed.
 func TestDeltaMigrationPlan(t *testing.T) {
 	st := newTestState(t, t3())
-	opts := testOptions()
-	opts.SkipMigration = false
-	eng := New(st, opts, nil)
+	eng := New(st, testOptions(), nil)
 	ctx := context.Background()
 	if _, err := adopt(ctx, eng); err != nil {
 		t.Fatalf("bootstrap: %v", err)

@@ -1,6 +1,10 @@
 package incr
 
-import "github.com/cloudsched/rasa/internal/obs"
+import (
+	"time"
+
+	"github.com/cloudsched/rasa/internal/obs"
+)
 
 // metrics instruments the incremental engine. A nil *metrics is valid
 // and drops every observation, so the engine works without a registry.
@@ -10,7 +14,6 @@ type metrics struct {
 	escalations *obs.CounterVec // rasa_incr_escalations_total{reason}
 	ratio       *obs.Histogram  // rasa_incr_dirty_ratio
 	deltaSecs   *obs.Histogram  // rasa_incr_delta_solve_seconds
-	moves       *obs.Counter    // rasa_incr_moves_total
 }
 
 func newMetrics(reg *obs.Registry) *metrics {
@@ -28,10 +31,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Fraction of partition subproblems dirty at each delta pass.",
 			[]float64{0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.75, 1}),
 		deltaSecs: reg.Histogram("rasa_incr_delta_solve_seconds",
-			"Wall time of adopted delta passes.",
+			"Wall time of delta passes.",
 			nil),
-		moves: reg.Counter("rasa_incr_moves_total",
-			"Containers moved by adopted re-optimizations."),
 	}
 }
 
@@ -63,15 +64,9 @@ func (m *metrics) dirtyRatio(r float64) {
 	m.ratio.Observe(r)
 }
 
-// adopted records a pass whose target became the live assignment: a
-// Propose later committed with CommitProposal. A proposal that is never
-// committed moves nothing.
-func (m *metrics) adopted(res *Result) {
+func (m *metrics) deltaSolve(d time.Duration) {
 	if m == nil {
 		return
 	}
-	m.moves.Add(float64(res.Moves))
-	if res.Mode == ModeDelta {
-		m.deltaSecs.Observe(res.Elapsed.Seconds())
-	}
+	m.deltaSecs.Observe(d.Seconds())
 }

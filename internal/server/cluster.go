@@ -12,6 +12,8 @@ import (
 	"sync"
 	"time"
 
+	"github.com/cloudsched/rasa/internal/cluster"
+	"github.com/cloudsched/rasa/internal/exec"
 	"github.com/cloudsched/rasa/internal/fed"
 	"github.com/cloudsched/rasa/internal/incr"
 	"github.com/cloudsched/rasa/internal/lifetime"
@@ -21,9 +23,11 @@ import (
 
 // clusterSession is the server's single live cluster: the federated
 // block pool (one incremental engine per compatibility block, dealt
-// round-robin onto Config.Shards shard workers) plus the budget needed to derive
-// request deadlines. One session exists at a time; POST /v1/cluster
-// replaces it.
+// round-robin onto Config.Shards shard workers) plus the budget needed
+// to derive request deadlines. One session exists at a time; POST
+// /v1/cluster replaces it. The session moves only by executing plans:
+// reoptimize and execute both run fed.Pool.Execute, reoptimize on
+// instant fabrics and synchronously.
 //
 // The session mutex serializes reoptimize and execute runs (the pool's
 // own lock would too, but queueing callers at this level keeps request
@@ -32,6 +36,9 @@ type clusterSession struct {
 	mu     sync.Mutex
 	pool   *fed.Pool
 	budget time.Duration // full-pipeline budget of one block pass
+	// minAlive is the SLA floor the block engines plan under (0: the
+	// default); reoptimize executes under the same floor.
+	minAlive float64
 }
 
 // allowance is the deadline of one pass over every block. A block pass
@@ -65,6 +72,10 @@ func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if ro.skipMigration {
+		writeErr(w, http.StatusBadRequest, codeInvalidRequest, "options.skipMigration is for jobs: a cluster session moves only by executing a migration plan")
+		return
+	}
 	p, current, err := snap.ToCluster()
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
@@ -87,7 +98,6 @@ func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 		Strategy:       ro.strategy,
 		Policy:         ro.policy,
 		MinAlive:       ro.minAlive,
-		SkipMigration:  ro.skipMigration,
 		Parallelism:    ro.parallelism,
 		ForceFull:      ro.forceFull,
 	}
@@ -98,7 +108,7 @@ func (s *Server) handleClusterInstall(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, codeInvalidProblem, err.Error())
 		return
 	}
-	sess := &clusterSession{pool: pool, budget: budget}
+	sess := &clusterSession{pool: pool, budget: budget, minAlive: ro.minAlive}
 
 	s.mu.Lock()
 	s.cluster = sess
@@ -172,8 +182,9 @@ func (s *Server) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // reoptimizeResponse is the POST /v1/cluster/reoptimize body: the
-// outcome aggregated over every block, the changed placements only, and
-// the migration plan for exactly the moved containers.
+// proposals aggregated over every block, the changed placements only,
+// the migration plan for exactly the moved containers, and what its
+// execution did.
 type reoptimizeResponse struct {
 	Mode             string                `json:"mode"`
 	Escalated        bool                  `json:"escalated,omitempty"`
@@ -190,18 +201,20 @@ type reoptimizeResponse struct {
 	OutOfTime        bool                  `json:"outOfTime,omitempty"`
 	Stats            solve.Stats           `json:"stats"`
 	Elapsed          string                `json:"elapsed"`
+	// Executed and FloorViolations come from the execution report.
+	Executed        int `json:"executed"`
+	FloorViolations int `json:"floorViolations"`
 
-	// Per-block detail: pass counts by path, global floor-check
-	// rejections, and the merge-phase latency.
-	Shards          int    `json:"shards,omitempty"`
-	Noops           int    `json:"noops,omitempty"`
-	Deltas          int    `json:"deltas,omitempty"`
-	Fulls           int    `json:"fulls,omitempty"`
-	FloorRejections int    `json:"floorRejections,omitempty"`
-	RejectedBlocks  []int  `json:"rejectedBlocks,omitempty"`
-	MergeElapsed    string `json:"mergeElapsed,omitempty"`
+	// Per-block pass counts by path.
+	Shards int `json:"shards,omitempty"`
+	Noops  int `json:"noops,omitempty"`
+	Deltas int `json:"deltas,omitempty"`
+	Fulls  int `json:"fulls,omitempty"`
 }
 
+// handleClusterReoptimize proposes and executes in one request: the
+// execution an execute request with no faults gets, answered
+// synchronously.
 func (s *Server) handleClusterReoptimize(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		writeErr(w, http.StatusServiceUnavailable, codeDraining, "server is draining")
@@ -217,7 +230,9 @@ func (s *Server) handleClusterReoptimize(w http.ResponseWriter, r *http.Request)
 	defer sess.mu.Unlock()
 	ctx, cancel := context.WithTimeout(s.baseCtx, sess.allowance())
 	defer cancel()
-	res, err := sess.pool.Reoptimize(ctx)
+	res, err := sess.pool.Execute(ctx, func(_ int, _ []int, start *cluster.Assignment) exec.Fabric {
+		return exec.NewInstantFabric(start)
+	}, exec.Options{MinAlive: sess.minAlive})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
@@ -238,13 +253,12 @@ func (s *Server) handleClusterReoptimize(w http.ResponseWriter, r *http.Request)
 		OutOfTime:        res.OutOfTime,
 		Stats:            res.Stats,
 		Elapsed:          res.Elapsed.Round(time.Microsecond).String(),
+		Executed:         res.Report.Executed,
+		FloorViolations:  res.Report.FloorViolations,
 		Shards:           sess.pool.Shards(),
 		Noops:            res.Noops,
 		Deltas:           res.Deltas,
 		Fulls:            res.Fulls,
-		FloorRejections:  res.FloorRejections,
-		RejectedBlocks:   res.RejectedBlocks,
-		MergeElapsed:     res.MergeElapsed.Round(time.Microsecond).String(),
 	})
 }
 

@@ -34,7 +34,7 @@ func installTestCluster(t *testing.T, s *Server) {
 	snap := snapshot.FromCluster(c.Problem, c.Original)
 	rec := postObj(t, s, "/v1/cluster", map[string]any{
 		"snapshot": snap,
-		"options":  map[string]any{"budget": "3s", "skipMigration": true},
+		"options":  map[string]any{"budget": "3s"},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)
@@ -144,8 +144,8 @@ func TestClusterLifecycle(t *testing.T) {
 		}
 	}
 
-	// The event log records everything that happened: churn events plus
-	// the engine's plan commits, pageable via ?from=.
+	// The journal holds exactly the accepted churn events, pageable via
+	// ?from=; executions land in the block logs.
 	req = httptest.NewRequest(http.MethodGet, "/v1/cluster/log", nil)
 	lg := httptest.NewRecorder()
 	s.ServeHTTP(lg, req)
@@ -164,23 +164,16 @@ func TestClusterLifecycle(t *testing.T) {
 	if err := json.Unmarshal(lg.Body.Bytes(), &logResp); err != nil {
 		t.Fatal(err)
 	}
-	if logResp.Head < 3 || logResp.Count != int(logResp.Head) || logResp.Fingerprint == "" {
+	if logResp.Head != 2 || logResp.Count != int(logResp.Head) || logResp.Fingerprint == "" {
 		t.Fatalf("log response underpopulated: head=%d count=%d fp=%q", logResp.Head, logResp.Count, logResp.Fingerprint)
 	}
-	kinds := map[string]bool{}
-	for i, en := range logResp.Entries {
-		if en.Seq != uint64(i+1) {
-			t.Fatalf("entry %d has seq %d", i, en.Seq)
-		}
-		kinds[en.Type] = true
-	}
-	for _, want := range []string{"scaleService", "updateAffinity", "planCommitted"} {
-		if !kinds[want] {
-			t.Fatalf("event kind %q missing from log: %v", want, kinds)
+	for i, want := range []string{"scaleService", "updateAffinity"} {
+		if en := logResp.Entries[i]; en.Seq != uint64(i+1) || en.Type != want {
+			t.Fatalf("entry %d is seq %d %q, want %q", i, en.Seq, en.Type, want)
 		}
 	}
 	// Paging from a mid-log offset returns only the tail.
-	req = httptest.NewRequest(http.MethodGet, "/v1/cluster/log?from=3", nil)
+	req = httptest.NewRequest(http.MethodGet, "/v1/cluster/log?from=2", nil)
 	lg = httptest.NewRecorder()
 	s.ServeHTTP(lg, req)
 	var tail struct {
@@ -189,8 +182,8 @@ func TestClusterLifecycle(t *testing.T) {
 	if err := json.Unmarshal(lg.Body.Bytes(), &tail); err != nil {
 		t.Fatal(err)
 	}
-	if want := int(logResp.Head) - 2; tail.Count != want {
-		t.Fatalf("log from=3 count=%d, want %d", tail.Count, want)
+	if want := int(logResp.Head) - 1; tail.Count != want {
+		t.Fatalf("log from=2 count=%d, want %d", tail.Count, want)
 	}
 
 	// Metrics from the incr engine are exported through the server

@@ -215,7 +215,7 @@ func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeReque
 	// are translated into each block's local index space; per-block
 	// seeds are derived from the request seed so runs stay reproducible
 	// without every block replaying the same fault tape.
-	rep, err := sess.pool.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
+	res, err := sess.pool.Execute(ctx, func(blockID int, gMach []int, start *cluster.Assignment) exec.Fabric {
 		var deaths []exec.MachineDeath
 		for _, d := range req.Deaths {
 			for lm, gm := range gMach {
@@ -242,7 +242,11 @@ func (s *Server) runExecute(job *execJob, sess *clusterSession, req executeReque
 		Parallelism:    req.Parallelism,
 		Seed:           req.Seed,
 	})
-	job.finish(rep, err)
+	if err != nil {
+		job.finish(nil, err)
+		return
+	}
+	job.finish(res.Report, nil)
 }
 
 func (s *Server) handleExecuteGet(w http.ResponseWriter, r *http.Request) {

@@ -30,11 +30,13 @@ type optionsJSON struct {
 	Policy *policyJSON `json:"policy,omitempty"`
 	// Budget is the per-job (or full-pipeline, for the cluster session)
 	// optimization budget.
-	Budget        duration `json:"budget,omitempty"`
-	MinAlive      float64  `json:"minAlive,omitempty"`
-	SkipMigration bool     `json:"skipMigration,omitempty"`
-	Parallelism   int      `json:"parallelism,omitempty"`
-	Seed          int64    `json:"seed,omitempty"`
+	Budget   duration `json:"budget,omitempty"`
+	MinAlive float64  `json:"minAlive,omitempty"`
+	// SkipMigration returns a job's target without a migration plan.
+	// POST /v1/cluster refuses it: a session moves only by executing one.
+	SkipMigration bool  `json:"skipMigration,omitempty"`
+	Parallelism   int   `json:"parallelism,omitempty"`
+	Seed          int64 `json:"seed,omitempty"`
 
 	// Incremental-session knobs (POST /v1/cluster only; ignored by
 	// /v1/jobs).

@@ -118,7 +118,8 @@ func TestOptionsFormsAndDeprecation(t *testing.T) {
 // TestClusterLegacyFormDeprecated checks the cluster-session endpoint
 // rejects retired top-level fields the same way — both option-carrying
 // endpoints share the body decoder — and still installs from the
-// wrapped and bare forms.
+// wrapped and bare forms. It refuses options.skipMigration, which only
+// a job can use: a session moves only by executing a plan.
 func TestClusterLegacyFormDeprecated(t *testing.T) {
 	_, ts := startServer(t, Config{Workers: 1, DefaultBudget: 300 * time.Millisecond})
 	snap := testSnapshot(t, 6)
@@ -129,7 +130,8 @@ func TestClusterLegacyFormDeprecated(t *testing.T) {
 	}{
 		{`{"snapshot": %s, "policy": "cg", "skipMigration": true}`, http.StatusBadRequest, `"policy" is no longer read: set options.policy.kind`},
 		{`{"snapshot": %s, "deltaBudget": "50ms"}`, http.StatusBadRequest, `"deltaBudget" is no longer read: set options.deltaBudget`},
-		{`{"snapshot": %s, "options": {"policy": {"kind": "cg"}, "deltaBudget": "50ms", "skipMigration": true}}`, http.StatusOK, ""},
+		{`{"snapshot": %s, "options": {"policy": {"kind": "cg"}, "deltaBudget": "50ms", "skipMigration": true}}`, http.StatusBadRequest, "options.skipMigration is for jobs"},
+		{`{"snapshot": %s, "options": {"policy": {"kind": "cg"}, "deltaBudget": "50ms"}}`, http.StatusOK, ""},
 		{`%s`, http.StatusOK, ""},
 	} {
 		resp, out := postRaw(t, ts.URL+"/v1/cluster", []byte(fmt.Sprintf(tc.body, snap)))

@@ -24,7 +24,7 @@
 //	POST /v1/cluster             install a live cluster for incremental serving
 //	GET  /v1/cluster             live cluster state summary
 //	POST /v1/cluster/events      apply a typed event batch to the live cluster
-//	POST /v1/cluster/reoptimize  delta re-solve; returns moved containers + plan
+//	POST /v1/cluster/reoptimize  re-solve and execute synchronously; returns moved containers + plan
 //	GET  /v1/cluster/log         lifetime event log (paged; ?from=&limit=)
 //	GET  /v1/shards              block-to-shard topology of the cluster session
 //	GET  /metrics                Prometheus text exposition

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -38,7 +39,7 @@ func installShardedCluster(t *testing.T, s *Server) int {
 	snap := snapshot.FromCluster(c.Problem, c.Original)
 	rec := postObj(t, s, "/v1/cluster", map[string]any{
 		"snapshot": snap,
-		"options":  map[string]any{"budget": "3s", "skipMigration": true},
+		"options":  map[string]any{"budget": "3s"},
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("install: %d %s", rec.Code, rec.Body)
@@ -121,7 +122,7 @@ func TestShardedSessionLifecycle(t *testing.T) {
 		t.Fatalf("events response %s", rec.Body)
 	}
 
-	// Reoptimize is the scatter-gather merge pass.
+	// Reoptimize proposes every block and executes the plans.
 	rec = postObj(t, s, "/v1/cluster/reoptimize", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("reoptimize: %d %s", rec.Code, rec.Body)
@@ -130,8 +131,9 @@ func TestShardedSessionLifecycle(t *testing.T) {
 		Mode            string `json:"mode"`
 		Shards          int    `json:"shards"`
 		Fulls           int    `json:"fulls"`
-		FloorRejections int    `json:"floorRejections"`
 		Moves           int    `json:"moves"`
+		Executed        *int   `json:"executed"`
+		FloorViolations *int   `json:"floorViolations"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &reResp); err != nil {
 		t.Fatal(err)
@@ -142,8 +144,19 @@ func TestShardedSessionLifecycle(t *testing.T) {
 	if reResp.Fulls != blocks {
 		t.Fatalf("bootstrap pass ran %d fulls, want %d", reResp.Fulls, blocks)
 	}
-	if reResp.FloorRejections != 0 {
-		t.Fatalf("floor rejections on bootstrap: %s", rec.Body)
+	if reResp.Executed == nil || reResp.FloorViolations == nil || *reResp.FloorViolations != 0 {
+		t.Fatalf("bootstrap execution: %s", rec.Body)
+	}
+	if reResp.Moves > 0 && *reResp.Executed == 0 {
+		t.Fatalf("bootstrap moved %d containers and executed nothing: %s", reResp.Moves, rec.Body)
+	}
+	// An idle reoptimize after an executed pass has nothing to re-solve.
+	rec = postObj(t, s, "/v1/cluster/reoptimize", nil)
+	if err := json.Unmarshal(rec.Body.Bytes(), &reResp); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("idle reoptimize: %d %v %s", rec.Code, err, rec.Body)
+	}
+	if reResp.Mode != "noop" || reResp.Moves != 0 || *reResp.Executed != 0 {
+		t.Fatalf("idle reoptimize response %s", rec.Body)
 	}
 
 	// The journal serves the routed global-index stream.
@@ -162,11 +175,11 @@ func TestShardedSessionLifecycle(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &logResp); err != nil {
 		t.Fatal(err)
 	}
-	// Two routed events plus the merge pass marker.
-	if logResp.Head != 3 || logResp.Count != 3 {
+	// Exactly the two routed events: executions add nothing.
+	if logResp.Head != 2 || logResp.Count != 2 {
 		t.Fatalf("log response %s", rec.Body)
 	}
-	if logResp.Entries[0].Type != "scaleService" || logResp.Entries[2].Type != "planCommitted" {
+	if logResp.Entries[0].Type != "scaleService" || logResp.Entries[1].Type != "drainMachine" {
 		t.Fatalf("journal entries %s", rec.Body)
 	}
 
@@ -302,7 +315,9 @@ func metricValue(t *testing.T, s *Server, series string) float64 {
 // TestShardedExecuteMetrics checks that a sharded execution publishes
 // its block executors into the server registry: a redeploy of one
 // service per block executes exactly one create per block, and the
-// command counter grows by exactly the executed creates.
+// command counter grows by exactly the executed creates. Each block's
+// proposal counts once in rasa_fed_reoptimize_total, and each delta
+// pass once in rasa_incr_delta_solve_seconds.
 func TestShardedExecuteMetrics(t *testing.T) {
 	s := New(Config{Workers: 1, Shards: 2})
 	defer s.Shutdown(t.Context())
@@ -352,7 +367,16 @@ func TestShardedExecuteMetrics(t *testing.T) {
 	const createOK = `rasa_exec_commands_total{op="create",outcome="ok"}`
 	const deleteOK = `rasa_exec_commands_total{op="delete",outcome="ok"}`
 	const runs = `rasa_exec_runs_total{outcome="completed"}`
+	const deltaSolves = `rasa_incr_delta_solve_seconds_count`
+	passes := func(mode string) float64 {
+		n := 0.0
+		for shard := range 2 {
+			n += metricValue(t, s, fmt.Sprintf(`rasa_fed_reoptimize_total{shard="%d",mode="%s"}`, shard, mode))
+		}
+		return n
+	}
 	createsBefore, deletesBefore, runsBefore := metricValue(t, s, createOK), metricValue(t, s, deleteOK), metricValue(t, s, runs)
+	deltasBefore, noopsBefore, solvesBefore := passes("delta"), passes("noop"), metricValue(t, s, deltaSolves)
 	code, v := getExec(t, s, submitExec(t, s, map[string]any{"latency": "1ms"}), "?wait=60s")
 	if code != http.StatusOK || v.Status != StatusCompleted || v.Report == nil || v.Report.Outcome != "completed" {
 		t.Fatalf("execution: %d %+v", code, v)
@@ -371,5 +395,12 @@ func TestShardedExecuteMetrics(t *testing.T) {
 	}
 	if got := metricValue(t, s, "rasa_exec_min_sla_headroom"); got != float64(v.Report.MinHeadroom) {
 		t.Fatalf("rasa_exec_min_sla_headroom %v, report %d", got, v.Report.MinHeadroom)
+	}
+	deltas := passes("delta") - deltasBefore
+	if noops := passes("noop") - noopsBefore; deltas != float64(creates) || deltas+noops != float64(len(blocks)) {
+		t.Fatalf("rasa_fed_reoptimize_total grew by %v deltas and %v noops, want %d deltas of %d block passes", deltas, noops, creates, len(blocks))
+	}
+	if got := metricValue(t, s, deltaSolves) - solvesBefore; got != deltas {
+		t.Fatalf("%s grew by %v, want one per delta pass (%v)", deltaSolves, got, deltas)
 	}
 }
